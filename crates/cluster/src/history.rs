@@ -1,34 +1,66 @@
-//! Per-server load history for delayed (stale) views.
+//! The load history behind delayed (stale) views.
 
 use std::collections::VecDeque;
 
-/// A record of each server's load changes over a sliding window of time.
+/// Load changes between two snapshots, per server: a snapshot follows every
+/// `4·n` records (see *Checkpointed change log* in `ALGORITHMS.md`).
+const RECORDS_PER_SNAPSHOT_PER_SERVER: usize = 4;
+
+/// One load change: `server`'s load became `load` at time `t`.
+#[derive(Debug, Clone, Copy)]
+struct Change {
+    t: f64,
+    server: u32,
+    load: u32,
+}
+
+/// A full load snapshot and the changes recorded after it.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    /// Time of the last change before the snapshot (`-inf` for the initial,
+    /// all-idle snapshot).
+    start: f64,
+    /// Every server's load as of `start`.
+    loads: Vec<u32>,
+    /// The changes recorded after the snapshot, oldest first (at most `4·n`).
+    changes: Vec<Change>,
+}
+
+/// A record of the cluster's load changes over a sliding window of time.
 ///
 /// The continuous-update model of old information (paper §3.1) lets every
 /// arriving job observe the *exact* system state some delay `d` in the past.
-/// `LoadHistory` supports that query precisely: each server keeps a
-/// time-ordered list of `(time, load)` change points, pruned to a
-/// configurable window.
+/// `LoadHistory` answers that query precisely from one time-ordered change
+/// log `(time, server, load)`, cut into blocks by a full load snapshot every
+/// `4·n` records. A query copies the newest snapshot at or before its time
+/// and replays at most `4·n` records, so a whole delayed view costs `O(n)`.
 ///
-/// Queries older than the retained window are answered with the oldest
-/// retained entry and counted in [`LoadHistory::misses`], so a simulation can
-/// verify that its window was wide enough (the drivers in `staleload-core`
-/// assert this in tests).
+/// Pruning keeps the newest snapshot at or before `now − keep_window` and
+/// everything after it, so every query inside the window is exact. A query
+/// older than the retained window is answered from the oldest retained
+/// snapshot and counts one miss per server in [`LoadHistory::misses`], so a
+/// simulation can verify that its window was wide enough (the drivers in
+/// `staleload-core` assert this in tests). Only a delay longer than the
+/// window reaches that path: `e^-40` per query for exponential delays.
 #[derive(Debug, Clone)]
 pub struct LoadHistory {
-    per_server: Vec<VecDeque<(f64, u32)>>,
-    pruned: Vec<bool>,
+    /// The retained blocks, oldest first; never empty.
+    blocks: VecDeque<Block>,
+    /// Pruned blocks whose buffers the next snapshot reuses.
+    spare: Vec<Block>,
+    /// Every server's current load.
+    live: Vec<u32>,
     keep_window: f64,
     misses: u64,
 }
 
-/// The recyclable allocations of one retired [`LoadHistory`]: its
-/// per-server change-point deques and the pruned flags.
-type PooledBuffers = (Vec<VecDeque<(f64, u32)>>, Vec<bool>);
+/// The recyclable allocations of one retired [`LoadHistory`]: its blocks
+/// (with their snapshot and change buffers) and its live load vector.
+type PooledBuffers = (VecDeque<Block>, Vec<Block>, Vec<u32>);
 
 thread_local! {
-    /// Change-point deques recycled across trials on one worker thread.
-    /// Only capacity survives: [`LoadHistory::new`] clears every deque.
+    /// History buffers recycled across trials on one worker thread.
+    /// Only capacity survives: [`LoadHistory::new`] clears every buffer.
     static HISTORY_POOL: std::cell::RefCell<Vec<PooledBuffers>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -41,8 +73,9 @@ impl Drop for LoadHistory {
             let mut pool = pool.borrow_mut();
             if pool.len() < HISTORY_POOL_DEPTH {
                 pool.push((
-                    std::mem::take(&mut self.per_server),
-                    std::mem::take(&mut self.pruned),
+                    std::mem::take(&mut self.blocks),
+                    std::mem::take(&mut self.spare),
+                    std::mem::take(&mut self.live),
                 ));
             }
         });
@@ -51,100 +84,106 @@ impl Drop for LoadHistory {
 
 impl LoadHistory {
     /// Creates a history for `n` servers retaining roughly `keep_window`
-    /// time units of change points.
+    /// time units of changes.
     ///
     /// # Panics
     ///
     /// Panics if `keep_window` is negative or NaN.
     pub fn new(n: usize, keep_window: f64) -> Self {
         assert!(keep_window >= 0.0, "keep_window must be non-negative");
-        if let Some((mut per_server, mut pruned)) =
-            HISTORY_POOL.with(|pool| pool.borrow_mut().pop())
-        {
-            for deque in &mut per_server {
-                deque.clear();
-            }
-            per_server.resize(n, VecDeque::new());
-            pruned.clear();
-            pruned.resize(n, false);
-            return Self {
-                per_server,
-                pruned,
-                keep_window,
-                misses: 0,
-            };
-        }
-        Self {
-            per_server: vec![VecDeque::new(); n],
-            pruned: vec![false; n],
+        let (mut blocks, mut spare, mut live) = HISTORY_POOL
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default();
+        spare.extend(blocks.drain(..));
+        live.clear();
+        live.resize(n, 0);
+        let mut history = Self {
+            blocks,
+            spare,
+            live,
             keep_window,
             misses: 0,
-        }
+        };
+        history.push_snapshot(f64::NEG_INFINITY);
+        history
     }
 
     /// Records that `server`'s load became `load` at time `now`.
     ///
-    /// Times must be non-decreasing per server (simulation time never runs
-    /// backwards).
+    /// Times must be non-decreasing across all servers (simulation time
+    /// never runs backwards).
     pub fn record(&mut self, server: usize, now: f64, load: u32) {
-        let h = &mut self.per_server[server];
+        self.live[server] = load;
+        let spacing = self.spacing();
+        let newest = self.blocks.len() - 1; // `new` pushes a block; pruning keeps one
+        let newest = &mut self.blocks[newest];
         debug_assert!(
-            h.back().is_none_or(|&(t, _)| t <= now),
+            newest.changes.last().map_or(newest.start, |c| c.t) <= now,
             "history time went backwards"
         );
-        h.push_back((now, load));
-        // Prune, but always keep at least one entry at or before the window
-        // start so old queries still resolve to the correct value.
-        let horizon = now - self.keep_window;
-        while h.len() >= 2 && h[1].0 <= horizon {
-            h.pop_front();
-            self.pruned[server] = true;
-        }
-    }
-
-    /// The load of `server` as of time `at` (0 before the first change).
-    pub fn load_at(&self, server: usize, at: f64) -> u32 {
-        let h = &self.per_server[server];
-        // Find the last change point with time <= at.
-        let idx = h.partition_point(|&(t, _)| t <= at);
-        if idx == 0 {
-            // Either genuinely before the first event (load 0 at start of
-            // simulation) or pruned; `fill_loads_at` tracks misses.
-            if h.front().is_some_and(|&(t, _)| t <= at) {
-                h.front().map_or(0, |&(_, l)| l)
-            } else {
-                0
+        newest.changes.push(Change {
+            t: now,
+            server: server as u32,
+            load,
+        });
+        if newest.changes.len() >= spacing {
+            self.push_snapshot(now);
+            // Block 0 is only needed while block 1's snapshot is newer than
+            // the window start.
+            let horizon = now - self.keep_window;
+            while self.blocks.len() >= 2 && self.blocks[1].start <= horizon {
+                if let Some(old) = self.blocks.pop_front() {
+                    self.spare.push(old);
+                }
             }
-        } else {
-            h[idx - 1].1
         }
     }
 
     /// Fills `out` with every server's load as of time `at`.
     pub fn fill_loads_at(&mut self, at: f64, out: &mut Vec<u32>) {
         out.clear();
-        for server in 0..self.per_server.len() {
-            let h = &self.per_server[server];
-            let idx = h.partition_point(|&(t, _)| t <= at);
-            if idx == 0 {
-                match h.front() {
-                    // History was pruned past `at`: best effort, count it.
-                    Some(&(t, l)) if t > at && self.pruned[server] => {
-                        self.misses += 1;
-                        out.push(l);
-                    }
-                    // Genuinely before the server's first job: idle.
-                    _ => out.push(0),
-                }
-            } else {
-                out.push(h[idx - 1].1);
-            }
+        let newer = self.blocks.partition_point(|b| b.start <= at);
+        let Some(block) = newer.checked_sub(1).map(|i| &self.blocks[i]) else {
+            // Pruned past `at`: best effort from the oldest snapshot, counted.
+            self.misses += self.live.len() as u64;
+            out.extend_from_slice(&self.blocks[0].loads);
+            return;
+        };
+        out.extend_from_slice(&block.loads);
+        // The next block's snapshot is after `at`, so the changes up to `at`
+        // all lie in this block.
+        let end = block.changes.partition_point(|c| c.t <= at);
+        for c in &block.changes[..end] {
+            out[c.server as usize] = c.load;
         }
     }
 
-    /// Number of queries answered inexactly because the window was too short.
+    /// Number of per-server answers that were inexact because the query fell
+    /// before the retained window.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Starts a new block with a snapshot of the live loads as of `start`.
+    fn push_snapshot(&mut self, start: f64) {
+        let mut block = self.spare.pop().unwrap_or_default();
+        block.start = start;
+        block.loads.clear();
+        block.loads.extend_from_slice(&self.live);
+        block.changes.clear();
+        block.changes.reserve_exact(self.spacing());
+        self.blocks.push_back(block);
+    }
+
+    /// Records per block: `4·n`.
+    fn spacing(&self) -> usize {
+        RECORDS_PER_SNAPSHOT_PER_SERVER * self.live.len()
+    }
+
+    /// Number of retained change records.
+    #[cfg(test)]
+    fn retained(&self) -> usize {
+        self.blocks.iter().map(|b| b.changes.len()).sum()
     }
 }
 
@@ -152,18 +191,36 @@ impl LoadHistory {
 mod tests {
     use super::*;
 
+    fn loads_at(h: &mut LoadHistory, at: f64) -> Vec<u32> {
+        let mut out = Vec::new();
+        h.fill_loads_at(at, &mut out);
+        out
+    }
+
     #[test]
-    fn load_at_steps_through_changes() {
+    fn fill_loads_at_steps_through_changes() {
         let mut h = LoadHistory::new(1, 1e9);
         h.record(0, 1.0, 1);
         h.record(0, 2.0, 2);
         h.record(0, 3.0, 1);
-        assert_eq!(h.load_at(0, 0.5), 0);
-        assert_eq!(h.load_at(0, 1.0), 1);
-        assert_eq!(h.load_at(0, 1.9), 1);
-        assert_eq!(h.load_at(0, 2.0), 2);
-        assert_eq!(h.load_at(0, 2.5), 2);
-        assert_eq!(h.load_at(0, 10.0), 1);
+        assert_eq!(loads_at(&mut h, 0.5), [0]);
+        assert_eq!(loads_at(&mut h, 1.0), [1]);
+        assert_eq!(loads_at(&mut h, 1.9), [1]);
+        assert_eq!(loads_at(&mut h, 2.0), [2]);
+        assert_eq!(loads_at(&mut h, 2.5), [2]);
+        assert_eq!(loads_at(&mut h, 10.0), [1]);
+        assert_eq!(h.misses(), 0);
+    }
+
+    #[test]
+    fn simultaneous_changes_resolve_to_the_last() {
+        let mut h = LoadHistory::new(2, 1e9);
+        for load in 1..=9 {
+            h.record(0, 1.0, load);
+        }
+        h.record(1, 1.0, 4);
+        assert_eq!(loads_at(&mut h, 0.999), [0, 0]);
+        assert_eq!(loads_at(&mut h, 1.0), [9, 4]);
     }
 
     #[test]
@@ -173,11 +230,10 @@ mod tests {
             let t = i as f64;
             h.record(0, t, (i % 5 + 1) as u32);
         }
-        // Query inside the window: exact.
-        assert_eq!(h.load_at(0, 995.5), 1); // 995 % 5 + 1
-        let mut out = Vec::new();
-        h.fill_loads_at(992.3, &mut out);
-        assert_eq!(out[0], (992 % 5 + 1) as u32);
+        // Queries inside the window: exact.
+        assert_eq!(loads_at(&mut h, 995.5), [1]); // 995 % 5 + 1
+        assert_eq!(loads_at(&mut h, 992.3), [(992 % 5 + 1) as u32]);
+        assert_eq!(loads_at(&mut h, 989.0), [(989 % 5 + 1) as u32]);
         assert_eq!(h.misses(), 0);
     }
 
@@ -187,12 +243,8 @@ mod tests {
         for i in 0..100_000 {
             h.record(0, i as f64 * 0.01, 1 + (i % 3) as u32);
         }
-        // 5.0 time units at 0.01 spacing is ~500 entries, plus slack.
-        assert!(
-            h.per_server[0].len() < 1000,
-            "len {}",
-            h.per_server[0].len()
-        );
+        // 5.0 time units at 0.01 spacing is ~500 records, plus slack.
+        assert!(h.retained() < 1000, "retained {}", h.retained());
     }
 
     #[test]
@@ -207,12 +259,22 @@ mod tests {
     }
 
     #[test]
+    fn a_pruned_query_reads_the_oldest_snapshot_and_misses_once_per_server() {
+        let mut h = LoadHistory::new(3, 2.0);
+        for i in 0..300u32 {
+            h.record((i % 3) as usize, f64::from(i), i);
+        }
+        let oldest = h.blocks[0].clone();
+        assert!(oldest.start > 10.0, "the early blocks were pruned");
+        assert_eq!(loads_at(&mut h, 10.0), oldest.loads);
+        assert_eq!(h.misses(), 3);
+    }
+
+    #[test]
     fn before_first_event_is_idle() {
         let mut h = LoadHistory::new(2, 100.0);
         h.record(0, 5.0, 1);
-        let mut out = Vec::new();
-        h.fill_loads_at(1.0, &mut out);
-        assert_eq!(out, &[0, 0]);
+        assert_eq!(loads_at(&mut h, 1.0), [0, 0]);
         assert_eq!(h.misses(), 0);
     }
 }

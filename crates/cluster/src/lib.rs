@@ -9,9 +9,10 @@
 //! * [`Cluster`] — the bank of servers with enqueue/complete transitions and
 //!   an always-current load (queue length) vector.
 //! * [`Job`] — a unit of work with its arrival time and service demand.
-//! * [`LoadHistory`] — an optional per-server record of load changes, so the
-//!   *continuous update* model of old information (§3.1) can answer "what did
-//!   the queue lengths look like `d` time units ago?" exactly.
+//! * [`LoadHistory`] — an optional log of load changes with periodic load
+//!   snapshots, so the *continuous update* model of old information (§3.1)
+//!   can answer "what did the queue lengths look like `d` time units ago?"
+//!   exactly.
 //!
 //! The crate is deliberately policy-free: it neither samples randomness nor
 //! decides placements. The driver in `staleload-core` owns the event loop.
@@ -218,7 +219,7 @@ impl Cluster {
         c
     }
 
-    /// Creates a cluster that also records per-server load history.
+    /// Creates a cluster that also records its load history.
     ///
     /// `keep_window` is how far back (in simulated time) queries must be
     /// answerable exactly; see [`LoadHistory`]. Only the continuous-update

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use staleload_cluster::{Cluster, Job};
+use staleload_cluster::{Cluster, Job, LoadHistory};
 use staleload_sim::{EventQueue, SimRng};
 
 /// Replays a random workload through a cluster and returns
@@ -69,8 +69,64 @@ fn run_random_workload(
     (cluster, completions)
 }
 
+/// Per-server change lists that are never pruned: the oracle for
+/// [`LoadHistory`].
+struct NaiveHistory {
+    per_server: Vec<Vec<(f64, u32)>>,
+}
+
+impl NaiveHistory {
+    /// `server`'s load as of `at`: its last change at or before `at`, or 0
+    /// before its first change.
+    fn load_at(&self, server: usize, at: f64) -> u32 {
+        let h = &self.per_server[server];
+        let idx = h.partition_point(|&(t, _)| t <= at);
+        idx.checked_sub(1).map_or(0, |i| h[i].1)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Under a finite window, every query inside the window matches the
+    /// naive change lists exactly and counts no miss; an older query is
+    /// either still exact or counts one miss per server.
+    #[test]
+    fn history_matches_naive_change_lists_under_a_window(
+        n in 1usize..6,
+        window in 0.0f64..8.0,
+        ops in prop::collection::vec((0u32..8, 0usize..6, 0u32..40, 0.0f64..1.0), 1..1500),
+    ) {
+        let mut history = LoadHistory::new(n, window);
+        let mut naive = NaiveHistory { per_server: vec![Vec::new(); n] };
+        let mut now = 0.0f64;
+        let mut out = Vec::new();
+        for (kind, server, load, u) in ops {
+            if kind < 6 {
+                // A change; a fifth of them share the previous time stamp.
+                if u >= 0.2 {
+                    now += u;
+                }
+                let server = server % n;
+                history.record(server, now, load);
+                naive.per_server[server].push((now, load));
+                continue;
+            }
+            // A query, up to twice the window into the past.
+            let at = (now - 2.0 * window * u).max(0.0);
+            let misses = history.misses();
+            history.fill_loads_at(at, &mut out);
+            let want: Vec<u32> = (0..n).map(|s| naive.load_at(s, at)).collect();
+            if at >= now - window {
+                prop_assert_eq!(&out, &want, "at {} now {} window {}", at, now, window);
+                prop_assert_eq!(history.misses(), misses);
+            } else if history.misses() == misses {
+                prop_assert_eq!(&out, &want, "at {} now {} window {}", at, now, window);
+            } else {
+                prop_assert_eq!(history.misses(), misses + n as u64);
+            }
+        }
+    }
 
     /// Every arrival eventually departs, exactly once.
     #[test]

@@ -90,14 +90,14 @@ impl DispatchPolicy {
                 (Self::KSubset(f), Self::KSubset(p)) => f.adopt_scratch(p),
                 (Self::ProbeThreshold(f), Self::ProbeThreshold(p)) => f.adopt_scratch(p),
                 (Self::BasicLi(f), Self::BasicLi(p)) => f.adopt_scratch(p),
+                (Self::AggressiveLi(f), Self::AggressiveLi(p)) => f.adopt_scratch(p),
                 (Self::HybridLi(f), Self::HybridLi(p)) => f.adopt_scratch(p),
                 (Self::LiSubset(f), Self::LiSubset(p)) => f.adopt_scratch(p),
                 (Self::WeightedDecay(f), Self::WeightedDecay(p)) => f.adopt_scratch(p),
                 (Self::AdaptiveLi(f), Self::AdaptiveLi(p)) => f.adopt_scratch(p),
                 (Self::HeteroLi(f), Self::HeteroLi(p)) => f.adopt_scratch(p),
-                // Stateless policies (Random, Greedy, Threshold, Sita),
-                // AggressiveLi (schedule rebuilt per phase), and composed
-                // Dyn policies have nothing worth adopting.
+                // Stateless policies (Random, Greedy, Threshold, Sita) and
+                // composed Dyn policies have nothing worth adopting.
                 _ => {}
             }
         }

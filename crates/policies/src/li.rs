@@ -17,7 +17,7 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// request should go to server `i` so that, in expectation, the `R` arrivals
 /// level the queues as far as possible by the end of the epoch:
 ///
-/// 1. sort servers by reported load: `q_1 ≤ q_2 ≤ … ≤ q_n` (paper indexing);
+/// 1. order servers by reported load: `q_1 ≤ q_2 ≤ … ≤ q_n` (paper indexing);
 /// 2. find `c`, the number of least-loaded servers that should receive jobs:
 ///    the largest `c ∈ [1, n]` such that `R` suffices to bring servers
 ///    `1..c` up to the load of server `c`, i.e.
@@ -29,12 +29,19 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// This is water-filling: the bracketed term is the common *level* the `c`
 /// receiving queues reach when the expected arrivals are poured in.
 ///
+/// The order in step 1 comes from a histogram of load values rather than a
+/// sort (see *Sort-free water line* in `ALGORITHMS.md`): a load more than
+/// `⌊R⌋` above the minimum can never receive, so the histogram spans
+/// `min(max − min, ⌊R⌋) + 1` values — never more than the jobs in the view
+/// — and the whole computation is `O(n + span)`. (A staleness gate's
+/// `Load::MAX` masks leave `⌊R⌋` as the bound.)
+///
 /// When `R` is (numerically) zero the epoch is too short for probabilistic
 /// leveling; the function returns the least-loaded indicator distribution
 /// (uniform over the minimum-load servers), the natural fresh-information
 /// limit.
 ///
-/// `scratch` is a reusable sort buffer; contents are overwritten.
+/// `counts` is a reusable histogram buffer; contents are overwritten.
 ///
 /// # Panics
 ///
@@ -46,10 +53,10 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 /// use staleload_policies::basic_li_probabilities;
 ///
 /// let mut probs = Vec::new();
-/// let mut scratch = Vec::new();
+/// let mut counts = Vec::new();
 /// // Two servers, queue lengths 0 and 4, expecting R = 8 arrivals:
 /// // target level = (0 + 4 + 8)/2 = 6, so send 6/8 to the first, 2/8 to the second.
-/// basic_li_probabilities(&[0, 4], 8.0, &mut probs, &mut scratch);
+/// basic_li_probabilities(&[0, 4], 8.0, &mut probs, &mut counts);
 /// assert!((probs[0] - 0.75).abs() < 1e-12);
 /// assert!((probs[1] - 0.25).abs() < 1e-12);
 /// ```
@@ -57,16 +64,15 @@ pub fn basic_li_probabilities(
     loads: &[Load],
     expected_arrivals: f64,
     probs: &mut Vec<f64>,
-    scratch: &mut Vec<(Load, usize)>,
+    counts: &mut Vec<u32>,
 ) {
     assert!(!loads.is_empty(), "loads must be non-empty");
     assert!(
         expected_arrivals.is_finite() && expected_arrivals >= 0.0,
         "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
     );
-    let n = loads.len();
     probs.clear();
-    probs.resize(n, 0.0);
+    probs.resize(loads.len(), 0.0);
 
     if expected_arrivals <= MIN_EXPECTED_ARRIVALS {
         fill_least_loaded_indicator(loads, probs);
@@ -74,34 +80,50 @@ pub fn basic_li_probabilities(
     }
     let r = expected_arrivals;
 
-    sort_by_load(loads, scratch);
+    // Raising the minimum server to q costs at least q − min, so no load
+    // above min + ⌊R⌋ can receive (the float-to-int cast floors and
+    // saturates).
+    let (min, max) = load_range(loads);
+    load_histogram(loads, min, (max - min).min(r as u32), counts);
 
-    // cost(c) = c·q_c − Σ_{i≤c} q_i is non-decreasing in c
-    // (cost(c+1) − cost(c) = c·(q_(c+1) − q_c) ≥ 0) and cost(1) = 0, so one
-    // linear scan keeping the last satisfying c finds the paper's maximum.
-    let mut c = 1usize;
-    let mut prefix = f64::from(scratch[0].0); // Σ of the c smallest loads
-    let mut run = prefix;
-    for (idx, &(q, _)) in scratch.iter().enumerate().skip(1) {
-        run += f64::from(q);
-        let count = idx + 1;
-        let cost = count as f64 * f64::from(q) - run;
-        if cost <= r {
-            c = count;
-            prefix = run;
+    // cost(q) = C(q)·q − S(q), over the C(q) servers with load ≤ q and their
+    // load sum S(q), is non-decreasing in q and 0 at the minimum, so the scan
+    // stops at the first load value R cannot reach. Every count, sum and
+    // cost is an exact integer in f64, and cost is constant across a tie
+    // group, so this finds the same c as scanning sorted servers one by one
+    // and the receiving set never splits a tie group.
+    let mut receivers = 0u32;
+    let mut prefix = 0.0; // Σ of the receivers' loads
+    let mut top = min; // highest receiving load
+    let mut seen = 0u32;
+    let mut run = 0.0;
+    for (offset, &k) in counts.iter().enumerate() {
+        if k == 0 {
+            continue;
         }
+        let q = min + offset as u32;
+        seen += k;
+        run += f64::from(k) * f64::from(q);
+        if f64::from(seen) * f64::from(q) - run > r {
+            break;
+        }
+        receivers = seen;
+        prefix = run;
+        top = q;
     }
 
-    let level = (prefix + r) / c as f64;
-    for &(q, server) in scratch.iter().take(c) {
-        // level ≥ q_c ≥ q by the choice of c; clamp rounding residue.
-        probs[server] = ((level - f64::from(q)) / r).max(0.0);
+    let level = (prefix + r) / f64::from(receivers);
+    for (p, &q) in probs.iter_mut().zip(loads) {
+        if q <= top {
+            // level ≥ top ≥ q by the choice of `top`; clamp rounding residue.
+            *p = ((level - f64::from(q)) / r).max(0.0);
+        }
     }
 }
 
 /// The Aggressive LI subinterval schedule for one phase (paper Eq. 5).
 ///
-/// Servers are sorted by reported load. During subinterval `i`
+/// Servers are ordered by reported load. During subinterval `i`
 /// (zero-indexed), arrivals are spread uniformly over the `i + 1`
 /// least-loaded servers, with the subinterval sized so those servers reach
 /// the next reported load level exactly when it ends:
@@ -114,9 +136,13 @@ pub struct AggressiveSchedule {
     /// (cumulative `τ`), for `i = 0..n-1`; the final "uniform" regime has no
     /// end.
     ends: Vec<f64>,
-    /// Sorted server order: `order[j]` is the id of the `j`-th least-loaded
-    /// server.
+    /// Load order: `order[j]` is the id of the `j`-th least-loaded server,
+    /// ties by id.
     order: Vec<usize>,
+    /// Scratch for [`AggressiveSchedule::rebuild`]: the previous pass's
+    /// order and one digit's bucket slots.
+    moved: Vec<usize>,
+    counts: Vec<u32>,
 }
 
 /// Builds the Aggressive LI schedule for the given reported loads and total
@@ -143,31 +169,97 @@ pub struct AggressiveSchedule {
 /// assert_eq!(schedule.active_count(1e6), 3);
 /// ```
 pub fn aggressive_schedule(loads: &[Load], total_rate: f64) -> AggressiveSchedule {
-    assert!(!loads.is_empty(), "loads must be non-empty");
-    assert!(!total_rate.is_nan(), "total rate must not be NaN");
-    let n = loads.len();
-    let mut scratch: Vec<(Load, usize)> = Vec::with_capacity(n);
-    sort_by_load(loads, &mut scratch);
-    let order: Vec<usize> = scratch.iter().map(|&(_, s)| s).collect();
-
-    let mut ends = Vec::with_capacity(n.saturating_sub(1));
-    let mut cum = 0.0;
-    for i in 0..n - 1 {
-        let step = f64::from(scratch[i + 1].0) - f64::from(scratch[i].0);
-        let tau = if total_rate > 0.0 {
-            (i + 1) as f64 * step / total_rate
-        } else if step > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-        cum += tau;
-        ends.push(cum);
-    }
-    AggressiveSchedule { ends, order }
+    let mut schedule = AggressiveSchedule::empty();
+    schedule.rebuild(loads, total_rate);
+    schedule
 }
 
 impl AggressiveSchedule {
+    /// A schedule with no servers, to be filled by
+    /// [`AggressiveSchedule::rebuild`].
+    pub(crate) fn empty() -> Self {
+        Self {
+            ends: Vec::new(),
+            order: Vec::new(),
+            moved: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// An empty schedule holding `self`'s buffer capacity.
+    pub(crate) fn recycled(mut self) -> Self {
+        self.ends.clear();
+        self.order.clear();
+        self.moved.clear();
+        self.counts.clear();
+        self
+    }
+
+    /// Rebuilds the schedule in place for new loads (see
+    /// [`aggressive_schedule`]), reusing its buffers.
+    pub(crate) fn rebuild(&mut self, loads: &[Load], total_rate: f64) {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        assert!(!total_rate.is_nan(), "total rate must not be NaN");
+        self.order_by_load(loads);
+        self.ends.clear();
+        let mut cum = 0.0;
+        for (i, pair) in self.order.windows(2).enumerate() {
+            let step = f64::from(loads[pair[1]]) - f64::from(loads[pair[0]]);
+            let tau = if total_rate > 0.0 {
+                (i + 1) as f64 * step / total_rate
+            } else if step > 0.0 {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            cum += tau;
+            self.ends.push(cum);
+        }
+    }
+
+    /// Fills `order` with the server ids in `(load, id)` order, without a
+    /// comparison sort: a least-significant-digit radix sort of `q − min`,
+    /// one stable counting pass per byte of `max − min`. Queue lengths
+    /// spanning fewer than 256 values take a single pass over `max − min + 1`
+    /// buckets; a staleness gate's `Load::MAX` masks take four.
+    fn order_by_load(&mut self, loads: &[Load]) {
+        let (min, max) = load_range(loads);
+        self.order.clear();
+        self.order.extend(0..loads.len());
+        let mut shift = 0;
+        loop {
+            // This pass's digits are at most `top`, or 255 if a higher byte
+            // remains.
+            let top = (max - min) >> shift;
+            let digit = |server: usize| (((loads[server] - min) >> shift) & 0xFF) as usize;
+            self.counts.clear();
+            self.counts.resize(top.min(0xFF) as usize + 1, 0);
+            for &server in &self.order {
+                self.counts[digit(server)] += 1;
+            }
+            // Exclusive prefix sums turn each digit's count into its first
+            // slot; filling slots in the current order keeps the pass stable.
+            let mut next = 0u32;
+            for slot in &mut self.counts {
+                let k = *slot;
+                *slot = next;
+                next += k;
+            }
+            self.moved.clear();
+            self.moved.resize(loads.len(), 0);
+            for &server in &self.order {
+                let slot = &mut self.counts[digit(server)];
+                self.moved[*slot as usize] = server;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.order, &mut self.moved);
+            if top <= 0xFF {
+                return;
+            }
+            shift += 8;
+        }
+    }
+
     /// Number of least-loaded servers receiving traffic at `elapsed` time
     /// since the information was sampled.
     pub fn active_count(&self, elapsed: f64) -> usize {
@@ -200,12 +292,23 @@ fn fill_least_loaded_indicator(loads: &[Load], probs: &mut [f64]) {
     }
 }
 
-/// Sorts `(load, server)` pairs ascending by load, ties by server id
-/// (deterministic; the paper breaks ties arbitrarily).
-fn sort_by_load(loads: &[Load], scratch: &mut Vec<(Load, usize)>) {
-    scratch.clear();
-    scratch.extend(loads.iter().copied().zip(0..));
-    scratch.sort_unstable();
+/// The smallest and largest of non-empty `loads`.
+fn load_range(loads: &[Load]) -> (Load, Load) {
+    loads.iter().fold((Load::MAX, Load::MIN), |(lo, hi), &q| {
+        (lo.min(q), hi.max(q))
+    })
+}
+
+/// Overwrites `counts` with the histogram of `loads` over the values
+/// `min..=min + span` (index `q − min`); loads above that are not counted.
+fn load_histogram(loads: &[Load], min: Load, span: Load, counts: &mut Vec<u32>) {
+    counts.clear();
+    counts.resize(span as usize + 1, 0);
+    for &q in loads {
+        if let Some(k) = counts.get_mut((q - min) as usize) {
+            *k += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -214,8 +317,8 @@ mod tests {
 
     fn basic(loads: &[Load], r: f64) -> Vec<f64> {
         let mut probs = Vec::new();
-        let mut scratch = Vec::new();
-        basic_li_probabilities(loads, r, &mut probs, &mut scratch);
+        let mut counts = Vec::new();
+        basic_li_probabilities(loads, r, &mut probs, &mut counts);
         probs
     }
 

@@ -4,9 +4,7 @@
 
 use staleload_sim::SimRng;
 
-use crate::li::{
-    aggressive_schedule, basic_li_probabilities, AggressiveSchedule, MIN_EXPECTED_ARRIVALS,
-};
+use crate::li::{basic_li_probabilities, AggressiveSchedule, MIN_EXPECTED_ARRIVALS};
 use crate::{least_loaded, InfoAge, LoadView, Policy};
 
 /// Validates an LI arrival-rate estimate at construction time.
@@ -25,7 +23,7 @@ struct ProbCache {
     epoch: Option<u64>,
     probs: Vec<f64>,
     cdf: Vec<f64>,
-    scratch: Vec<(u32, usize)>,
+    counts: Vec<u32>,
 }
 
 impl ProbCache {
@@ -35,19 +33,19 @@ impl ProbCache {
         prev.epoch = None;
         prev.probs.clear();
         prev.cdf.clear();
-        prev.scratch.clear();
+        prev.counts.clear();
         prev
     }
 
     /// Recomputes `probs`/`cdf` via `fill` unless `epoch` matches the cache.
     fn ensure<F>(&mut self, epoch: Option<u64>, mut fill: F)
     where
-        F: FnMut(&mut Vec<f64>, &mut Vec<(u32, usize)>),
+        F: FnMut(&mut Vec<f64>, &mut Vec<u32>),
     {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
-        fill(&mut self.probs, &mut self.scratch);
+        fill(&mut self.probs, &mut self.counts);
         self.cdf.clear();
         let mut acc = 0.0;
         for &p in &self.probs {
@@ -113,8 +111,8 @@ impl Policy for BasicLi {
             InfoAge::Aged { .. } => None,
         };
         let loads = view.loads;
-        self.cache.ensure(epoch, |probs, scratch| {
-            basic_li_probabilities(loads, r, probs, scratch);
+        self.cache.ensure(epoch, |probs, counts| {
+            basic_li_probabilities(loads, r, probs, counts);
         });
         self.cache.sample(rng)
     }
@@ -133,7 +131,7 @@ impl Policy for BasicLi {
 pub struct AggressiveLi {
     lambda: f64,
     epoch: Option<u64>,
-    schedule: Option<AggressiveSchedule>,
+    schedule: AggressiveSchedule,
 }
 
 impl AggressiveLi {
@@ -146,8 +144,13 @@ impl AggressiveLi {
         Self {
             lambda: check_lambda(lambda),
             epoch: None,
-            schedule: None,
+            schedule: AggressiveSchedule::empty(),
         }
+    }
+
+    /// Steals cleared buffer capacity from a retired instance.
+    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
+        self.schedule = prev.schedule.recycled();
     }
 }
 
@@ -160,13 +163,12 @@ impl Policy for AggressiveLi {
             // "effectively always at the end of a phase" of length `age`.
             InfoAge::Aged { age } => (age, None),
         };
-        let rebuild = epoch.is_none() || epoch != self.epoch || self.schedule.is_none();
-        if rebuild {
-            self.schedule = Some(aggressive_schedule(view.loads, total_rate));
+        // `self.epoch` starts as `None`, so the first view always builds.
+        if epoch.is_none() || epoch != self.epoch {
+            self.schedule.rebuild(view.loads, total_rate);
             self.epoch = epoch;
         }
-        let schedule = self.schedule.as_ref().expect("schedule was just built");
-        let active = schedule.active_servers(elapsed);
+        let active = self.schedule.active_servers(elapsed);
         active[rng.index(active.len())]
     }
 }
@@ -324,8 +326,8 @@ impl Policy for AdaptiveLi {
             InfoAge::Aged { .. } => None,
         };
         let loads = view.loads;
-        self.cache.ensure(epoch, |probs, scratch| {
-            basic_li_probabilities(loads, r, probs, scratch);
+        self.cache.ensure(epoch, |probs, counts| {
+            basic_li_probabilities(loads, r, probs, counts);
         });
         self.cache.sample(rng)
     }

@@ -34,7 +34,7 @@ pub struct LiSubset {
     subset_scratch: Vec<usize>,
     loads_scratch: Vec<u32>,
     probs: Vec<f64>,
-    sort_scratch: Vec<(u32, usize)>,
+    counts: Vec<u32>,
 }
 
 impl LiSubset {
@@ -56,7 +56,7 @@ impl LiSubset {
             subset_scratch: Vec::new(),
             loads_scratch: Vec::new(),
             probs: Vec::new(),
-            sort_scratch: Vec::new(),
+            counts: Vec::new(),
         }
     }
 
@@ -68,16 +68,16 @@ impl LiSubset {
             mut subset_scratch,
             mut loads_scratch,
             mut probs,
-            mut sort_scratch,
+            mut counts,
         } = prev;
         subset_scratch.clear();
         loads_scratch.clear();
         probs.clear();
-        sort_scratch.clear();
+        counts.clear();
         self.subset_scratch = subset_scratch;
         self.loads_scratch = loads_scratch;
         self.probs = probs;
-        self.sort_scratch = sort_scratch;
+        self.counts = counts;
     }
 
     /// The subset size `k`.
@@ -96,12 +96,7 @@ impl Policy for LiSubset {
             .extend(subset.iter().map(|&s| view.loads[s]));
         // Per §5.7: replace n by k in the expected-arrival count.
         let r = self.lambda * k as f64 * view.info.horizon();
-        basic_li_probabilities(
-            &self.loads_scratch,
-            r,
-            &mut self.probs,
-            &mut self.sort_scratch,
-        );
+        basic_li_probabilities(&self.loads_scratch, r, &mut self.probs, &mut self.counts);
         let within = rng.discrete(&self.probs);
         self.subset_scratch[within]
     }

@@ -1,5 +1,9 @@
 //! Property-based tests for the selection policies and LI math.
 
+// Proptest closures sit outside #[test] fns, so clippy's
+// allow-unwrap-in-tests does not reach them; the whole file is a test.
+#![allow(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use staleload_policies::{
     aggressive_schedule, basic_li_probabilities, rank_distribution, InfoAge, LoadView, Policy,
@@ -13,9 +17,170 @@ fn arb_loads() -> impl Strategy<Value = Vec<u32>> {
 
 fn compute_basic(loads: &[u32], r: f64) -> Vec<f64> {
     let mut probs = Vec::new();
-    let mut scratch = Vec::new();
-    basic_li_probabilities(loads, r, &mut probs, &mut scratch);
+    let mut counts = Vec::new();
+    basic_li_probabilities(loads, r, &mut probs, &mut counts);
     probs
+}
+
+/// Loads spanning far more values than there are servers.
+fn arb_wide_loads() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..1_000_000, 1..8)
+}
+
+/// `n` servers all reporting the same load.
+fn arb_equal_loads() -> impl Strategy<Value = Vec<u32>> {
+    (0u32..1000, 1usize..64).prop_map(|(load, n)| vec![load; n])
+}
+
+/// Loads with some entries masked to `u32::MAX`, as a staleness gate
+/// presents expired reports.
+fn arb_masked_loads() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(prop_oneof![0u32..200, 0u32..200, Just(u32::MAX)], 1..32)
+}
+
+/// The sort-based Basic LI water fill the histogram version replaced, kept
+/// as its oracle: sort `(load, id)` pairs, scan them for the largest
+/// receiving count `c`, and level the first `c` servers.
+fn sorted_water_fill(loads: &[u32], r: f64) -> Vec<f64> {
+    let mut probs = vec![0.0; loads.len()];
+    if r <= 1e-9 {
+        // Below the policies' MIN_EXPECTED_ARRIVALS: least-loaded indicator.
+        let min = *loads.iter().min().unwrap();
+        let ties = loads.iter().filter(|&&l| l == min).count();
+        for (p, &l) in probs.iter_mut().zip(loads) {
+            *p = if l == min { 1.0 / ties as f64 } else { 0.0 };
+        }
+        return probs;
+    }
+    let mut sorted: Vec<(u32, usize)> = loads.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let mut c = 1usize;
+    let mut prefix = f64::from(sorted[0].0);
+    let mut run = prefix;
+    for (idx, &(q, _)) in sorted.iter().enumerate().skip(1) {
+        run += f64::from(q);
+        let count = idx + 1;
+        let cost = count as f64 * f64::from(q) - run;
+        if cost <= r {
+            c = count;
+            prefix = run;
+        }
+    }
+    let level = (prefix + r) / c as f64;
+    for &(q, server) in sorted.iter().take(c) {
+        probs[server] = ((level - f64::from(q)) / r).max(0.0);
+    }
+    probs
+}
+
+/// The sort-based Aggressive LI schedule builder the counting version
+/// replaced, kept as its oracle: `(ends, order)`.
+fn sorted_schedule(loads: &[u32], total_rate: f64) -> (Vec<f64>, Vec<usize>) {
+    let mut sorted: Vec<(u32, usize)> = loads.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let order = sorted.iter().map(|&(_, s)| s).collect();
+    let mut ends = Vec::new();
+    let mut cum = 0.0;
+    for i in 0..loads.len() - 1 {
+        let step = f64::from(sorted[i + 1].0) - f64::from(sorted[i].0);
+        let tau = if total_rate > 0.0 {
+            (i + 1) as f64 * step / total_rate
+        } else if step > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        cum += tau;
+        ends.push(cum);
+    }
+    (ends, order)
+}
+
+/// Asserts that Basic LI gives the oracle's probabilities bit for bit.
+fn check_water_fill(loads: &[u32], r: f64) -> TestCaseResult {
+    let got: Vec<u64> = compute_basic(loads, r)
+        .iter()
+        .map(|p| p.to_bits())
+        .collect();
+    let want: Vec<u64> = sorted_water_fill(loads, r)
+        .iter()
+        .map(|p| p.to_bits())
+        .collect();
+    prop_assert_eq!(got, want, "loads {:?} r {}", loads, r);
+    Ok(())
+}
+
+/// Asserts that the Aggressive LI schedule matches the oracle's order and
+/// breakpoints bit for bit: the active set agrees at and just before every
+/// oracle breakpoint, and once all servers are active.
+fn check_schedule(loads: &[u32], rate: f64) -> TestCaseResult {
+    let s = aggressive_schedule(loads, rate);
+    let (ends, order) = sorted_schedule(loads, rate);
+    prop_assert_eq!(
+        s.active_servers(f64::INFINITY),
+        &order[..],
+        "loads {:?}",
+        loads
+    );
+    prop_assert_eq!(
+        s.leveling_time().map(f64::to_bits),
+        ends.last().map(|e| e.to_bits())
+    );
+    for &end in &ends {
+        for at in [end, end.next_down()] {
+            let want = (ends.partition_point(|&e| e <= at) + 1).min(order.len());
+            prop_assert_eq!(s.active_count(at), want, "loads {:?} at {}", loads, at);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The histogram water line gives the sorted water fill's bits, across
+    /// every regime of R: below MIN_EXPECTED_ARRIVALS, partial fills, and
+    /// R far beyond the sum of the loads.
+    #[test]
+    fn basic_li_matches_the_sorted_oracle(
+        loads in arb_loads(),
+        r in prop_oneof![0.0f64..1e-9, 0.0f64..50.0, 0.0f64..5000.0, 1e6f64..1e12],
+    ) {
+        check_water_fill(&loads, r)?;
+        check_water_fill(&loads, r.floor())?;
+        check_water_fill(&loads[..1], r)?;
+    }
+
+    /// The same on load spans far wider than n, all-equal loads, and views
+    /// with gate-masked `u32::MAX` entries.
+    #[test]
+    fn basic_li_matches_the_sorted_oracle_on_odd_views(
+        wide in arb_wide_loads(),
+        equal in arb_equal_loads(),
+        masked in arb_masked_loads(),
+        r in prop_oneof![0.0f64..1e-9, 0.0f64..50.0, 0.0f64..5000.0, 1e5f64..1e6],
+    ) {
+        check_water_fill(&wide, r)?;
+        check_water_fill(&wide, r * 1e6)?;
+        check_water_fill(&equal, r)?;
+        check_water_fill(&masked, r)?;
+    }
+
+    /// The counting-pass schedule gives the sorted builder's order and
+    /// breakpoints, at positive and zero rates.
+    #[test]
+    fn aggressive_schedule_matches_the_sorted_oracle(
+        loads in arb_loads(),
+        wide in arb_wide_loads(),
+        equal in arb_equal_loads(),
+        masked in arb_masked_loads(),
+        rate in prop_oneof![Just(0.0f64), 0.01f64..100.0],
+    ) {
+        for view in [&loads, &wide, &equal, &masked] {
+            check_schedule(view, rate)?;
+            check_schedule(&view[..1], rate)?;
+        }
+    }
 }
 
 proptest! {

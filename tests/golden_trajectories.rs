@@ -8,10 +8,13 @@
 //! and lossy boards. Any change to stream fork order, event ordering, or
 //! the default code path shows up here as a bit mismatch.
 
-use staleload::core::{run_simulation, ArrivalSpec, FaultSpec, RetrySpec, RunResult, SimConfig};
-use staleload::info::InfoSpec;
+use staleload::core::{
+    clients_for_mean_age, run_simulation, ArrivalSpec, FaultSpec, RetrySpec, RunResult, SimConfig,
+};
+use staleload::info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload::policies::PolicySpec;
 use staleload::sim::SchedulerKind;
+use staleload::workloads::BurstConfig;
 
 fn combos() -> Vec<(&'static str, ArrivalSpec, InfoSpec, PolicySpec, FaultSpec)> {
     vec![
@@ -629,6 +632,279 @@ fn print_control_golden_bits() {
                 "    (\n        \"{label}\",\n        {seed},\n        {:#018x},\n        {:#018x},\n    ),",
                 r.mean_response.to_bits(),
                 r.end_time.to_bits(),
+            );
+        }
+    }
+}
+
+/// The delayed-view matrix: each continuous-update delay under both kinds
+/// of age knowledge, and update-on-access with Poisson and with bursty
+/// clients, each under the four LI policies that read aged views; plus
+/// periodic Aggressive LI. Every arrival here interprets its own aged view,
+/// so these pins cover the load history and the LI math outside the
+/// per-phase cache.
+fn delayed_combos() -> Vec<(String, ArrivalSpec, InfoSpec, PolicySpec)> {
+    const MEAN_AGE: f64 = 2.0;
+    let mut views: Vec<(String, ArrivalSpec, InfoSpec)> = Vec::new();
+    let delays = [
+        DelaySpec::Constant { mean: MEAN_AGE },
+        DelaySpec::UniformNarrow { mean: MEAN_AGE },
+        DelaySpec::UniformWide { mean: MEAN_AGE },
+        DelaySpec::Exponential { mean: MEAN_AGE },
+    ];
+    for delay in delays {
+        for (knowledge, tag) in [
+            (AgeKnowledge::MeanOnly, "mean"),
+            (AgeKnowledge::Actual, "actual"),
+        ] {
+            views.push((
+                format!("continuous/{}/{tag}", delay.label()),
+                ArrivalSpec::Poisson,
+                InfoSpec::Continuous { delay, knowledge },
+            ));
+        }
+    }
+    let clients = clients_for_mean_age(0.9, 16, MEAN_AGE);
+    views.push((
+        "uoa/poisson".to_string(),
+        ArrivalSpec::PoissonClients { clients },
+        InfoSpec::UpdateOnAccess,
+    ));
+    views.push((
+        "uoa/bursty".to_string(),
+        ArrivalSpec::BurstyClients {
+            clients,
+            burst: BurstConfig {
+                burst_len: 10,
+                intra_gap_mean: 1.0,
+            },
+        },
+        InfoSpec::UpdateOnAccess,
+    ));
+    let policies = [
+        ("basic-li", PolicySpec::BasicLi { lambda: 0.9 }),
+        ("aggressive-li", PolicySpec::AggressiveLi { lambda: 0.9 }),
+        ("li-subset-3", PolicySpec::LiSubset { k: 3, lambda: 0.9 }),
+        (
+            "adaptive-li",
+            PolicySpec::AdaptiveLi {
+                alpha: 0.01,
+                warmup: 1000,
+            },
+        ),
+    ];
+    let mut combos = Vec::new();
+    for (view_label, arrivals, info) in &views {
+        for (policy_label, policy) in &policies {
+            combos.push((
+                format!("{view_label}/{policy_label}"),
+                *arrivals,
+                *info,
+                policy.clone(),
+            ));
+        }
+    }
+    combos.push((
+        "periodic/aggressive-li".to_string(),
+        ArrivalSpec::Poisson,
+        InfoSpec::Periodic { period: 10.0 },
+        PolicySpec::AggressiveLi { lambda: 0.9 },
+    ));
+    combos
+}
+
+fn run_delayed(
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+    policy: &PolicySpec,
+    seed: u64,
+) -> RunResult {
+    let cfg = SimConfig::builder()
+        .servers(16)
+        .lambda(0.9)
+        .arrivals(20_000)
+        .seed(seed)
+        .build();
+    run_simulation(&cfg, arrivals, info, policy).expect("valid config")
+}
+
+/// (combo label, seed, mean_response bits, end_time bits, history misses)
+/// for the delayed-view matrix. Regenerate with the
+/// `print_delayed_golden_bits` capture helper after intentional changes.
+#[rustfmt::skip]
+const DELAYED_GOLDEN: [(&str, u64, u64, u64, u64); 123] = [
+    ("continuous/constant/mean/basic-li", 1, 0x400f17815c9b352e, 0x4095e73fa1cad6c6, 0),
+    ("continuous/constant/mean/basic-li", 2, 0x400e6e5d3c98bc03, 0x4095fa3b33de8a03, 0),
+    ("continuous/constant/mean/basic-li", 3, 0x400ee2608bd1fe3e, 0x4095c308bbb9ceaa, 0),
+    ("continuous/constant/mean/aggressive-li", 1, 0x4010d87677d212e7, 0x4095e120e4777a8f, 0),
+    ("continuous/constant/mean/aggressive-li", 2, 0x40106e0f0cb6f0df, 0x4095fbf58405d2db, 0),
+    ("continuous/constant/mean/aggressive-li", 3, 0x4010ce3a8867202d, 0x4095b5cefc6b637e, 0),
+    ("continuous/constant/mean/li-subset-3", 1, 0x400f7a0e5b088548, 0x4095e4b016ea7078, 0),
+    ("continuous/constant/mean/li-subset-3", 2, 0x400eaf9e8cdd9f20, 0x409603d54e1a6180, 0),
+    ("continuous/constant/mean/li-subset-3", 3, 0x400f181d430c6232, 0x4095b76aa9b14872, 0),
+    ("continuous/constant/mean/adaptive-li", 1, 0x400f3faa575f3813, 0x4095e1db9b7a4217, 0),
+    ("continuous/constant/mean/adaptive-li", 2, 0x400e8f9ee00509b6, 0x4095f81a75b13a94, 0),
+    ("continuous/constant/mean/adaptive-li", 3, 0x400f447e96745901, 0x4095bd9c1c425538, 0),
+    ("continuous/constant/actual/basic-li", 1, 0x400f17815c9b352e, 0x4095e73fa1cad6c6, 0),
+    ("continuous/constant/actual/basic-li", 2, 0x400e6e5d3c98bc03, 0x4095fa3b33de8a03, 0),
+    ("continuous/constant/actual/basic-li", 3, 0x400ee2608bd1fe3e, 0x4095c308bbb9ceaa, 0),
+    ("continuous/constant/actual/aggressive-li", 1, 0x4010d87677d212e7, 0x4095e120e4777a8f, 0),
+    ("continuous/constant/actual/aggressive-li", 2, 0x40106e0f0cb6f0df, 0x4095fbf58405d2db, 0),
+    ("continuous/constant/actual/aggressive-li", 3, 0x4010ce3a8867202d, 0x4095b5cefc6b637e, 0),
+    ("continuous/constant/actual/li-subset-3", 1, 0x400f7a0e5b088548, 0x4095e4b016ea7078, 0),
+    ("continuous/constant/actual/li-subset-3", 2, 0x400eaf9e8cdd9f20, 0x409603d54e1a6180, 0),
+    ("continuous/constant/actual/li-subset-3", 3, 0x400f181d430c6232, 0x4095b76aa9b14872, 0),
+    ("continuous/constant/actual/adaptive-li", 1, 0x400f3faa575f3813, 0x4095e1db9b7a4217, 0),
+    ("continuous/constant/actual/adaptive-li", 2, 0x400e8f9ee00509b6, 0x4095f81a75b13a94, 0),
+    ("continuous/constant/actual/adaptive-li", 3, 0x400f447e96745901, 0x4095bd9c1c425538, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/basic-li", 1, 0x400ef4e2ee493be0, 0x4095dc8ad29a876b, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/basic-li", 2, 0x400df6b4728cf35e, 0x4095fd8105615a5a, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/basic-li", 3, 0x400e689e88907c67, 0x4095bf045bef4bb6, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/aggressive-li", 1, 0x4010f82780ff84ea, 0x4095da6db7952076, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/aggressive-li", 2, 0x40100e2de28fdb2c, 0x409602d6522dfbab, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/aggressive-li", 3, 0x4010af252ecb60e7, 0x4095b6135c9def9a, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/li-subset-3", 1, 0x400f4e41280e2b19, 0x4095df3594e047a3, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/li-subset-3", 2, 0x400e0c6d5fcf8ad3, 0x4096024cbc4f7b2b, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/li-subset-3", 3, 0x400ebd6bba25293e, 0x4095b672d776139a, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/adaptive-li", 1, 0x400efcb751e550e9, 0x4095eed9dbfa75c3, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/adaptive-li", 2, 0x400de8a34cb39808, 0x409604b0dcd4809d, 0),
+    ("continuous/uniform(T/2,3T/2)/mean/adaptive-li", 3, 0x400e542a921ac53b, 0x4095be6bcaa26e08, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/basic-li", 1, 0x400ec224710c7027, 0x4095e8ba59659ab9, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/basic-li", 2, 0x400d7cb23247529e, 0x4095f574f781a0ce, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/basic-li", 3, 0x400e185e7fbd5a4a, 0x4095ca6875d9d9ab, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/aggressive-li", 1, 0x4010a157a9c172dc, 0x4095dc1c7bebd7f2, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/aggressive-li", 2, 0x400f7b5cca263164, 0x4095ffce99b5e232, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/aggressive-li", 3, 0x40105bc3f06141dd, 0x4095ba836d456e27, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/li-subset-3", 1, 0x400f2d2a29ba3e5c, 0x4095e88ea9209f1d, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/li-subset-3", 2, 0x400e23ddb5927c1b, 0x40960260fbdb0d3a, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/li-subset-3", 3, 0x400e35e96cca85b9, 0x4095ba54c310173f, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/adaptive-li", 1, 0x400ece61c51aa211, 0x4095d8651f5948e8, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/adaptive-li", 2, 0x400da58a605d81cc, 0x4095fb898dbfa26a, 0),
+    ("continuous/uniform(T/2,3T/2)/actual/adaptive-li", 3, 0x400e03e58d784cf9, 0x4095c6d9bf72dbc4, 0),
+    ("continuous/uniform(0,2T)/mean/basic-li", 1, 0x400dd3018ab04466, 0x4095d6613579bc6f, 0),
+    ("continuous/uniform(0,2T)/mean/basic-li", 2, 0x400c5502528d53d7, 0x4095f2bd6d4dd003, 0),
+    ("continuous/uniform(0,2T)/mean/basic-li", 3, 0x400d66cf37bd8783, 0x4095c5f8c534baa2, 0),
+    ("continuous/uniform(0,2T)/mean/aggressive-li", 1, 0x40112ba928a60ad3, 0x4095d875c691f36e, 0),
+    ("continuous/uniform(0,2T)/mean/aggressive-li", 2, 0x400ffe98d27f1a7e, 0x40961662f7f83755, 0),
+    ("continuous/uniform(0,2T)/mean/aggressive-li", 3, 0x40104d9d67fe2dae, 0x4095bce686735934, 0),
+    ("continuous/uniform(0,2T)/mean/li-subset-3", 1, 0x400dfee5e349ec5a, 0x4095e74c1b9b1bb2, 0),
+    ("continuous/uniform(0,2T)/mean/li-subset-3", 2, 0x400d30ed4c5c155e, 0x40960377476fc88d, 0),
+    ("continuous/uniform(0,2T)/mean/li-subset-3", 3, 0x400e0b8c1f93a409, 0x4095b97c651045ab, 0),
+    ("continuous/uniform(0,2T)/mean/adaptive-li", 1, 0x400d9e1324d527a1, 0x4095d3151dd99909, 0),
+    ("continuous/uniform(0,2T)/mean/adaptive-li", 2, 0x400c53200c1af887, 0x4095f7f34bac5c70, 0),
+    ("continuous/uniform(0,2T)/mean/adaptive-li", 3, 0x400d2a8598383888, 0x4095c3088ad0fe29, 0),
+    ("continuous/uniform(0,2T)/actual/basic-li", 1, 0x400ad3860a817712, 0x4095db31627bdede, 0),
+    ("continuous/uniform(0,2T)/actual/basic-li", 2, 0x4009d02fabbb106e, 0x4095f7d69fc17324, 0),
+    ("continuous/uniform(0,2T)/actual/basic-li", 3, 0x400a2617f60ff827, 0x4095b8e4dd1a8b4d, 0),
+    ("continuous/uniform(0,2T)/actual/aggressive-li", 1, 0x400cba628832bfee, 0x4095d670b3f3835e, 0),
+    ("continuous/uniform(0,2T)/actual/aggressive-li", 2, 0x400b661a15dee2a6, 0x4096004dff06decb, 0),
+    ("continuous/uniform(0,2T)/actual/aggressive-li", 3, 0x400bb91ce081d28d, 0x4095b4011351e643, 0),
+    ("continuous/uniform(0,2T)/actual/li-subset-3", 1, 0x400dba986e120846, 0x4095d8584ec02d35, 0),
+    ("continuous/uniform(0,2T)/actual/li-subset-3", 2, 0x400bf9dbcd85b9d1, 0x4095fee828c239ce, 0),
+    ("continuous/uniform(0,2T)/actual/li-subset-3", 3, 0x400c56a22ed46b45, 0x4095b7c0259a8714, 0),
+    ("continuous/uniform(0,2T)/actual/adaptive-li", 1, 0x400b2d5764320daa, 0x4095d9816ce29ea7, 0),
+    ("continuous/uniform(0,2T)/actual/adaptive-li", 2, 0x4009e0873ed2afe8, 0x4096060326d9690e, 0),
+    ("continuous/uniform(0,2T)/actual/adaptive-li", 3, 0x400a3e31ace862f9, 0x4095b1f792e97d67, 0),
+    ("continuous/exponential/mean/basic-li", 1, 0x400c028317d8baf2, 0x4095dc7d505d5608, 0),
+    ("continuous/exponential/mean/basic-li", 2, 0x400a698dfa6eadd1, 0x4095fe0c73350a2d, 0),
+    ("continuous/exponential/mean/basic-li", 3, 0x400b46a0237e5cb9, 0x4095b57e2b45baa7, 0),
+    ("continuous/exponential/mean/aggressive-li", 1, 0x4010ced9a8ea7196, 0x4095dab7d9ccf026, 0),
+    ("continuous/exponential/mean/aggressive-li", 2, 0x4010474813912137, 0x4095fe04e0ff1afa, 0),
+    ("continuous/exponential/mean/aggressive-li", 3, 0x40102e2cbfd09cd2, 0x4095c5b2c904831d, 0),
+    ("continuous/exponential/mean/li-subset-3", 1, 0x400cfdbe3fe37671, 0x4095d9b1761bb2d9, 0),
+    ("continuous/exponential/mean/li-subset-3", 2, 0x400ca713b70a2fe7, 0x4095fd7e11252c78, 0),
+    ("continuous/exponential/mean/li-subset-3", 3, 0x400cfe9e0664c056, 0x4095addda80d7fd6, 0),
+    ("continuous/exponential/mean/adaptive-li", 1, 0x400bebd033466e0e, 0x4095dbcfa7fb999c, 0),
+    ("continuous/exponential/mean/adaptive-li", 2, 0x400af8dc822b67b3, 0x40960249d5673ff3, 0),
+    ("continuous/exponential/mean/adaptive-li", 3, 0x400b274d9b99a84a, 0x4095b726a93ac7d1, 0),
+    ("continuous/exponential/actual/basic-li", 1, 0x40083b3a2f51b439, 0x4095da29aabb37b7, 0),
+    ("continuous/exponential/actual/basic-li", 2, 0x400761bef5f4f753, 0x4095f1e8aa5ae442, 0),
+    ("continuous/exponential/actual/basic-li", 3, 0x4007e547efd18f36, 0x4095b1e68c9118c9, 0),
+    ("continuous/exponential/actual/aggressive-li", 1, 0x4009ee40c3c182f4, 0x4095d6d678186b1f, 0),
+    ("continuous/exponential/actual/aggressive-li", 2, 0x400895e475c3363c, 0x4095fab59414614e, 0),
+    ("continuous/exponential/actual/aggressive-li", 3, 0x400910cfb405eb8e, 0x4095b4cdb58badc7, 0),
+    ("continuous/exponential/actual/li-subset-3", 1, 0x400b5934fb9a8154, 0x4095db14dd506e8a, 0),
+    ("continuous/exponential/actual/li-subset-3", 2, 0x400a31fcb02f01cc, 0x4095f6ebb731fdc4, 0),
+    ("continuous/exponential/actual/li-subset-3", 3, 0x400adaecac787bd6, 0x4095af15ba08aead, 0),
+    ("continuous/exponential/actual/adaptive-li", 1, 0x400890ecf40e19d0, 0x4095d4c7f542f2e1, 0),
+    ("continuous/exponential/actual/adaptive-li", 2, 0x400771ad918dee20, 0x4095fc405ddcc39e, 0),
+    ("continuous/exponential/actual/adaptive-li", 3, 0x4007ab8e3cfe4e47, 0x4095b5774ad85016, 0),
+    ("uoa/poisson/basic-li", 1, 0x40087589dab795cf, 0x4095cdaa3b15cc19, 0),
+    ("uoa/poisson/basic-li", 2, 0x400749fba7308644, 0x4095ed973d62d065, 0),
+    ("uoa/poisson/basic-li", 3, 0x4008a440795fcc54, 0x40957ac16e270dd8, 0),
+    ("uoa/poisson/aggressive-li", 1, 0x400a252ce131c273, 0x4095ce31ea163503, 0),
+    ("uoa/poisson/aggressive-li", 2, 0x4008cd08ea2aa171, 0x4095df7bc5414d03, 0),
+    ("uoa/poisson/aggressive-li", 3, 0x400a8c91ce289e90, 0x40957e969da67a36, 0),
+    ("uoa/poisson/li-subset-3", 1, 0x400bb5890ade2436, 0x4095cd92b03f674e, 0),
+    ("uoa/poisson/li-subset-3", 2, 0x400aa91d4f1446b4, 0x4095dd96dae847a5, 0),
+    ("uoa/poisson/li-subset-3", 3, 0x400b5348de28de38, 0x4095788e9a713150, 0),
+    ("uoa/poisson/adaptive-li", 1, 0x4008c53064ec59bc, 0x4095d7d419429d6e, 0),
+    ("uoa/poisson/adaptive-li", 2, 0x4007972bb96fe19b, 0x4095dd62c5ca5694, 0),
+    ("uoa/poisson/adaptive-li", 3, 0x4008b31632ced2c7, 0x4095779adad6c79f, 0),
+    ("uoa/bursty/basic-li", 1, 0x4007791db4367e1e, 0x4095efecb1ead729, 0),
+    ("uoa/bursty/basic-li", 2, 0x4005c8e167a48fc3, 0x40966d472e4c5bea, 0),
+    ("uoa/bursty/basic-li", 3, 0x40056272e249fb46, 0x4095f1492f3f1421, 0),
+    ("uoa/bursty/aggressive-li", 1, 0x4008c9fa7bc6ab04, 0x4095f986c37be7c8, 0),
+    ("uoa/bursty/aggressive-li", 2, 0x4006f06476faeaf1, 0x4096690f762cfbfe, 0),
+    ("uoa/bursty/aggressive-li", 3, 0x400695bc6ca7da7e, 0x4095f21122b59f30, 0),
+    ("uoa/bursty/li-subset-3", 1, 0x400ac505e12da1f6, 0x4095f80cba927404, 0),
+    ("uoa/bursty/li-subset-3", 2, 0x40093ed6dd8ebd67, 0x40967820908a976a, 0),
+    ("uoa/bursty/li-subset-3", 3, 0x40089e253c934b57, 0x4095f43a11b18c24, 0),
+    ("uoa/bursty/adaptive-li", 1, 0x4007c099c8fd1ad0, 0x4095fbca58d18f9b, 0),
+    ("uoa/bursty/adaptive-li", 2, 0x4005bc1889f44b66, 0x409671c0688f747e, 0),
+    ("uoa/bursty/adaptive-li", 3, 0x4005596143547c8e, 0x4095f9b781dcb995, 0),
+    ("periodic/aggressive-li", 1, 0x4013417f8d396d03, 0x4095ed1cf31bbd74, 0),
+    ("periodic/aggressive-li", 2, 0x4011ef989df357a4, 0x409608d8b9701042, 0),
+    ("periodic/aggressive-li", 3, 0x4012c7e5c0a75a94, 0x4095bc9ecc7d7c6b, 0),
+];
+
+/// The delayed-view matrix replays its pinned bits.
+#[test]
+fn delayed_view_matrix_replays_pinned_bits() {
+    let combos = delayed_combos();
+    assert_eq!(DELAYED_GOLDEN.len(), combos.len() * 3);
+    for (label, arrivals, info, policy) in combos {
+        for seed in 1..=3u64 {
+            let r = run_delayed(&arrivals, &info, &policy, seed);
+            let &(_, _, mean_bits, end_bits, misses) = DELAYED_GOLDEN
+                .iter()
+                .find(|(l, s, ..)| *l == label && *s == seed)
+                .expect("every delayed combo/seed pair has a golden entry");
+            assert_eq!(
+                r.mean_response.to_bits(),
+                mean_bits,
+                "{label} seed {seed}: mean_response drifted from golden \
+                 ({} vs bits {mean_bits:#018x})",
+                r.mean_response,
+            );
+            assert_eq!(
+                r.end_time.to_bits(),
+                end_bits,
+                "{label} seed {seed}: end_time drifted from golden \
+                 ({} vs bits {end_bits:#018x})",
+                r.end_time,
+            );
+            assert_eq!(
+                r.history_misses, misses,
+                "{label} seed {seed}: history misses drifted from golden"
+            );
+        }
+    }
+}
+
+/// Capture helper (not a regression test): prints the DELAYED_GOLDEN array
+/// body.
+#[test]
+#[ignore = "capture helper; run with --ignored --nocapture to regenerate DELAYED_GOLDEN"]
+fn print_delayed_golden_bits() {
+    for (label, arrivals, info, policy) in delayed_combos() {
+        for seed in 1..=3u64 {
+            let r = run_delayed(&arrivals, &info, &policy, seed);
+            println!(
+                "    (\"{label}\", {seed}, {:#018x}, {:#018x}, {}),",
+                r.mean_response.to_bits(),
+                r.end_time.to_bits(),
+                r.history_misses,
             );
         }
     }
