@@ -299,10 +299,10 @@ fn sketch_values() -> Vec<f64> {
 /// Tail-sketch ingestion cost, two modes:
 ///
 /// * `steady` — one sketch at the default capacity ingesting the whole
-///   stream: the amortized per-job cost of a large trial (sorted-insert
-///   warmup, one compaction, then O(1) bucket increments).
+///   stream: the amortized per-job cost of a large trial (exact-mode
+///   appends, one compaction, then O(1) bucket increments).
 /// * `exact` — fresh sketches filled exactly to capacity: the pure
-///   sorted-insert path a small trial stays on.
+///   exact-mode append path a small trial stays on.
 fn run_sketch(scale: &Scale) -> Vec<SketchResult> {
     let vals = sketch_values();
     let mask = vals.len() - 1;

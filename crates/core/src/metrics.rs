@@ -5,14 +5,12 @@
 //! those with O(1) work per event, and doubles as a validation surface
 //! (Little's law, utilization ≈ λ).
 
-use staleload_sim::{Histogram, TimeWeighted};
+use staleload_sim::TimeWeighted;
 use staleload_stats::TailSketch;
 
 /// Detailed metrics of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunDetail {
-    /// Log-bucketed histogram of measured response times (~12% resolution).
-    pub response_histogram: Histogram,
     /// Mergeable quantile sketch of measured response times (ISSUE 8):
     /// exact below the configured capacity, ~0.5% relative error above
     /// it, and bit-identical under any merge order across trials.
@@ -28,7 +26,6 @@ pub struct RunDetail {
 impl RunDetail {
     pub(crate) fn new(servers: usize, sketch_cap: usize) -> Self {
         Self {
-            response_histogram: Histogram::for_response_times(),
             response_sketch: TailSketch::new(sketch_cap),
             jobs_in_system: TimeWeighted::new(0.0, 0.0),
             per_server_completed: vec![0; servers],
@@ -318,7 +315,6 @@ mod tests {
     fn detail_accumulates() {
         let mut d = RunDetail::new(2, 64);
         d.jobs_in_system.update(1.0, 3.0);
-        d.response_histogram.record(2.0);
         d.response_sketch.record(2.0);
         d.per_server_completed[0] = 1;
         d.per_server_busy[0] = 2.0;

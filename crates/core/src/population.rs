@@ -757,7 +757,6 @@ pub(crate) fn run_population(
             let sojourn = erlang(k as u64 + 1, &mut service_rng) * svc_mean;
             if generated >= warmup {
                 response.record(sojourn);
-                detail.response_histogram.record(sojourn);
                 detail.response_sketch.record(sojourn);
             }
             if fresh {
@@ -1073,7 +1072,7 @@ mod tests {
         // Utilization ≈ λ via the evenly-split busy integral.
         let util: f64 = r.detail.per_server_busy.iter().sum::<f64>() / (64.0 * r.end_time);
         assert!((util - 0.8).abs() < 0.05, "utilization {util}");
-        // The sketch and histogram saw exactly the measured jobs.
-        assert_eq!(r.detail.response_histogram.count(), r.measured_jobs);
+        // The sketch saw exactly the measured jobs.
+        assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
     }
 }

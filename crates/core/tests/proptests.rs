@@ -94,7 +94,7 @@ proptest! {
         prop_assert_eq!(r.measured_jobs, arrivals - cfg.warmup_jobs());
         prop_assert!(r.response.min() >= 0.0 || r.measured_jobs == 0);
         prop_assert_eq!(r.history_misses, 0);
-        prop_assert_eq!(r.detail.response_histogram.count(), r.measured_jobs);
+        prop_assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
         // All generated jobs completed (the drain emptied the system).
         let completed: u64 = r.detail.per_server_completed.iter().sum();
         prop_assert_eq!(completed, arrivals);
@@ -473,7 +473,7 @@ proptest! {
 
         prop_assert_eq!(r.generated, arrivals);
         prop_assert_eq!(r.measured_jobs, arrivals - cfg.warmup_jobs());
-        prop_assert_eq!(r.detail.response_histogram.count(), r.measured_jobs);
+        prop_assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
         prop_assert!(r.response.min() >= 0.0 || r.measured_jobs == 0);
         // Every job completes exactly once (the drain emptied the system).
         let completed: u64 = r.detail.per_server_completed.iter().sum();

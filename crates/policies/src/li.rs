@@ -4,11 +4,24 @@
 //! and an expected-arrival count `R = λ·n·T`, factored out of the policy
 //! objects so they can be unit- and property-tested in isolation.
 
+use std::ops::ControlFlow;
+
+use staleload_sim::SimRng;
+
 use crate::Load;
 
 /// Smallest `R` treated as "some arrivals expected"; below this the phase is
 /// effectively instantaneous and LI degenerates to least-loaded selection.
 pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
+
+/// Fewest load values one histogram window spans; a window spans
+/// `max(n, MIN_WINDOW)` values (see [`scan_levels`]).
+const MIN_WINDOW: usize = 256;
+
+/// Relative slack on the aged Aggressive LI reach bound `λ̂·n·age`, far
+/// above the rounding the subinterval sums can carry (see
+/// [`AgedAggressive::pick`]).
+const REACH_MARGIN: f64 = 1e-6;
 
 /// Computes the Basic LI send probabilities (paper Eqs. 2–4).
 ///
@@ -31,10 +44,9 @@ pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 ///
 /// The order in step 1 comes from a histogram of load values rather than a
 /// sort (see *Sort-free water line* in `ALGORITHMS.md`): a load more than
-/// `⌊R⌋` above the minimum can never receive, so the histogram spans
-/// `min(max − min, ⌊R⌋) + 1` values — never more than the jobs in the view
-/// — and the whole computation is `O(n + span)`. (A staleness gate's
-/// `Load::MAX` masks leave `⌊R⌋` as the bound.)
+/// `⌊R⌋` above the minimum can never receive, and the histogram covers at
+/// most `max(n, 256)` values at a time, so memory is `O(n)` for any `R` and
+/// any spread of the loads, and the time `O(n + span)`.
 ///
 /// When `R` is (numerically) zero the epoch is too short for probabilistic
 /// leveling; the function returns the least-loaded indicator distribution
@@ -66,57 +78,126 @@ pub fn basic_li_probabilities(
     probs: &mut Vec<f64>,
     counts: &mut Vec<u32>,
 ) {
-    assert!(!loads.is_empty(), "loads must be non-empty");
-    assert!(
-        expected_arrivals.is_finite() && expected_arrivals >= 0.0,
-        "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
-    );
+    let line = WaterLine::new(loads, expected_arrivals, counts);
     probs.clear();
-    probs.resize(loads.len(), 0.0);
+    probs.extend(loads.iter().map(|&q| line.prob(q)));
+}
 
-    if expected_arrivals <= MIN_EXPECTED_ARRIVALS {
-        fill_least_loaded_indicator(loads, probs);
-        return;
-    }
-    let r = expected_arrivals;
+/// Basic LI's water line for one view: which load values receive and with
+/// what probability (see [`basic_li_probabilities`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WaterLine {
+    /// Lowest and highest reported load.
+    min: Load,
+    max: Load,
+    /// Highest receiving load.
+    top: Load,
+    share: Share,
+}
 
-    // Raising the minimum server to q costs at least q − min, so no load
-    // above min + ⌊R⌋ can receive (the float-to-int cast floors and
-    // saturates).
-    let (min, max) = load_range(loads);
-    load_histogram(loads, min, (max - min).min(r as u32), counts);
+/// How the receivers split the traffic.
+#[derive(Debug, Clone, Copy)]
+enum Share {
+    /// `R` is numerically zero: the least-loaded servers split it evenly.
+    Even(f64),
+    /// A receiver at load `q` gets `(level − q)/R`.
+    Level { level: f64, r: f64 },
+}
 
-    // cost(q) = C(q)·q − S(q), over the C(q) servers with load ≤ q and their
-    // load sum S(q), is non-decreasing in q and 0 at the minimum, so the scan
-    // stops at the first load value R cannot reach. Every count, sum and
-    // cost is an exact integer in f64, and cost is constant across a tie
-    // group, so this finds the same c as scanning sorted servers one by one
-    // and the receiving set never splits a tie group.
-    let mut receivers = 0u32;
-    let mut prefix = 0.0; // Σ of the receivers' loads
-    let mut top = min; // highest receiving load
-    let mut seen = 0u32;
-    let mut run = 0.0;
-    for (offset, &k) in counts.iter().enumerate() {
-        if k == 0 {
-            continue;
+impl WaterLine {
+    /// Finds the water line (Eqs. 3–4) for `loads` and `expected_arrivals`
+    /// (`R`), with `counts` as histogram scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty or `expected_arrivals` is negative/NaN.
+    pub(crate) fn new(loads: &[Load], expected_arrivals: f64, counts: &mut Vec<u32>) -> Self {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        assert!(
+            expected_arrivals.is_finite() && expected_arrivals >= 0.0,
+            "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
+        );
+        let r = expected_arrivals;
+        if r <= MIN_EXPECTED_ARRIVALS {
+            let mut ties = 0;
+            let (min, max) = scan_levels(loads, 0, counts, |_, k| {
+                ties = k;
+                ControlFlow::Break(())
+            });
+            return Self {
+                min,
+                max,
+                top: min,
+                share: Share::Even(1.0 / f64::from(ties)),
+            };
         }
-        let q = min + offset as u32;
-        seen += k;
-        run += f64::from(k) * f64::from(q);
-        if f64::from(seen) * f64::from(q) - run > r {
-            break;
+
+        // cost(q) = C(q)·q − S(q), over the C(q) servers with load ≤ q and
+        // their load sum S(q), is non-decreasing in q and 0 at the minimum,
+        // so the scan stops at the first load value R cannot reach. Every
+        // count, sum and cost is an exact integer in f64, and cost is
+        // constant across a tie group, so this finds the same c as scanning
+        // sorted servers one by one and the receiving set never splits a tie
+        // group. Raising the minimum server to q alone costs q − min, so no
+        // load above min + ⌊R⌋ can receive (the float-to-int cast floors and
+        // saturates).
+        let mut receivers = 0u32;
+        let mut prefix = 0.0; // Σ of the receivers' loads
+        let mut top = 0; // highest receiving load
+        let mut seen = 0u32;
+        let mut run = 0.0;
+        let (min, max) = scan_levels(loads, r as Load, counts, |q, k| {
+            seen += k;
+            run += f64::from(k) * f64::from(q);
+            if f64::from(seen) * f64::from(q) - run > r {
+                return ControlFlow::Break(());
+            }
+            receivers = seen;
+            prefix = run;
+            top = q;
+            ControlFlow::Continue(())
+        });
+        Self {
+            min,
+            max,
+            top,
+            share: Share::Level {
+                level: (prefix + r) / f64::from(receivers),
+                r,
+            },
         }
-        receivers = seen;
-        prefix = run;
-        top = q;
     }
 
-    let level = (prefix + r) / f64::from(receivers);
-    for (p, &q) in probs.iter_mut().zip(loads) {
-        if q <= top {
+    /// The send probability of a server reporting load `q` of this view.
+    #[inline]
+    pub(crate) fn prob(&self, q: Load) -> f64 {
+        if q > self.top {
+            return 0.0;
+        }
+        match self.share {
+            Share::Even(p) => p,
             // level ≥ top ≥ q by the choice of `top`; clamp rounding residue.
-            *p = ((level - f64::from(q)) / r).max(0.0);
+            Share::Level { level, r } => ((level - f64::from(q)) / r).max(0.0),
+        }
+    }
+
+    /// Overwrites `table` with [`WaterLine::prob`] of every load value from
+    /// the minimum up, `table[q − min]`: one division per receiving value,
+    /// over at most one histogram window of values for a view of `n`
+    /// servers.
+    pub(crate) fn tabulate(&self, n: usize, table: &mut Vec<f64>) {
+        let last = self.max.min(self.min.saturating_add(window(n) - 1));
+        table.clear();
+        table.extend((self.min..=last).map(|q| self.prob(q)));
+    }
+
+    /// [`WaterLine::prob`] of a load of this view, read from `table` (from
+    /// [`WaterLine::tabulate`]) where it reaches.
+    #[inline]
+    pub(crate) fn lookup(&self, table: &[f64], q: Load) -> f64 {
+        match table.get((q - self.min) as usize) {
+            Some(&p) => p,
+            None => self.prob(q),
         }
     }
 }
@@ -205,14 +286,7 @@ impl AggressiveSchedule {
         let mut cum = 0.0;
         for (i, pair) in self.order.windows(2).enumerate() {
             let step = f64::from(loads[pair[1]]) - f64::from(loads[pair[0]]);
-            let tau = if total_rate > 0.0 {
-                (i + 1) as f64 * step / total_rate
-            } else if step > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            cum += tau;
+            cum += subinterval(i + 1, step, total_rate);
             self.ends.push(cum);
         }
     }
@@ -265,7 +339,7 @@ impl AggressiveSchedule {
     pub fn active_count(&self, elapsed: f64) -> usize {
         // Subinterval i covers [ends[i-1], ends[i]); zero-length
         // subintervals (load ties) are skipped by the non-strict comparison.
-        let idx = self.ends.partition_point(|&e| e <= elapsed);
+        let idx = self.ends.partition_point(|&e| reached(e, elapsed));
         (idx + 1).min(self.order.len())
     }
 
@@ -282,14 +356,167 @@ impl AggressiveSchedule {
     }
 }
 
-/// Writes the uniform-over-minima indicator distribution into `probs`.
-fn fill_least_loaded_indicator(loads: &[Load], probs: &mut [f64]) {
-    let min = *loads.iter().min().expect("non-empty loads");
-    let ties = loads.iter().filter(|&&l| l == min).count();
-    let p = 1.0 / ties as f64;
-    for (i, &l) in loads.iter().enumerate() {
-        probs[i] = if l == min { p } else { 0.0 };
+/// Length of the Aggressive LI subinterval in which the `seen` least-loaded
+/// servers climb `step` load levels at total arrival rate `total_rate`
+/// (Eq. 5's `τ`). With no arrivals a climb never ends, and a tie needs no
+/// time.
+fn subinterval(seen: usize, step: f64, total_rate: f64) -> f64 {
+    if total_rate > 0.0 {
+        seen as f64 * step / total_rate
+    } else if step > 0.0 {
+        f64::INFINITY
+    } else {
+        0.0
     }
+}
+
+/// Whether a subinterval ending at `end` is over at `elapsed`, opening the
+/// next one.
+#[inline]
+fn reached(end: f64, elapsed: f64) -> bool {
+    end <= elapsed
+}
+
+/// Aggressive LI on an aged view (§4.2), without ordering the servers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AgedAggressive {
+    counts: Vec<u32>,
+    /// The load values the walk reached, each with the number of servers
+    /// at or below it.
+    levels: Vec<(Load, u32)>,
+}
+
+impl AgedAggressive {
+    /// An empty walk holding `self`'s buffer capacity.
+    pub(crate) fn recycled(mut self) -> Self {
+        self.counts.clear();
+        self.levels.clear();
+        self
+    }
+
+    /// Picks a server uniformly among the ones active at elapsed time `age`
+    /// of the schedule for `loads` at total rate `total_rate`: the same
+    /// server, from the same draw, as
+    /// `aggressive_schedule(loads, total_rate).active_servers(age)[rng.index(..)]`.
+    ///
+    /// The walk goes up the distinct loads adding the schedule's
+    /// subintervals. Inside a tie group they are exact zeros, so only the
+    /// steps between distinct values add anything, and the active servers
+    /// are every server up to the first value whose subinterval ends past
+    /// `age`. Reaching `min + d` takes at least `d/(λ̂·n)`, so the walk
+    /// looks no further than `λ̂·n·age` above the minimum; [`REACH_MARGIN`]
+    /// covers the rounding of the sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty.
+    pub(crate) fn pick(
+        &mut self,
+        loads: &[Load],
+        total_rate: f64,
+        age: f64,
+        rng: &mut SimRng,
+    ) -> usize {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        let reach = total_rate * age * (1.0 + REACH_MARGIN);
+        // 0·∞ (no arrivals for ever, or infinite arrivals at once) bounds
+        // nothing; the cast floors, saturates and takes a negative to 0.
+        let reach = if reach.is_nan() {
+            Load::MAX
+        } else {
+            reach as Load
+        };
+        let levels = &mut self.levels;
+        levels.clear();
+        let mut end = 0.0;
+        scan_levels(loads, reach, &mut self.counts, |q, k| {
+            let seen = match levels.last() {
+                None => k,
+                Some(&(below, seen)) => {
+                    end += subinterval(seen as usize, f64::from(q) - f64::from(below), total_rate);
+                    if !reached(end, age) {
+                        return ControlFlow::Break(());
+                    }
+                    seen + k
+                }
+            };
+            levels.push((q, seen));
+            ControlFlow::Continue(())
+        });
+        // The minimum's ties open together at elapsed 0 (before it, only
+        // the first of them is active).
+        let active = match levels.last() {
+            Some(&(_, seen)) if reached(0.0, age) => seen,
+            _ => 1,
+        };
+        let pos = rng.index(active as usize) as u32;
+        let at = levels.partition_point(|&(_, seen)| seen <= pos);
+        let below = at.checked_sub(1).map_or(0, |i| levels[i].1);
+        let value = levels[at].0;
+        // Among equal loads the schedule's order is by id.
+        loads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &q)| q == value)
+            .nth((pos - below) as usize)
+            .map(|(server, _)| server)
+            .expect("the drawn rank is below its level's count")
+    }
+}
+
+/// Visits the distinct values of `loads` in increasing order, each with the
+/// number of servers reporting it, from the minimum up to `min + reach`
+/// (saturating) or until `visit` breaks; returns the minimum and maximum
+/// load.
+///
+/// The counts come from a histogram over a window of at most
+/// `max(n, MIN_WINDOW)` consecutive values. A visit that runs past a
+/// window's last value goes on with a window starting at the next reported
+/// load, so memory stays `O(n)` however far the loads spread (a staleness
+/// gate's `Load::MAX` masks), and every window but the last spans at
+/// least as many values as there are servers, so the time stays
+/// `O(n + span visited)`.
+fn scan_levels(
+    loads: &[Load],
+    reach: Load,
+    counts: &mut Vec<u32>,
+    mut visit: impl FnMut(Load, u32) -> ControlFlow<()>,
+) -> (Load, Load) {
+    let (min, max) = load_range(loads);
+    let last = min.saturating_add(reach).min(max);
+    let width = window(loads.len());
+    let mut base = min;
+    loop {
+        let end = last.min(base.saturating_add(width - 1));
+        counts.clear();
+        counts.resize((end - base) as usize + 1, 0);
+        for &q in loads {
+            // Loads below `base` wrap past the window too.
+            if let Some(k) = counts.get_mut(q.wrapping_sub(base) as usize) {
+                *k += 1;
+            }
+        }
+        for (offset, &k) in counts.iter().enumerate() {
+            if k != 0 && visit(base + offset as Load, k).is_break() {
+                return (min, max);
+            }
+        }
+        if end == last {
+            return (min, max);
+        }
+        // The next window starts at the next reported load (`max` is one).
+        base = loads
+            .iter()
+            .fold(max, |next, &q| if q > end { next.min(q) } else { next });
+        if base > last {
+            return (min, max);
+        }
+    }
+}
+
+/// Load values one histogram window spans for a view of `n` servers.
+fn window(n: usize) -> Load {
+    Load::try_from(n.max(MIN_WINDOW)).unwrap_or(Load::MAX)
 }
 
 /// The smallest and largest of non-empty `loads`.
@@ -297,18 +524,6 @@ fn load_range(loads: &[Load]) -> (Load, Load) {
     loads.iter().fold((Load::MAX, Load::MIN), |(lo, hi), &q| {
         (lo.min(q), hi.max(q))
     })
-}
-
-/// Overwrites `counts` with the histogram of `loads` over the values
-/// `min..=min + span` (index `q − min`); loads above that are not counted.
-fn load_histogram(loads: &[Load], min: Load, span: Load, counts: &mut Vec<u32>) {
-    counts.clear();
-    counts.resize(span as usize + 1, 0);
-    for &q in loads {
-        if let Some(k) = counts.get_mut((q - min) as usize) {
-            *k += 1;
-        }
-    }
 }
 
 #[cfg(test)]

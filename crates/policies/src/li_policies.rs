@@ -4,8 +4,8 @@
 
 use staleload_sim::SimRng;
 
-use crate::li::{basic_li_probabilities, AggressiveSchedule, MIN_EXPECTED_ARRIVALS};
-use crate::{least_loaded, InfoAge, LoadView, Policy};
+use crate::li::{AgedAggressive, AggressiveSchedule, WaterLine, MIN_EXPECTED_ARRIVALS};
+use crate::{least_loaded, InfoAge, Load, LoadView, Policy};
 
 /// Validates an LI arrival-rate estimate at construction time.
 fn check_lambda(lambda: f64) -> f64 {
@@ -16,12 +16,13 @@ fn check_lambda(lambda: f64) -> f64 {
     lambda
 }
 
-/// Shared machinery: a per-phase cached probability vector (periodic model)
-/// or a freshly computed one (aged models).
+/// Shared machinery: the Basic LI cumulative distribution, cached per phase
+/// (periodic model) or computed afresh for every view (aged models).
 #[derive(Debug, Clone, Default)]
 struct ProbCache {
     epoch: Option<u64>,
-    probs: Vec<f64>,
+    /// Send probability per load value (see [`WaterLine::tabulate`]).
+    table: Vec<f64>,
     cdf: Vec<f64>,
     counts: Vec<u32>,
 }
@@ -31,32 +32,29 @@ impl ProbCache {
     /// cleared and the epoch reset, so only the allocations survive.
     fn recycled(mut prev: Self) -> Self {
         prev.epoch = None;
-        prev.probs.clear();
+        prev.table.clear();
         prev.cdf.clear();
         prev.counts.clear();
         prev
     }
 
-    /// Recomputes `probs`/`cdf` via `fill` unless `epoch` matches the cache.
-    fn ensure<F>(&mut self, epoch: Option<u64>, mut fill: F)
-    where
-        F: FnMut(&mut Vec<f64>, &mut Vec<u32>),
-    {
+    /// Recomputes `cdf` for `loads` and `r` expected arrivals unless `epoch`
+    /// matches the cache.
+    fn ensure(&mut self, epoch: Option<u64>, loads: &[Load], r: f64) {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
-        fill(&mut self.probs, &mut self.counts);
+        let line = WaterLine::new(loads, r, &mut self.counts);
+        line.tabulate(loads.len(), &mut self.table);
+        // The same additions in the same server order as a prefix sum over
+        // `basic_li_probabilities`, so the same bits.
         self.cdf.clear();
         let mut acc = 0.0;
-        for &p in &self.probs {
-            acc += p;
+        for &q in loads {
+            acc += line.lookup(&self.table, q);
             self.cdf.push(acc);
         }
         self.epoch = epoch;
-    }
-
-    fn sample(&self, rng: &mut SimRng) -> usize {
-        rng.discrete_cdf(&self.cdf)
     }
 }
 
@@ -100,21 +98,26 @@ impl BasicLi {
     pub(crate) fn adopt_scratch(&mut self, prev: Self) {
         self.cache = ProbCache::recycled(prev.cache);
     }
-}
 
-impl Policy for BasicLi {
-    fn select(&mut self, view: &LoadView<'_>, rng: &mut SimRng) -> usize {
+    /// The cumulative send distribution [`Policy::select`] samples for
+    /// `view`: entry `i` is the probability of picking one of servers
+    /// `0..=i`. Computed once per phase under the periodic model, and per
+    /// view under the aged ones.
+    pub fn cdf(&mut self, view: &LoadView<'_>) -> &[f64] {
         let n = view.loads.len() as f64;
         let r = self.lambda * n * view.info.horizon();
         let epoch = match view.info {
             InfoAge::Phase { epoch, .. } => Some(epoch),
             InfoAge::Aged { .. } => None,
         };
-        let loads = view.loads;
-        self.cache.ensure(epoch, |probs, counts| {
-            basic_li_probabilities(loads, r, probs, counts);
-        });
-        self.cache.sample(rng)
+        self.cache.ensure(epoch, view.loads, r);
+        &self.cache.cdf
+    }
+}
+
+impl Policy for BasicLi {
+    fn select(&mut self, view: &LoadView<'_>, rng: &mut SimRng) -> usize {
+        rng.discrete_cdf(self.cdf(view))
     }
 }
 
@@ -131,7 +134,11 @@ impl Policy for BasicLi {
 pub struct AggressiveLi {
     lambda: f64,
     epoch: Option<u64>,
+    /// The schedule of the current phase (periodic model).
     schedule: AggressiveSchedule,
+    /// The walk that interprets each aged view (continuous and
+    /// update-on-access models).
+    aged: AgedAggressive,
 }
 
 impl AggressiveLi {
@@ -145,31 +152,34 @@ impl AggressiveLi {
             lambda: check_lambda(lambda),
             epoch: None,
             schedule: AggressiveSchedule::empty(),
+            aged: AgedAggressive::default(),
         }
     }
 
     /// Steals cleared buffer capacity from a retired instance.
     pub(crate) fn adopt_scratch(&mut self, prev: Self) {
         self.schedule = prev.schedule.recycled();
+        self.aged = prev.aged.recycled();
     }
 }
 
 impl Policy for AggressiveLi {
     fn select(&mut self, view: &LoadView<'_>, rng: &mut SimRng) -> usize {
         let total_rate = self.lambda * view.loads.len() as f64;
-        let (elapsed, epoch) = match view.info {
-            InfoAge::Phase { epoch, .. } => (view.info.elapsed(), Some(epoch)),
+        match view.info {
+            InfoAge::Phase { epoch, .. } => {
+                // `self.epoch` starts as `None`, so the first view builds.
+                if self.epoch != Some(epoch) {
+                    self.schedule.rebuild(view.loads, total_rate);
+                    self.epoch = Some(epoch);
+                }
+                let active = self.schedule.active_servers(view.info.elapsed());
+                active[rng.index(active.len())]
+            }
             // §4.2: under continuous/update-on-access models we are
             // "effectively always at the end of a phase" of length `age`.
-            InfoAge::Aged { age } => (age, None),
-        };
-        // `self.epoch` starts as `None`, so the first view always builds.
-        if epoch.is_none() || epoch != self.epoch {
-            self.schedule.rebuild(view.loads, total_rate);
-            self.epoch = epoch;
+            InfoAge::Aged { age } => self.aged.pick(view.loads, total_rate, age, rng),
         }
-        let active = self.schedule.active_servers(elapsed);
-        active[rng.index(active.len())]
     }
 }
 
@@ -325,11 +335,8 @@ impl Policy for AdaptiveLi {
             InfoAge::Phase { epoch, .. } => Some(epoch),
             InfoAge::Aged { .. } => None,
         };
-        let loads = view.loads;
-        self.cache.ensure(epoch, |probs, counts| {
-            basic_li_probabilities(loads, r, probs, counts);
-        });
-        self.cache.sample(rng)
+        self.cache.ensure(epoch, view.loads, r);
+        rng.discrete_cdf(&self.cache.cdf)
     }
 
     fn observe_arrival(&mut self, now: f64) {

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use staleload_policies::{
-    aggressive_schedule, basic_li_probabilities, rank_distribution, InfoAge, LoadView, Policy,
-    PolicySpec,
+    aggressive_schedule, basic_li_probabilities, rank_distribution, AggressiveLi, BasicLi, InfoAge,
+    LoadView, Policy, PolicySpec,
 };
 use staleload_sim::SimRng;
 
@@ -25,6 +25,12 @@ fn compute_basic(loads: &[u32], r: f64) -> Vec<f64> {
 /// Loads spanning far more values than there are servers.
 fn arb_wide_loads() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..1_000_000, 1..8)
+}
+
+/// Up to 64 servers spread over more values than one 256-value histogram
+/// window holds.
+fn arb_spread_loads() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(0u32..2000, 1..64)
 }
 
 /// `n` servers all reporting the same load.
@@ -135,8 +141,127 @@ fn check_schedule(loads: &[u32], rate: f64) -> TestCaseResult {
     Ok(())
 }
 
+/// Asserts that Basic LI samples the prefix sum of `basic_li_probabilities`
+/// bit for bit, on an aged view whose `R = λ̂·n·age` is `r` or next to it.
+fn check_cdf(policy: &mut BasicLi, loads: &[u32], r: f64) -> TestCaseResult {
+    let n = loads.len() as f64;
+    let age = r / (policy.lambda() * n);
+    let r = policy.lambda() * n * age;
+    let mut acc = 0.0;
+    let want: Vec<u64> = compute_basic(loads, r)
+        .iter()
+        .map(|p| {
+            acc += p;
+            acc.to_bits()
+        })
+        .collect();
+    let view = LoadView {
+        loads,
+        info: InfoAge::Aged { age },
+        ages: None,
+    };
+    let got: Vec<u64> = policy.cdf(&view).iter().map(|c| c.to_bits()).collect();
+    prop_assert_eq!(got, want, "loads {:?} r {}", loads, r);
+    Ok(())
+}
+
+/// Ages at which an Aggressive LI schedule changes: 0, every breakpoint
+/// (the last is the leveling time) and the float just before each.
+fn breakpoint_ages(loads: &[u32], total_rate: f64) -> Vec<f64> {
+    let (ends, _) = sorted_schedule(loads, total_rate);
+    let mut ages = vec![0.0];
+    for end in ends {
+        ages.push(end);
+        ages.push(end.next_down());
+    }
+    ages
+}
+
+/// Asserts that aged Aggressive LI picks the server the schedule picks,
+/// `aggressive_schedule(loads, λ̂·n).active_servers(age)[rng.index(..)]`,
+/// for a few draws, and leaves the RNG where the schedule leaves it.
+fn check_aged_pick(
+    policy: &mut AggressiveLi,
+    loads: &[u32],
+    lambda: f64,
+    age: f64,
+    seed: u64,
+) -> TestCaseResult {
+    let view = LoadView {
+        loads,
+        info: InfoAge::Aged { age },
+        ages: None,
+    };
+    let schedule = aggressive_schedule(loads, lambda * loads.len() as f64);
+    let active = schedule.active_servers(age);
+    let mut rng = SimRng::from_seed(seed);
+    let mut oracle = SimRng::from_seed(seed);
+    for _ in 0..4 {
+        let want = active[oracle.index(active.len())];
+        prop_assert_eq!(
+            policy.select(&view, &mut rng),
+            want,
+            "loads {:?} lambda {} age {}",
+            loads,
+            lambda,
+            age
+        );
+    }
+    prop_assert_eq!(rng.next_u64(), oracle.next_u64());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Basic LI's sampled distribution is the prefix sum of
+    /// `basic_li_probabilities` bit for bit: R from below
+    /// MIN_EXPECTED_ARRIVALS to 1e12, on narrow, spread, wide, all-equal,
+    /// gate-masked and single-server views, with one policy's scratch
+    /// reused throughout.
+    #[test]
+    fn basic_li_cdf_is_the_prefix_sum_of_its_probabilities(
+        loads in arb_loads(),
+        spread in arb_spread_loads(),
+        wide in arb_wide_loads(),
+        equal in arb_equal_loads(),
+        masked in arb_masked_loads(),
+        r in prop_oneof![0.0f64..1e-9, 0.0f64..50.0, 0.0f64..5000.0, 1e6f64..1e12],
+    ) {
+        let mut policy = BasicLi::new(0.9);
+        for view in [&loads, &spread, &wide, &equal, &masked] {
+            for r in [r, r.floor(), 0.0, 1e-9] {
+                check_cdf(&mut policy, view, r)?;
+                check_cdf(&mut policy, &view[..1], r)?;
+            }
+        }
+    }
+
+    /// Aged Aggressive LI picks what the schedule picks and draws what it
+    /// draws: at every breakpoint, just before it, at the leveling time and
+    /// at an arbitrary age, with λ̂ = 0 and λ̂·n·age up to ~1e13, on narrow,
+    /// spread, wide, all-equal, gate-masked and single-server views.
+    #[test]
+    fn aged_aggressive_li_picks_what_the_schedule_picks(
+        loads in arb_loads(),
+        spread in arb_spread_loads(),
+        wide in arb_wide_loads(),
+        equal in arb_equal_loads(),
+        masked in arb_masked_loads(),
+        lambda in prop_oneof![Just(0.0f64), 0.01f64..100.0],
+        age in prop_oneof![0.0f64..10.0, 0.0f64..1e4, 1e6f64..1e10],
+        seed in any::<u64>(),
+    ) {
+        let mut policy = AggressiveLi::new(lambda);
+        for view in [&loads, &spread, &wide, &equal, &masked] {
+            for view in [&view[..], &view[..1]] {
+                let total_rate = lambda * view.len() as f64;
+                for at in breakpoint_ages(view, total_rate).into_iter().chain([age]) {
+                    check_aged_pick(&mut policy, view, lambda, at, seed)?;
+                }
+            }
+        }
+    }
 
     /// The histogram water line gives the sorted water fill's bits, across
     /// every regime of R: below MIN_EXPECTED_ARRIVALS, partial fills, and
@@ -152,7 +277,7 @@ proptest! {
     }
 
     /// The same on load spans far wider than n, all-equal loads, and views
-    /// with gate-masked `u32::MAX` entries.
+    /// with gate-masked `u32::MAX` entries, with R up to 1e12.
     #[test]
     fn basic_li_matches_the_sorted_oracle_on_odd_views(
         wide in arb_wide_loads(),
@@ -164,6 +289,7 @@ proptest! {
         check_water_fill(&wide, r * 1e6)?;
         check_water_fill(&equal, r)?;
         check_water_fill(&masked, r)?;
+        check_water_fill(&masked, r * 1e6)?;
     }
 
     /// The counting-pass schedule gives the sorted builder's order and

@@ -550,6 +550,25 @@ mod tests {
     }
 
     #[test]
+    fn exact_sketch_line_is_the_sorted_multiset() {
+        // Whatever the record order, an exact sketch's cache line lists
+        // its values in `f64::total_cmp` order, byte for byte.
+        let values = [0.1 + 0.2, 1.0e-9, 5.0e7, 3.75, -0.0, 3.75];
+        for order in [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [3, 0, 4, 5, 2, 1]] {
+            let mut sketch = TailSketch::new(16);
+            for i in order {
+                sketch.record(values[i]);
+            }
+            let mut out = String::new();
+            encode_sketch(&mut out, &sketch);
+            assert_eq!(
+                out,
+                r#"{"cap":16,"exact":[-0.0,1e-9,0.30000000000000004,3.75,3.75,50000000.0]}"#
+            );
+        }
+    }
+
+    #[test]
     fn f64_specials_round_trip() {
         let mut result = sample_result();
         result.trial_means = vec![f64::INFINITY, f64::NEG_INFINITY, -0.0];

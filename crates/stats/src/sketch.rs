@@ -10,9 +10,10 @@
 //! compacted form to a *canonical function of the input multiset*:
 //!
 //! * **Exact mode** — below the configured capacity the sketch is the
-//!   sorted multiset itself (total-order sorted `Vec<f64>`), and
-//!   quantiles are the same type-7 interpolation as [`crate::quantile`],
-//!   bit for bit.
+//!   multiset itself, kept in record order (an O(1) append per record)
+//!   and put in `f64::total_cmp` order when read, so every reader sees
+//!   the one sorted sequence of the multiset; quantiles are the same
+//!   type-7 interpolation as [`crate::quantile`], bit for bit.
 //! * **Compacted mode** — the moment the count crosses the capacity
 //!   (that is the entire compaction schedule), the multiset collapses
 //!   onto a fixed logarithmic grid: bucket `i` covers
@@ -72,8 +73,8 @@ const NBUCKETS: usize = INTERIOR + 2;
 /// fires, the canonical grid afterwards.
 #[derive(Debug, Clone)]
 enum State {
-    /// Sorted by `f64::total_cmp`, so the representation of a multiset
-    /// is unique down to the bit pattern.
+    /// The multiset in record order. Readers see it through [`sorted`]:
+    /// `f64::total_cmp` order, unique down to the bit pattern.
     Exact(Vec<f64>),
     /// Dense per-bucket counts over the fixed log grid.
     Compacted(Vec<u64>),
@@ -106,8 +107,9 @@ impl PartialEq for TailSketch {
         match (&self.state, &other.state) {
             (State::Exact(a), State::Exact(b)) => {
                 a.len() == b.len()
-                    && a.iter()
-                        .zip(b.iter())
+                    && sorted(a)
+                        .iter()
+                        .zip(&sorted(b))
                         .all(|(x, y)| x.to_bits() == y.to_bits())
             }
             (State::Compacted(a), State::Compacted(b)) => a == b,
@@ -162,8 +164,7 @@ impl TailSketch {
         }
         match &mut self.state {
             State::Exact(values) => {
-                let at = values.partition_point(|v| v.total_cmp(&x).is_lt());
-                values.insert(at, x);
+                values.push(x);
                 if values.len() > self.cap {
                     self.compact();
                 }
@@ -217,20 +218,7 @@ impl TailSketch {
             let (State::Exact(a), State::Exact(b)) = (&mut self.state, &other.state) else {
                 unreachable!("fits_exact checked both states");
             };
-            let mut merged = Vec::with_capacity(a.len() + b.len());
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i].total_cmp(&b[j]).is_le() {
-                    merged.push(a[i]);
-                    i += 1;
-                } else {
-                    merged.push(b[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&a[i..]);
-            merged.extend_from_slice(&b[j..]);
-            *a = merged;
+            a.extend_from_slice(b);
             return;
         }
         self.compact();
@@ -276,7 +264,7 @@ impl TailSketch {
             return self.max;
         }
         match &self.state {
-            State::Exact(values) => crate::quantile(values, q),
+            State::Exact(values) => crate::quantile(&sorted(values), q),
             State::Compacted(buckets) => {
                 // The type-7 position, rounded to the nearest order
                 // statistic (interpolation is meaningless inside a
@@ -326,11 +314,12 @@ impl TailSketch {
         matches!(self.state, State::Exact(_))
     }
 
-    /// The sorted exact values, if still in exact mode (for codecs).
+    /// The exact values in `f64::total_cmp` order, if still in exact
+    /// mode (for codecs).
     #[must_use]
-    pub fn exact_values(&self) -> Option<&[f64]> {
+    pub fn exact_values(&self) -> Option<Vec<f64>> {
         match &self.state {
-            State::Exact(values) => Some(values),
+            State::Exact(values) => Some(sorted(values)),
             State::Compacted(_) => None,
         }
     }
@@ -351,8 +340,8 @@ impl TailSketch {
         }
     }
 
-    /// Rebuilds an exact-mode sketch from decoded values (sorted here,
-    /// so the result is canonical regardless of the wire order).
+    /// Rebuilds an exact-mode sketch from decoded values, in any wire
+    /// order.
     ///
     /// # Errors
     ///
@@ -434,6 +423,13 @@ impl TailSketch {
             max,
         })
     }
+}
+
+/// An exact multiset in `f64::total_cmp` order.
+fn sorted(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    sorted
 }
 
 /// The grid bucket holding `x`: 0 is underflow, `NBUCKETS-1` overflow.

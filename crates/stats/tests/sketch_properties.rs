@@ -9,6 +9,9 @@
 //!   equals the whole-stream sketch, all at bit level. This is exactly
 //!   the property the worker pool relies on: however a sweep's trials
 //!   are distributed over workers, the folded sketch is the same bits.
+//! * **Exact-mode oracle** — the append-only exact phase reads exactly
+//!   as the sorted-insert sketch it replaced, after any sequence of
+//!   records and merges.
 
 // Proptest closures sit outside #[test] fns, so clippy's
 // allow-unwrap-in-tests does not reach them; the whole file is a test.
@@ -87,8 +90,132 @@ fn assert_within_guarantee(sketch: &TailSketch, values: &[f64]) {
     }
 }
 
+/// The sorted-insert exact phase the append-only one replaced, kept as
+/// its oracle: the multiset in `f64::total_cmp` order, kept sorted by a
+/// binary search and an insert per record and a merge-join per merge.
+#[derive(Debug, Default)]
+struct SortedInsert(Vec<f64>);
+
+impl SortedInsert {
+    fn record(&mut self, x: f64) {
+        let at = self.0.partition_point(|v| v.total_cmp(&x).is_lt());
+        self.0.insert(at, x);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        let (a, b) = (&self.0, &other.0);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i].total_cmp(&b[j]).is_le() {
+                merged.push(a[i]);
+                i += 1;
+            } else {
+                merged.push(b[j]);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.0 = merged;
+    }
+}
+
+fn sketch_of<'a>(cap: usize, values: impl IntoIterator<Item = &'a f64>) -> TailSketch {
+    let mut s = TailSketch::new(cap);
+    for &v in values {
+        s.record(v);
+    }
+    s
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts that `sketch` reads as the sorted-insert `oracle` of the same
+/// stream: the count, the compaction point, equality with the sketch of
+/// the multiset recorded in sorted and in reverse order, and, while exact,
+/// `exact_values` and the quantiles bit for bit (once compacted, the
+/// buckets and quantiles of the re-recorded multiset).
+fn check_against_oracle(sketch: &TailSketch, oracle: &SortedInsert, cap: usize) -> TestCaseResult {
+    let values = &oracle.0;
+    prop_assert_eq!(sketch.count(), values.len() as u64);
+    prop_assert_eq!(sketch.is_exact(), values.len() <= cap);
+    let rebuilt = sketch_of(cap, values);
+    prop_assert!(*sketch == rebuilt, "differs from the sorted re-record");
+    prop_assert!(
+        *sketch == sketch_of(cap, values.iter().rev()),
+        "differs from the reversed re-record"
+    );
+    if values.is_empty() {
+        return Ok(());
+    }
+    let qs = [0.0, 0.25, 0.5, 0.99, 0.999, 1.0];
+    match sketch.exact_values() {
+        Some(exact) => {
+            prop_assert_eq!(bits(&exact), bits(values));
+            for q in qs {
+                prop_assert_eq!(sketch.quantile(q).to_bits(), quantile(values, q).to_bits());
+            }
+            // Same count, one value moved: a different multiset.
+            let mut moved = values.clone();
+            moved[0] = moved[0].next_up();
+            prop_assert!(*sketch != sketch_of(cap, &moved));
+        }
+        None => {
+            prop_assert_eq!(sketch.bucket_entries(), rebuilt.bucket_entries());
+            for q in qs {
+                prop_assert_eq!(sketch.quantile(q).to_bits(), rebuilt.quantile(q).to_bits());
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any sequence of records and merges, over any split of a stream,
+    /// leaves the append-only sketch reading as the sorted-insert oracle,
+    /// before, at and after the compaction.
+    #[test]
+    fn exact_mode_reads_as_the_sorted_insert_oracle(
+        values in arb_mmpp(300),
+        cuts in prop::collection::vec((0.0f64..1.0, any::<bool>()), 0..8),
+        cap in prop_oneof![Just(16usize), Just(64), Just(512)],
+    ) {
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&(at, _)| (at * values.len() as f64) as usize)
+            .collect();
+        ends.sort_unstable();
+        ends.push(values.len());
+        let mut sketch = TailSketch::new(cap);
+        let mut oracle = SortedInsert::default();
+        let mut start = 0;
+        for (k, &end) in ends.iter().enumerate() {
+            let chunk = &values[start..end];
+            if cuts.get(k).is_some_and(|&(_, merge)| merge) {
+                // The chunk arrives as a sketch of its own.
+                let part = sketch_of(cap, chunk);
+                let mut part_oracle = SortedInsert::default();
+                for &v in chunk {
+                    part_oracle.record(v);
+                }
+                check_against_oracle(&part, &part_oracle, cap)?;
+                sketch.merge(&part);
+                oracle.merge(&part_oracle);
+            } else {
+                for &v in chunk {
+                    sketch.record(v);
+                    oracle.record(v);
+                }
+            }
+            check_against_oracle(&sketch, &oracle, cap)?;
+            start = end;
+        }
+    }
 
     /// Differential: uniform samples, both exact and compacted regimes
     /// (cap 512 leaves short vectors exact and long ones compacted).

@@ -9,7 +9,8 @@
 //! the default code path shows up here as a bit mismatch.
 
 use staleload::core::{
-    clients_for_mean_age, run_simulation, ArrivalSpec, FaultSpec, RetrySpec, RunResult, SimConfig,
+    clients_for_mean_age, run_simulation, ArrivalSpec, EngineMode, FaultSpec, RetrySpec, RunResult,
+    SimConfig,
 };
 use staleload::info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload::policies::PolicySpec;
@@ -908,4 +909,161 @@ fn print_delayed_golden_bits() {
             );
         }
     }
+}
+
+/// The population engine's matrix: Random, k = 2 and Basic LI under fresh
+/// and periodic boards at n = 256. Nothing else pins the population
+/// engine's bits, and its measurement loop feeds the tail sketch.
+fn population_combos() -> Vec<(String, InfoSpec, PolicySpec)> {
+    let infos = [
+        ("fresh", InfoSpec::Fresh),
+        ("periodic", InfoSpec::Periodic { period: 10.0 }),
+    ];
+    let policies = [
+        ("random", PolicySpec::Random),
+        ("k2", PolicySpec::KSubset { k: 2 }),
+        ("basic-li", PolicySpec::BasicLi { lambda: 0.9 }),
+    ];
+    let mut combos = Vec::new();
+    for (info_label, info) in &infos {
+        for (policy_label, policy) in &policies {
+            combos.push((
+                format!("population/{info_label}/{policy_label}"),
+                *info,
+                policy.clone(),
+            ));
+        }
+    }
+    combos
+}
+
+fn run_population(info: &InfoSpec, policy: &PolicySpec, seed: u64) -> RunResult {
+    let cfg = SimConfig::builder()
+        .servers(256)
+        .lambda(0.9)
+        .arrivals(100_000)
+        .seed(seed)
+        .engine(EngineMode::Population)
+        .build();
+    run_simulation(&cfg, &ArrivalSpec::Poisson, info, policy).expect("valid config")
+}
+
+/// (combo label, seed, mean_response bits, end_time bits) for the
+/// population matrix. Regenerate with the `print_population_golden_bits`
+/// capture helper after intentional changes.
+#[rustfmt::skip]
+const POPULATION_GOLDEN: [(&str, u64, u64, u64); 18] = [
+    ("population/fresh/random", 1, 0x4022b610af827ffc, 0x407f01e09c8e99ee),
+    ("population/fresh/random", 2, 0x40217b1387cd5de1, 0x407e62dcdf2a2c5b),
+    ("population/fresh/random", 3, 0x4021c592f49ee83a, 0x407e02e71fbcae31),
+    ("population/fresh/k2", 1, 0x40058980a965d43c, 0x407bd76269f47245),
+    ("population/fresh/k2", 2, 0x4004f1d19a15023c, 0x407bc6713cfe9095),
+    ("population/fresh/k2", 3, 0x4005d1c23d508e3c, 0x407ba0492ea369cc),
+    ("population/fresh/basic-li", 1, 0x3ff034b580839e5e, 0x407b70d4d75edc93),
+    ("population/fresh/basic-li", 2, 0x3ff0273e902c5c0e, 0x407bc619bf12e0a8),
+    ("population/fresh/basic-li", 3, 0x3ff04db820f3918f, 0x407b8b70fa41b930),
+    ("population/periodic/random", 1, 0x4021baa367cbc1cf, 0x407f19fc1568f3c6),
+    ("population/periodic/random", 2, 0x4020ab1efa3565a7, 0x407e81a86fbab18c),
+    ("population/periodic/random", 3, 0x40219e8dfebc3a88, 0x407d6922420ac2c5),
+    ("population/periodic/k2", 1, 0x4014a5767fccbc5b, 0x407d215700f1df9b),
+    ("population/periodic/k2", 2, 0x40144e3361c8dcee, 0x407c91190e8b1735),
+    ("population/periodic/k2", 3, 0x4014869d89890dea, 0x407c14e6461977cb),
+    ("population/periodic/basic-li", 1, 0x40141246f588de2e, 0x407cae577518576c),
+    ("population/periodic/basic-li", 2, 0x401387fa57fc2edb, 0x407c4ff6aca694a6),
+    ("population/periodic/basic-li", 3, 0x401418f241c347d0, 0x407bf5f1f1b01dfb),
+];
+
+/// The population matrix replays its pinned bits.
+#[test]
+fn population_matrix_replays_pinned_bits() {
+    let combos = population_combos();
+    assert_eq!(POPULATION_GOLDEN.len(), combos.len() * 3);
+    for (label, info, policy) in combos {
+        for seed in 1..=3u64 {
+            let r = run_population(&info, &policy, seed);
+            let &(_, _, mean_bits, end_bits) = POPULATION_GOLDEN
+                .iter()
+                .find(|(l, s, ..)| *l == label && *s == seed)
+                .expect("every population combo/seed pair has a golden entry");
+            assert_eq!(
+                r.mean_response.to_bits(),
+                mean_bits,
+                "{label} seed {seed}: mean_response drifted from golden \
+                 ({} vs bits {mean_bits:#018x})",
+                r.mean_response,
+            );
+            assert_eq!(
+                r.end_time.to_bits(),
+                end_bits,
+                "{label} seed {seed}: end_time drifted from golden \
+                 ({} vs bits {end_bits:#018x})",
+                r.end_time,
+            );
+        }
+    }
+}
+
+/// Capture helper (not a regression test): prints the POPULATION_GOLDEN
+/// array body.
+#[test]
+#[ignore = "capture helper; run with --ignored --nocapture to regenerate POPULATION_GOLDEN"]
+fn print_population_golden_bits() {
+    for (label, info, policy) in population_combos() {
+        for seed in 1..=3u64 {
+            let r = run_population(&info, &policy, seed);
+            println!(
+                "    (\"{label}\", {seed}, {:#018x}, {:#018x}),",
+                r.mean_response.to_bits(),
+                r.end_time.to_bits(),
+            );
+        }
+    }
+}
+
+/// A trial too short to compact its sketch: 4 000 arrivals less the 10%
+/// warm-up leave 3 600 measured jobs, under the default capacity of 4 096,
+/// so its p99 is read from the exact multiset.
+fn run_exact_tail() -> RunResult {
+    let cfg = SimConfig::builder()
+        .servers(16)
+        .lambda(0.9)
+        .arrivals(4_000)
+        .seed(1)
+        .build();
+    run_simulation(
+        &cfg,
+        &ArrivalSpec::Poisson,
+        &InfoSpec::Periodic { period: 10.0 },
+        &PolicySpec::BasicLi { lambda: 0.9 },
+    )
+    .expect("valid config")
+}
+
+/// (mean_response bits, p99 bits) of [`run_exact_tail`]. Regenerate with
+/// the `print_exact_tail_golden_bits` capture helper after intentional
+/// changes.
+const EXACT_TAIL_GOLDEN: (u64, u64) = (0x40111321dcf8e78d, 0x402d98096d8eada3);
+
+/// The exact-mode sketch replays its pinned p99.
+#[test]
+fn exact_sketch_replays_pinned_p99() {
+    let r = run_exact_tail();
+    assert!(r.measured_jobs < 4_096, "{} measured jobs", r.measured_jobs);
+    assert!(r.detail.response_sketch.is_exact());
+    let (mean_bits, p99_bits) = EXACT_TAIL_GOLDEN;
+    assert_eq!(r.mean_response.to_bits(), mean_bits, "{}", r.mean_response);
+    let p99 = r.detail.response_quantile(0.99);
+    assert_eq!(p99.to_bits(), p99_bits, "exact p99 drifted: {p99}");
+}
+
+/// Capture helper (not a regression test): prints EXACT_TAIL_GOLDEN.
+#[test]
+#[ignore = "capture helper; run with --ignored --nocapture to regenerate EXACT_TAIL_GOLDEN"]
+fn print_exact_tail_golden_bits() {
+    let r = run_exact_tail();
+    println!(
+        "({:#018x}, {:#018x})",
+        r.mean_response.to_bits(),
+        r.detail.response_quantile(0.99).to_bits(),
+    );
 }
