@@ -3,11 +3,11 @@
 
 use staleload_core::{
     clients_for_mean_age, ArrivalSpec, ChurnSpec, CorruptSpec, EngineMode, FaultSpec,
-    PartitionSpec, PopulationSampler, RetrySpec, SimConfig,
+    PartitionSpec, RetrySpec, SimConfig,
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
-use staleload_sim::{Dist, SchedulerKind};
+use staleload_sim::Dist;
 use staleload_workloads::BurstConfig;
 
 /// A fully parsed `staleload run`/`compare` invocation.
@@ -290,9 +290,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut deadline: Option<f64> = None;
     let mut retry: Option<RetrySpec> = None;
     let mut guard: Option<(f64, f64)> = None;
-    let mut scheduler = SchedulerKind::Heap;
     let mut engine = EngineMode::PerServer;
-    let mut population_sampler = PopulationSampler::Alias;
     let mut detail = false;
     let mut watchdog: Option<f64> = None;
     let mut sketch_cap: Option<usize> = None;
@@ -455,14 +453,8 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                     c.parse().map_err(|_| format!("bad guard cooldown '{c}'"))?,
                 ));
             }
-            "--scheduler" => {
-                scheduler = take("--scheduler")?.parse::<SchedulerKind>()?;
-            }
             "--engine" => {
                 engine = take("--engine")?.parse::<EngineMode>()?;
-            }
-            "--population-sampler" => {
-                population_sampler = take("--population-sampler")?.parse::<PopulationSampler>()?;
             }
             "--watchdog" => {
                 let secs: f64 = take("--watchdog")?
@@ -594,9 +586,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         .arrivals(arrivals)
         .service(service)
         .seed(seed)
-        .scheduler(scheduler)
         .engine(engine)
-        .population_sampler(population_sampler)
         .faults(faults);
     if let Some(caps) = capacities {
         builder.capacities(caps);
@@ -866,21 +856,11 @@ mod tests {
     fn engine_flag_selects_population_mode() {
         let plain = parse_run(&[]).unwrap();
         assert_eq!(plain.config.engine, EngineMode::PerServer);
-        assert_eq!(plain.config.population_sampler, PopulationSampler::Alias);
         let pop = parse_run(&strings(&["--engine", "population"])).unwrap();
         assert_eq!(pop.config.engine, EngineMode::Population);
         let mf = parse_run(&strings(&["--engine", "mean-field"])).unwrap();
         assert_eq!(mf.config.engine, EngineMode::Population);
-        let scan = parse_run(&strings(&[
-            "--engine",
-            "population",
-            "--population-sampler",
-            "scan",
-        ]))
-        .unwrap();
-        assert_eq!(scan.config.population_sampler, PopulationSampler::Scan);
         assert!(parse_run(&strings(&["--engine", "quantum"])).is_err());
-        assert!(parse_run(&strings(&["--population-sampler", "hash"])).is_err());
         // Builder-level compatibility checks surface as parse errors.
         let err = parse_run(&strings(&["--engine", "population", "--service", "det"])).unwrap_err();
         assert!(err.contains("exponential"), "{err}");
@@ -889,19 +869,14 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_flag_selects_backend() {
-        let plain = parse_run(&[]).unwrap();
-        assert_eq!(plain.config.scheduler, SchedulerKind::Heap);
-        let cal = parse_run(&strings(&["--scheduler", "calendar"])).unwrap();
-        assert_eq!(cal.config.scheduler, SchedulerKind::Calendar);
-        let heap = parse_run(&strings(&["--scheduler", "heap"])).unwrap();
-        assert_eq!(heap.config.scheduler, SchedulerKind::Heap);
-        assert!(parse_run(&strings(&["--scheduler", "wheel"])).is_err());
-    }
-
-    #[test]
     fn unknown_flag_is_rejected() {
         assert!(parse_run(&strings(&["--frobnicate", "1"])).is_err());
+        // Retired backend knobs: the heap and the alias table are the only
+        // event queue and population sampler.
+        for (flag, value) in [("--scheduler", "heap"), ("--population-sampler", "alias")] {
+            let err = parse_run(&strings(&[flag, value])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
         assert!(parse_run(&strings(&["--servers"])).is_err());
     }
 

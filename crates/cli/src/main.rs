@@ -16,7 +16,7 @@
 //! `--queue-cap <N>`, `--deadline <T>`, `--retry <MAX>:<BASE>:<CAP>`,
 //! `--guard <THR>:<COOLDOWN>`, `--partition <MTBF>:<DUR>:<FRAC>[:correlated]`,
 //! `--churn <MTBF>:<DOWNTIME>`, `--corrupt <FRAC>`, `--hedge <H>`,
-//! `--quarantine <WINDOW>:<BACKOFF>`, `--scheduler <heap|calendar>`,
+//! `--quarantine <WINDOW>:<BACKOFF>`, `--engine <per-server|population>`,
 //! `--watchdog <SECS>`, `--detail`.
 
 #![forbid(unsafe_code)]
@@ -103,14 +103,10 @@ fn print_help() {
          losers cancelled (needs a plain FIFO config)\n  \
          --quarantine WINDOW:BACKOFF  eject servers whose reports are older than\n                     \
          WINDOW, probe for readmission after BACKOFF (doubling)\n  \
-         --scheduler KIND   event-queue backend: heap (default) or calendar;\n                     \
-         trajectories are bit-identical, calendar is faster at scale\n  \
          --engine MODE      state representation: per-server (default) or\n                     \
          population (count-based mean-field fast path; exact in\n                     \
          distribution for random/k-subset/greedy/basic-li over\n                     \
          fresh or periodic info, scales to millions of servers)\n  \
-         --population-sampler S  routing sampler for --engine population:\n                     \
-         alias (default, O(1) draws) or scan (linear reference)\n  \
          --watchdog SECS    per-trial wall-clock budget; a trial whose every\n                     \
          attempt (one retry after jittered backoff) exceeds it is\n                     \
          reported as a failed trial instead of hanging the run\n  \

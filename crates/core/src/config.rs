@@ -92,47 +92,6 @@ impl fmt::Display for EngineMode {
     }
 }
 
-/// How the population engine draws routing decisions from a frozen
-/// per-phase class distribution (ISSUE 9).
-///
-/// Both samplers draw from the same distribution, so they agree
-/// statistically; they consume the RNG differently, so trajectories
-/// differ bit-wise. `Scan` exists as the differential-testing reference
-/// for the alias fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum PopulationSampler {
-    /// Walker/Vose alias table: O(1) per draw after an O(K) per-phase
-    /// build (the default).
-    #[default]
-    Alias,
-    /// Linear scan over class weights: O(K) per draw, no per-phase build.
-    Scan,
-}
-
-impl std::str::FromStr for PopulationSampler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "alias" => Ok(PopulationSampler::Alias),
-            "scan" => Ok(PopulationSampler::Scan),
-            other => Err(format!(
-                "unknown population sampler '{other}' (expected alias or scan)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for PopulationSampler {
-    /// Canonical CLI spelling; round-trips through [`FromStr`](std::str::FromStr).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PopulationSampler::Alias => "alias",
-            PopulationSampler::Scan => "scan",
-        })
-    }
-}
-
 /// Error constructing a [`SimConfig`] from invalid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -193,9 +152,8 @@ pub struct SimConfig {
     /// jobs; see [`RetrySpec`]. `None` makes rejection and reneging
     /// terminal.
     pub retry: Option<RetrySpec>,
-    /// Pending-event-set backend for the engine's queues. Both backends
-    /// produce bit-identical trajectories (same event order, same RNG
-    /// draws); they differ only in speed. Default: [`SchedulerKind::Heap`].
+    /// Pending-event set of the engine's queues: always
+    /// [`SchedulerKind::Heap`], the one backend.
     pub scheduler: SchedulerKind,
     /// Exact-mode capacity of the per-run response-time quantile sketch
     /// (extension, ISSUE 8): runs measuring at most this many jobs keep
@@ -210,10 +168,6 @@ pub struct SimConfig {
     /// policy/info subset but draws the RNG differently, so trajectories
     /// are not bit-comparable across modes — only statistics are.
     pub engine: EngineMode,
-    /// Routing sampler used by the population engine (ignored by the
-    /// per-server engine): the alias-table fast path or the linear-scan
-    /// reference it is differentially tested against.
-    pub population_sampler: PopulationSampler,
     /// Master seed; trials derive their own seeds from it.
     pub seed: u64,
 }
@@ -260,10 +214,8 @@ pub struct SimConfigBuilder {
     queue_cap: Option<u32>,
     deadline: Option<f64>,
     retry: Option<RetrySpec>,
-    scheduler: SchedulerKind,
     sketch_cap: usize,
     engine: EngineMode,
-    population_sampler: PopulationSampler,
     seed: u64,
 }
 
@@ -281,10 +233,8 @@ impl Default for SimConfigBuilder {
             queue_cap: None,
             deadline: None,
             retry: None,
-            scheduler: SchedulerKind::Heap,
             sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
             engine: EngineMode::PerServer,
-            population_sampler: PopulationSampler::Alias,
             seed: 1,
         }
     }
@@ -364,12 +314,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the pending-event-set backend (default: the binary heap).
-    pub fn scheduler(&mut self, scheduler: SchedulerKind) -> &mut Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the exact-mode capacity of the response-time quantile
     /// sketch (must be ≥ 1; the default keeps runs of up to
     /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
@@ -381,13 +325,6 @@ impl SimConfigBuilder {
     /// Selects the engine's state representation (default: per-server).
     pub fn engine(&mut self, engine: EngineMode) -> &mut Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the population engine's routing sampler (default: the
-    /// alias table).
-    pub fn population_sampler(&mut self, sampler: PopulationSampler) -> &mut Self {
-        self.population_sampler = sampler;
         self
     }
 
@@ -519,10 +456,9 @@ impl SimConfigBuilder {
             queue_cap: self.queue_cap,
             deadline: self.deadline,
             retry: self.retry,
-            scheduler: self.scheduler,
+            scheduler: SchedulerKind::Heap,
             sketch_cap: self.sketch_cap,
             engine: self.engine,
-            population_sampler: self.population_sampler,
             seed: self.seed,
         })
     }
@@ -571,12 +507,6 @@ mod tests {
     fn engine_enum_display_round_trips_from_str() {
         for mode in [EngineMode::PerServer, EngineMode::Population] {
             assert_eq!(mode.to_string().parse::<EngineMode>(), Ok(mode));
-        }
-        for sampler in [PopulationSampler::Alias, PopulationSampler::Scan] {
-            assert_eq!(
-                sampler.to_string().parse::<PopulationSampler>(),
-                Ok(sampler)
-            );
         }
     }
 

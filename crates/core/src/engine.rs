@@ -5,10 +5,7 @@ use std::collections::BTreeMap;
 use staleload_cluster::{Admission, Cluster, Job, ServerId};
 use staleload_info::{InfoDispatch, InfoModel, InfoSpec};
 use staleload_policies::{DispatchPolicy, Policy, PolicySpec};
-use staleload_sim::{
-    CalendarBackend, EventScheduler, HeapBackend, OnlineStats, SchedError, SchedulerFamily,
-    SchedulerKind, SimRng,
-};
+use staleload_sim::{EventQueue, OnlineStats, SchedError, SimRng};
 use staleload_workloads::{ArrivalProcess, RetrySpec};
 
 use crate::config::ConfigError;
@@ -134,14 +131,14 @@ struct RenegeEntry {
 /// fresh backoff if attempts remain, otherwise it is abandoned. Draws only
 /// from the dedicated retry stream.
 #[allow(clippy::too_many_arguments)] // one slot per piece of bounce state
-fn bounce<S: EventScheduler<OrbitEntry>>(
+fn bounce(
     retry: Option<RetrySpec>,
     job: Job,
     client: usize,
     attempts: u32,
     prev_backoff: Option<f64>,
     now: f64,
-    orbit: &mut S,
+    orbit: &mut EventQueue<OrbitEntry>,
     retry_rng: &mut SimRng,
     overload: &mut OverloadStats,
 ) -> Result<(), SchedError> {
@@ -370,20 +367,15 @@ pub fn run_simulation(
     info: &InfoSpec,
     policy: &PolicySpec,
 ) -> Result<RunResult, SimError> {
-    // The population fast path has no pending-event set at all; both
-    // scheduler backends are the same degenerate three-clock race there.
+    // The population fast path has no pending-event set at all: its
+    // events are a three-clock race.
     if cfg.engine == crate::EngineMode::Population {
         return crate::population::run_population(cfg, arrivals, info, policy);
     }
-    // Monomorphize the hot loop per backend: every queue operation below
-    // compiles to a direct (inlinable) call, no vtable.
-    match cfg.scheduler {
-        SchedulerKind::Heap => run_inner::<HeapBackend>(cfg, arrivals, info, policy),
-        SchedulerKind::Calendar => run_inner::<CalendarBackend>(cfg, arrivals, info, policy),
-    }
+    run_inner(cfg, arrivals, info, policy)
 }
 
-fn run_inner<F: SchedulerFamily>(
+fn run_inner(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
@@ -549,7 +541,7 @@ fn run_inner<F: SchedulerFamily>(
     };
 
     let warmup = cfg.warmup_jobs();
-    let mut departures: F::Scheduler<ServerId> = EventScheduler::with_capacity(n);
+    let mut departures: EventQueue<ServerId> = EventQueue::with_capacity(n);
     // The departure each server currently has in the queue. Crashes
     // invalidate scheduled departures; rather than remove them from the
     // queue we drop any popped/peeked entry that no longer matches.
@@ -568,8 +560,8 @@ fn run_inner<F: SchedulerFamily>(
     let mut hedge_scratch: Vec<ServerId> = Vec::new();
     // Deadline checks for waiting jobs and the retry orbit; both stay
     // empty (and cost nothing) when the overload controls are off.
-    let mut reneges: F::Scheduler<RenegeEntry> = EventScheduler::new();
-    let mut orbit: F::Scheduler<OrbitEntry> = EventScheduler::new();
+    let mut reneges: EventQueue<RenegeEntry> = EventQueue::new();
+    let mut orbit: EventQueue<OrbitEntry> = EventQueue::new();
     let mut response = OnlineStats::new();
     let mut detail = RunDetail::new(n, cfg.sketch_cap);
     let mut next_id: u64 = 0;

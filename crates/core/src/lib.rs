@@ -50,9 +50,7 @@ mod metrics;
 mod population;
 mod scratch;
 
-pub use config::{
-    ArrivalSpec, ConfigError, EngineMode, PopulationSampler, SimConfig, SimConfigBuilder,
-};
+pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
 pub use engine::{run_simulation, Diagnostic, FaultStats, RunResult};
 pub use error::SimError;
 pub use experiment::{

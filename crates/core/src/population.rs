@@ -68,19 +68,15 @@
 //! per-server discipline.
 
 use staleload_info::InfoSpec;
-use staleload_policies::PolicySpec;
+use staleload_policies::{PolicySpec, WaterLine};
 use staleload_sim::{Dist, OnlineStats, SimRng};
 use staleload_workloads::AliasTable;
 
-use crate::config::{ConfigError, PopulationSampler};
+use crate::config::ConfigError;
 use crate::engine::FaultStats;
 use crate::{
     ArrivalSpec, OverloadStats, ResilienceStats, RunDetail, RunResult, SimConfig, SimError,
 };
-
-/// Mirror of `staleload_policies::li::MIN_EXPECTED_ARRIVALS`: below this
-/// the Basic LI schedule degenerates to the least-loaded indicator.
-const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 
 /// The policy subset the population engine supports (symmetric policies
 /// whose decisions depend on the board only through the multiset of
@@ -225,65 +221,17 @@ fn scan_weights(weights: &[u64], from: usize, mut r: u64) -> usize {
     }
 }
 
-/// Class-level Basic LI water-filling (paper Eqs. 2–4) over
-/// `(board, count)` pairs instead of per-server loads.
-///
-/// `boards` must be strictly ascending with positive `sizes`. Fills
-/// `per_server[j]` with the probability that one arrival goes to one
-/// *member* of class `j`; the class as a whole receives
-/// `sizes[j] · per_server[j]`. Equivalent to expanding the classes and
-/// calling `basic_li_probabilities` (servers tied on load always land on
-/// the same side of the cut), verified by `tests::water_fill_*`.
-fn class_water_fill(boards: &[u32], sizes: &[u64], r: f64, per_server: &mut Vec<f64>) {
-    debug_assert!(!boards.is_empty());
-    per_server.clear();
-    per_server.resize(boards.len(), 0.0);
-    if r <= MIN_EXPECTED_ARRIVALS {
-        // R → 0: the least-loaded indicator, uniform over the (single,
-        // because boards are distinct) lowest class.
-        per_server[0] = 1.0 / sizes[0] as f64;
-        return;
-    }
-    let mut count = sizes[0] as f64;
-    let mut sum = count * f64::from(boards[0]);
-    let mut cut = 0usize; // last class inside the water level
-    let mut cut_count = count;
-    let mut cut_sum = sum;
-    for j in 1..boards.len() {
-        let q = f64::from(boards[j]);
-        count += sizes[j] as f64;
-        sum += sizes[j] as f64 * q;
-        // Cost of levelling everything below class j up to q. It is
-        // non-decreasing in j, so the classes inside the water level form
-        // a prefix and one scan finds its end.
-        if count * q - sum <= r {
-            cut = j;
-            cut_count = count;
-            cut_sum = sum;
-        }
-    }
-    let level = (cut_sum + r) / cut_count;
-    for j in 0..=cut {
-        per_server[j] = ((level - f64::from(boards[j])) / r).max(0.0);
-    }
-}
-
 /// The frozen per-phase routing tables (periodic information only; fresh
 /// information routes against the live counts instead).
 enum Router {
-    /// Oblivious random: uniform over servers (class ∝ size).
-    Uniform { alias: Option<AliasTable> },
+    /// One alias draw per arrival: oblivious random (class ∝ size) and
+    /// Basic LI (class `j` ∝ `sizes[j]·p[j]`).
+    Alias(AliasTable),
     /// Least advertised load among `d` distinct uniform servers.
-    Subset { d: usize, alias: Option<AliasTable> },
+    Subset { d: usize, alias: AliasTable },
     /// Least advertised load overall: always the first class (phase
     /// classes are non-empty and sorted ascending).
     Greedy,
-    /// Basic LI: class `j` with probability `sizes[j]·p[j]`, via an alias
-    /// table or a cumulative-weight scan depending on the sampler.
-    BasicLi {
-        alias: Option<AliasTable>,
-        cum: Vec<f64>,
-    },
 }
 
 /// Builds an alias table over non-negative class weights, mapping the
@@ -300,50 +248,35 @@ fn build_alias(weights: &[f64]) -> Result<AliasTable, SimError> {
 impl Router {
     fn rebuild(
         policy: PopPolicy,
-        sampler: PopulationSampler,
         boards: &[u32],
         sizes: &[u64],
         expected_arrivals: f64,
         scratch: &mut Vec<f64>,
     ) -> Result<Router, SimError> {
-        let use_alias = sampler == PopulationSampler::Alias;
-        let size_alias = |scratch: &mut Vec<f64>| -> Result<Option<AliasTable>, SimError> {
-            if use_alias {
-                scratch.clear();
-                scratch.extend(sizes.iter().map(|&c| c as f64));
-                Ok(Some(build_alias(scratch)?))
-            } else {
-                Ok(None)
-            }
-        };
+        scratch.clear();
         Ok(match policy {
-            PopPolicy::Random => Router::Uniform {
-                alias: size_alias(scratch)?,
-            },
-            PopPolicy::KSubset { d } => Router::Subset {
-                d,
-                alias: size_alias(scratch)?,
-            },
+            PopPolicy::Random => {
+                scratch.extend(sizes.iter().map(|&c| c as f64));
+                Router::Alias(build_alias(scratch)?)
+            }
+            PopPolicy::KSubset { d } => {
+                scratch.extend(sizes.iter().map(|&c| c as f64));
+                Router::Subset {
+                    d,
+                    alias: build_alias(scratch)?,
+                }
+            }
             PopPolicy::Greedy => Router::Greedy,
             PopPolicy::BasicLi { .. } => {
-                class_water_fill(boards, sizes, expected_arrivals, scratch);
-                for (w, &c) in scratch.iter_mut().zip(sizes) {
-                    *w *= c as f64;
-                }
-                if use_alias {
-                    Router::BasicLi {
-                        alias: Some(build_alias(scratch)?),
-                        cum: Vec::new(),
-                    }
-                } else {
-                    let mut cum = Vec::with_capacity(scratch.len());
-                    let mut acc = 0.0;
-                    for &w in scratch.iter() {
-                        acc += w;
-                        cum.push(acc);
-                    }
-                    Router::BasicLi { alias: None, cum }
-                }
+                let classes = boards.iter().copied().zip(sizes.iter().copied());
+                let line = WaterLine::new(classes, expected_arrivals);
+                scratch.extend(
+                    boards
+                        .iter()
+                        .zip(sizes)
+                        .map(|(&q, &c)| line.prob(q) * c as f64),
+                );
+                Router::Alias(build_alias(scratch)?)
             }
         })
     }
@@ -535,24 +468,18 @@ impl Classes {
 }
 
 /// Draws the winning board class for one arrival under periodic
-/// information (frozen tables).
+/// information (frozen tables over classes of `sizes` servers).
 #[inline]
 fn route(
     router: &Router,
-    classes: &Classes,
-    n: usize,
+    sizes: &[u64],
     policy_rng: &mut SimRng,
     touched: &mut Vec<(usize, u64)>,
-    positions: &mut Vec<u64>,
 ) -> usize {
     match router {
-        Router::Uniform { alias: Some(a) } => a.sample(policy_rng),
-        Router::Uniform { alias: None } => {
-            let r = policy_rng.index(n) as u64;
-            scan_weights(&classes.sizes, 0, r)
-        }
+        Router::Alias(a) => a.sample(policy_rng),
         Router::Greedy => 0,
-        Router::Subset { d, alias: Some(a) } => {
+        Router::Subset { d, alias } => {
             // Sequential distinct-uniform-server sampling: propose a class
             // ∝ its size, reject with probability (already drawn)/(size),
             // so accepted classes are ∝ servers not yet drawn — exact
@@ -561,12 +488,12 @@ fn route(
             let mut best = usize::MAX;
             for _ in 0..*d {
                 loop {
-                    let j = a.sample(policy_rng);
+                    let j = alias.sample(policy_rng);
                     let taken = touched
                         .iter()
                         .find(|&&(c, _)| c == j)
                         .map_or(0, |&(_, m)| m);
-                    if taken > 0 && (policy_rng.index(classes.sizes[j] as usize) as u64) < taken {
+                    if taken > 0 && (policy_rng.index(sizes[j] as usize) as u64) < taken {
                         continue; // proposed an already-drawn member
                     }
                     match touched.iter_mut().find(|e| e.0 == j) {
@@ -581,23 +508,6 @@ fn route(
                 }
             }
             best
-        }
-        Router::Subset { d, alias: None } => {
-            // Reference sampler: d distinct uniform positions in [0, n);
-            // classes occupy ascending position ranges, so the minimum
-            // position belongs to the least-advertised sampled class.
-            let min_pos = min_distinct_position(*d, n, policy_rng, positions);
-            scan_weights(&classes.sizes, 0, min_pos)
-        }
-        Router::BasicLi { alias: Some(a), .. } => a.sample(policy_rng),
-        Router::BasicLi { alias: None, cum } => {
-            let total = cum[cum.len() - 1];
-            let r = policy_rng.f64() * total;
-            let mut j = 0;
-            while j + 1 < cum.len() && cum[j] <= r {
-                j += 1;
-            }
-            j
         }
     }
 }
@@ -673,6 +583,13 @@ pub(crate) fn run_population(
         }
         _ => 0.0,
     };
+    if !(expected_arrivals.is_finite() && expected_arrivals >= 0.0) {
+        return Err(ConfigError::new(format!(
+            "Basic LI's expected arrivals per phase λ̂·n·T must be non-negative and finite, \
+             got {expected_arrivals}"
+        ))
+        .into());
+    }
 
     let mut classes = Classes::all_idle(n as u64);
     let mut scratch = Vec::new();
@@ -681,7 +598,6 @@ pub(crate) fn run_population(
     let mut positions: Vec<u64> = Vec::new();
     let mut router = Router::rebuild(
         pop_policy,
-        cfg.population_sampler,
         &classes.boards,
         &classes.sizes,
         expected_arrivals,
@@ -723,7 +639,6 @@ pub(crate) fn run_population(
             classes.refresh(&mut hist);
             router = Router::rebuild(
                 pop_policy,
-                cfg.population_sampler,
                 &classes.boards,
                 &classes.sizes,
                 expected_arrivals,
@@ -740,14 +655,7 @@ pub(crate) fn run_population(
                 let k = fresh_route(pop_policy, &classes, n, &mut policy_rng, &mut positions);
                 (k, k)
             } else {
-                let j = route(
-                    &router,
-                    &classes,
-                    n,
-                    &mut policy_rng,
-                    &mut touched,
-                    &mut positions,
-                );
+                let j = route(&router, &classes.sizes, &mut policy_rng, &mut touched);
                 (j, classes.member_length(j, &mut model_rng))
             };
             // The tagged job's sojourn: k + 1 exponential stages (its own
@@ -832,6 +740,8 @@ mod tests {
         loads
     }
 
+    /// Basic LI's water line over board classes replays, bit for bit, the
+    /// per-server probabilities of the expanded view.
     #[test]
     fn water_fill_matches_the_per_server_schedule() {
         let cases: &[(&[u32], &[u64], f64)] = &[
@@ -844,23 +754,18 @@ mod tests {
         ];
         let mut probs = Vec::new();
         let mut scratch = Vec::new();
-        let mut class_probs = Vec::new();
         for &(boards, sizes, r) in cases {
             let loads = expand(boards, sizes);
             basic_li_probabilities(&loads, r, &mut probs, &mut scratch);
-            class_water_fill(boards, sizes, r, &mut class_probs);
-            let mut i = 0;
-            for (j, &c) in sizes.iter().enumerate() {
-                for _ in 0..c {
-                    assert!(
-                        (probs[i] - class_probs[j]).abs() < 1e-9,
-                        "boards {boards:?} sizes {sizes:?} r {r}: server {i} \
-                         per-server {} vs class {}",
-                        probs[i],
-                        class_probs[j]
-                    );
-                    i += 1;
-                }
+            let line = WaterLine::new(boards.iter().copied().zip(sizes.iter().copied()), r);
+            for (&q, &p) in loads.iter().zip(&probs) {
+                assert_eq!(
+                    p.to_bits(),
+                    line.prob(q).to_bits(),
+                    "boards {boards:?} sizes {sizes:?} r {r}: load {q} \
+                     per-server {p} vs class {}",
+                    line.prob(q)
+                );
             }
         }
     }
@@ -960,34 +865,49 @@ mod tests {
         assert!((d2 - 2.61).abs() < 0.25, "d2 {d2}");
     }
 
+    /// `route`'s k-subset layer draws `d` distinct servers: the least
+    /// class among them is ≥ j exactly when all `d` come from the `m_j`
+    /// servers in classes ≥ j, so P(least class ≥ j) = C(m_j, d)/C(n, d).
+    /// Drawing with replacement instead would give (m_j/n)^d.
     #[test]
-    fn alias_and_scan_samplers_agree_statistically() {
-        let mut means = Vec::new();
-        for sampler in [PopulationSampler::Alias, PopulationSampler::Scan] {
-            let mut b = SimConfigBuilder::default();
-            b.servers(100)
-                .lambda(0.9)
-                .arrivals(150_000)
-                .engine(crate::EngineMode::Population)
-                .population_sampler(sampler)
-                .seed(5);
-            let cfg = b.build();
-            let r = run_population(
-                &cfg,
-                &ArrivalSpec::Poisson,
-                &InfoSpec::Periodic { period: 4.0 },
-                &PolicySpec::BasicLi { lambda: 0.9 },
-            )
-            .expect("population run");
-            means.push(r.mean_response);
+    fn subset_routing_follows_the_without_replacement_law() {
+        fn choose(m: u64, d: usize) -> f64 {
+            (0..d as u64)
+                .map(|i| m.saturating_sub(i) as f64 / (i + 1) as f64)
+                .product()
         }
-        let rel = (means[0] - means[1]).abs() / means[1];
-        assert!(
-            rel < 0.06,
-            "alias {} vs scan {}: relative gap {rel}",
-            means[0],
-            means[1]
-        );
+        const DRAWS: u32 = 200_000;
+        let cases: &[(&[u64], usize)] = &[
+            (&[3, 5, 2, 10], 2),
+            (&[3, 5, 2, 10], 3),
+            (&[1; 6], 4),
+            (&[4, 1], 5),
+        ];
+        let mut rng = SimRng::from_seed(2024);
+        let mut scratch = Vec::new();
+        let mut touched = Vec::new();
+        for &(sizes, d) in cases {
+            let boards: Vec<u32> = (0..sizes.len() as u32).collect();
+            let router =
+                Router::rebuild(PopPolicy::KSubset { d }, &boards, sizes, 0.0, &mut scratch)
+                    .expect("valid classes");
+            let mut least = vec![0u32; sizes.len()];
+            for _ in 0..DRAWS {
+                least[route(&router, sizes, &mut rng, &mut touched)] += 1;
+            }
+            let n: u64 = sizes.iter().sum();
+            let mut tail = 0u32;
+            for j in (0..sizes.len()).rev() {
+                tail += least[j];
+                let exact = choose(sizes[j..].iter().sum(), d) / choose(n, d);
+                let seen = f64::from(tail) / f64::from(DRAWS);
+                let sigma = (exact * (1.0 - exact) / f64::from(DRAWS)).sqrt();
+                assert!(
+                    (seen - exact).abs() <= 5.0 * sigma + 1e-12,
+                    "sizes {sizes:?} d {d}: P(least ≥ {j}) {seen} vs exact {exact}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1036,6 +956,12 @@ mod tests {
             &PolicySpec::AggressiveLi { lambda: 0.9 }
         )
         .contains("per-server engine"));
+        assert!(err(
+            &ArrivalSpec::Poisson,
+            &InfoSpec::Periodic { period: 4.0 },
+            &PolicySpec::BasicLi { lambda: f64::NAN }
+        )
+        .contains("non-negative and finite"));
         let mut b = SimConfigBuilder::default();
         b.servers(16).lambda(0.8).arrivals(1_000);
         let mut hetero = b.build();

@@ -1,8 +1,8 @@
 //! **staleload-lint** — the workspace invariant checker.
 //!
 //! Every result in this reproduction rests on invariants the compiler
-//! cannot see: bit-identical trajectories across scheduler backends and
-//! worker counts, a pinned RNG fork order in the engine, and a
+//! cannot see: bit-identical trajectories across worker counts and cache
+//! states, a pinned RNG fork order in the engine, and a
 //! content-addressed cache whose key must cover every spec field. The
 //! runtime test suites catch violations *after* the damage is written;
 //! this dependency-free static-analysis pass catches them at the

@@ -22,11 +22,10 @@
 //! Nested spec types need no enumeration here: they are hashed through
 //! their derived `Debug`, which includes every field automatically —
 //! *provided it stays derived*. A manual `impl Debug` on a hashed spec
-//! type could silently drop fields (e.g. the ISSUE 9 `engine` /
-//! `population_sampler` knobs on `SimConfig`) from the rendered value,
-//! re-opening the aliasing hole one level down. The rule therefore also
-//! flags any hand-written `Debug` impl for the types the key renders
-//! wholesale ([`DEBUG_HASHED_TYPES`]).
+//! type could silently drop fields (e.g. the `engine` knob on `SimConfig`)
+//! from the rendered value, re-opening the aliasing hole one level down.
+//! The rule therefore also flags any hand-written `Debug` impl for the
+//! types the key renders wholesale ([`DEBUG_HASHED_TYPES`]).
 
 use crate::diag::Finding;
 use crate::rules::Rule;

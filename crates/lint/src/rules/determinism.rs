@@ -3,7 +3,7 @@
 //! Every trajectory in this repository must be a pure function of the
 //! experiment spec (including the master seed): the golden-trajectory
 //! and parallel-determinism suites pin results bit-for-bit across
-//! scheduler backends and worker counts. A single wall-clock read or an
+//! worker counts and cache states. A single wall-clock read or an
 //! iteration over a `HashMap` (whose order is salted per process) in a
 //! simulation-facing crate silently breaks that contract.
 //!

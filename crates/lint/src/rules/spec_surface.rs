@@ -1,7 +1,7 @@
 //! spec-surface: every public spec variant stays fully wired.
 //!
 //! The experiment spec surface — `PolicySpec`, `InfoSpec`, `FaultSpec`,
-//! and the engine/sampler enums — must stay wired into four seams at
+//! and the `EngineMode` enum — must stay wired into four seams at
 //! once: the CLI parser (a variant nobody can request is dead weight),
 //! the salted cache key (a variant the key ignores aliases cached
 //! results), Display/CSV emission (a variant that prints as something
@@ -73,13 +73,6 @@ const SURFACES: &[Surface] = &[
         config_field: Some("engine"),
         display_fn: "fmt",
     },
-    Surface {
-        type_name: "PopulationSampler",
-        kind: Kind::Enum,
-        key_path: "config",
-        config_field: Some("population_sampler"),
-        display_fn: "fmt",
-    },
 ];
 
 /// See the module docs.
@@ -96,7 +89,7 @@ impl Rule for SpecSurface {
 
     fn explain(&self) -> &'static str {
         "Invariant: every public variant of PolicySpec/InfoSpec/FaultSpec and the\n\
-         engine/sampler enums is (a) constructible from the CLI parser, (b) hashed\n\
+         EngineMode enum is (a) constructible from the CLI parser, (b) hashed\n\
          into experiment_key_salted (directly or through SimConfig, with derived\n\
          Debug), (c) covered by its label()/Display emission, and (d) named in the\n\
          README.md/DESIGN.md tables.\n\

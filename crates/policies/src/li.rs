@@ -4,8 +4,6 @@
 //! and an expected-arrival count `R = λ·n·T`, factored out of the policy
 //! objects so they can be unit- and property-tested in isolation.
 
-use std::ops::ControlFlow;
-
 use staleload_sim::SimRng;
 
 use crate::Load;
@@ -15,7 +13,7 @@ use crate::Load;
 pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 
 /// Fewest load values one histogram window spans; a window spans
-/// `max(n, MIN_WINDOW)` values (see [`scan_levels`]).
+/// `max(n, MIN_WINDOW)` values (see [`Levels`]).
 const MIN_WINDOW: usize = 256;
 
 /// Relative slack on the aged Aggressive LI reach bound `λ̂·n·age`, far
@@ -78,18 +76,21 @@ pub fn basic_li_probabilities(
     probs: &mut Vec<f64>,
     counts: &mut Vec<u32>,
 ) {
-    let line = WaterLine::new(loads, expected_arrivals, counts);
+    let line = WaterLine::of_view(loads, expected_arrivals, counts);
     probs.clear();
     probs.extend(loads.iter().map(|&q| line.prob(q)));
 }
 
 /// Basic LI's water line for one view: which load values receive and with
 /// what probability (see [`basic_li_probabilities`]).
+///
+/// Both engines find it with [`WaterLine::new`]: the per-server policies
+/// over a histogram of their view's loads, the population engine over its
+/// board classes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WaterLine {
-    /// Lowest and highest reported load.
+pub struct WaterLine {
+    /// Lowest reported load.
     min: Load,
-    max: Load,
     /// Highest receiving load.
     top: Load,
     share: Share,
@@ -105,72 +106,72 @@ enum Share {
 }
 
 impl WaterLine {
-    /// Finds the water line (Eqs. 3–4) for `loads` and `expected_arrivals`
-    /// (`R`), with `counts` as histogram scratch.
+    /// Finds the water line (Eqs. 3–4) for `expected_arrivals` (`R`) over
+    /// `levels`: the distinct reported loads in increasing order, each with
+    /// the (positive) number of servers reporting it. Reads only the levels
+    /// the water reaches.
     ///
     /// # Panics
     ///
-    /// Panics if `loads` is empty or `expected_arrivals` is negative/NaN.
-    pub(crate) fn new(loads: &[Load], expected_arrivals: f64, counts: &mut Vec<u32>) -> Self {
-        assert!(!loads.is_empty(), "loads must be non-empty");
+    /// Panics if `levels` is empty or `expected_arrivals` is negative/NaN.
+    pub fn new(levels: impl IntoIterator<Item = (Load, u64)>, expected_arrivals: f64) -> Self {
         assert!(
             expected_arrivals.is_finite() && expected_arrivals >= 0.0,
             "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
         );
         let r = expected_arrivals;
-        if r <= MIN_EXPECTED_ARRIVALS {
-            let mut ties = 0;
-            let (min, max) = scan_levels(loads, 0, counts, |_, k| {
-                ties = k;
-                ControlFlow::Break(())
-            });
-            return Self {
-                min,
-                max,
-                top: min,
-                share: Share::Even(1.0 / f64::from(ties)),
-            };
-        }
-
+        let mut levels = levels.into_iter();
+        let (min, ties) = levels.next().expect("levels must be non-empty");
         // cost(q) = C(q)·q − S(q), over the C(q) servers with load ≤ q and
         // their load sum S(q), is non-decreasing in q and 0 at the minimum,
         // so the scan stops at the first load value R cannot reach. Every
         // count, sum and cost is an exact integer in f64, and cost is
         // constant across a tie group, so this finds the same c as scanning
         // sorted servers one by one and the receiving set never splits a tie
-        // group. Raising the minimum server to q alone costs q − min, so no
-        // load above min + ⌊R⌋ can receive (the float-to-int cast floors and
-        // saturates).
-        let mut receivers = 0u32;
-        let mut prefix = 0.0; // Σ of the receivers' loads
-        let mut top = 0; // highest receiving load
-        let mut seen = 0u32;
-        let mut run = 0.0;
-        let (min, max) = scan_levels(loads, r as Load, counts, |q, k| {
+        // group. When R is numerically zero the scan stops after the
+        // minimum's ties.
+        let mut receivers = ties; // servers at or below `top`
+        let mut prefix = ties as f64 * f64::from(min); // Σ of their loads
+        let mut top = min; // highest receiving load
+        let (mut seen, mut run) = (receivers, prefix);
+        for (q, k) in levels {
             seen += k;
-            run += f64::from(k) * f64::from(q);
-            if f64::from(seen) * f64::from(q) - run > r {
-                return ControlFlow::Break(());
+            run += k as f64 * f64::from(q);
+            if seen as f64 * f64::from(q) - run > r {
+                break;
             }
             receivers = seen;
             prefix = run;
             top = q;
-            ControlFlow::Continue(())
-        });
-        Self {
-            min,
-            max,
-            top,
-            share: Share::Level {
-                level: (prefix + r) / f64::from(receivers),
-                r,
-            },
         }
+        let share = if r <= MIN_EXPECTED_ARRIVALS {
+            Share::Even(1.0 / receivers as f64)
+        } else {
+            Share::Level {
+                level: (prefix + r) / receivers as f64,
+                r,
+            }
+        };
+        Self { min, top, share }
+    }
+
+    /// The water line of a per-server view, from a histogram of `loads`
+    /// (`counts` is its scratch). Raising the minimum server to `q` alone
+    /// costs `q − min`, so no load above `min + ⌊R⌋` can receive and the
+    /// histogram stops there (the float-to-int cast floors and saturates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty or `expected_arrivals` is negative/NaN.
+    pub(crate) fn of_view(loads: &[Load], expected_arrivals: f64, counts: &mut Vec<u32>) -> Self {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        let levels = Levels::new(loads, expected_arrivals as Load, counts);
+        Self::new(levels.map(|(q, k)| (q, u64::from(k))), expected_arrivals)
     }
 
     /// The send probability of a server reporting load `q` of this view.
     #[inline]
-    pub(crate) fn prob(&self, q: Load) -> f64 {
+    pub fn prob(&self, q: Load) -> f64 {
         if q > self.top {
             return 0.0;
         }
@@ -181,12 +182,12 @@ impl WaterLine {
         }
     }
 
-    /// Overwrites `table` with [`WaterLine::prob`] of every load value from
-    /// the minimum up, `table[q − min]`: one division per receiving value,
+    /// Overwrites `table` with [`WaterLine::prob`] of every receiving load
+    /// value from the minimum up, `table[q − min]`: one division per value,
     /// over at most one histogram window of values for a view of `n`
     /// servers.
     pub(crate) fn tabulate(&self, n: usize, table: &mut Vec<f64>) {
-        let last = self.max.min(self.min.saturating_add(window(n) - 1));
+        let last = self.top.min(self.min.saturating_add(window(n) - 1));
         table.clear();
         table.extend((self.min..=last).map(|q| self.prob(q)));
     }
@@ -429,20 +430,19 @@ impl AgedAggressive {
         let levels = &mut self.levels;
         levels.clear();
         let mut end = 0.0;
-        scan_levels(loads, reach, &mut self.counts, |q, k| {
+        for (q, k) in Levels::new(loads, reach, &mut self.counts) {
             let seen = match levels.last() {
                 None => k,
                 Some(&(below, seen)) => {
                     end += subinterval(seen as usize, f64::from(q) - f64::from(below), total_rate);
                     if !reached(end, age) {
-                        return ControlFlow::Break(());
+                        break;
                     }
                     seen + k
                 }
             };
             levels.push((q, seen));
-            ControlFlow::Continue(())
-        });
+        }
         // The minimum's ties open together at elapsed 0 (before it, only
         // the first of them is active).
         let active = match levels.last() {
@@ -464,52 +464,84 @@ impl AgedAggressive {
     }
 }
 
-/// Visits the distinct values of `loads` in increasing order, each with the
+/// The distinct values of `loads` in increasing order, each with the
 /// number of servers reporting it, from the minimum up to `min + reach`
-/// (saturating) or until `visit` breaks; returns the minimum and maximum
-/// load.
+/// (saturating).
 ///
 /// The counts come from a histogram over a window of at most
-/// `max(n, MIN_WINDOW)` consecutive values. A visit that runs past a
-/// window's last value goes on with a window starting at the next reported
-/// load, so memory stays `O(n)` however far the loads spread (a staleness
-/// gate's `Load::MAX` masks), and every window but the last spans at
-/// least as many values as there are servers, so the time stays
+/// `max(n, MIN_WINDOW)` consecutive values. Iterating past a window's last
+/// value goes on with a window starting at the next reported load, so
+/// memory stays `O(n)` however far the loads spread (a staleness gate's
+/// `Load::MAX` masks), and every window but the last spans at least as
+/// many values as there are servers, so the time stays
 /// `O(n + span visited)`.
-fn scan_levels(
-    loads: &[Load],
-    reach: Load,
-    counts: &mut Vec<u32>,
-    mut visit: impl FnMut(Load, u32) -> ControlFlow<()>,
-) -> (Load, Load) {
-    let (min, max) = load_range(loads);
-    let last = min.saturating_add(reach).min(max);
-    let width = window(loads.len());
-    let mut base = min;
-    loop {
-        let end = last.min(base.saturating_add(width - 1));
-        counts.clear();
-        counts.resize((end - base) as usize + 1, 0);
-        for &q in loads {
+struct Levels<'a> {
+    loads: &'a [Load],
+    counts: &'a mut Vec<u32>,
+    /// The highest value to visit.
+    last: Load,
+    /// The current window's first value.
+    base: Load,
+    /// The offset in `counts` to read next.
+    next: usize,
+}
+
+impl<'a> Levels<'a> {
+    fn new(loads: &'a [Load], reach: Load, counts: &'a mut Vec<u32>) -> Self {
+        let (min, max) = load_range(loads);
+        let mut levels = Levels {
+            loads,
+            counts,
+            last: min.saturating_add(reach).min(max),
+            base: min,
+            next: 0,
+        };
+        levels.histogram();
+        levels
+    }
+
+    /// Counts the loads of the window starting at `base`.
+    fn histogram(&mut self) {
+        let width = window(self.loads.len());
+        let end = self.last.min(self.base.saturating_add(width - 1));
+        self.counts.clear();
+        self.counts.resize((end - self.base) as usize + 1, 0);
+        for &q in self.loads {
             // Loads below `base` wrap past the window too.
-            if let Some(k) = counts.get_mut(q.wrapping_sub(base) as usize) {
+            if let Some(k) = self.counts.get_mut(q.wrapping_sub(self.base) as usize) {
                 *k += 1;
             }
         }
-        for (offset, &k) in counts.iter().enumerate() {
-            if k != 0 && visit(base + offset as Load, k).is_break() {
-                return (min, max);
+        self.next = 0;
+    }
+}
+
+impl Iterator for Levels<'_> {
+    type Item = (Load, u32);
+
+    fn next(&mut self) -> Option<(Load, u32)> {
+        loop {
+            while let Some(&k) = self.counts.get(self.next) {
+                self.next += 1;
+                if k != 0 {
+                    return Some((self.base + (self.next - 1) as Load, k));
+                }
             }
-        }
-        if end == last {
-            return (min, max);
-        }
-        // The next window starts at the next reported load (`max` is one).
-        base = loads
-            .iter()
-            .fold(max, |next, &q| if q > end { next.min(q) } else { next });
-        if base > last {
-            return (min, max);
+            let end = self.base + (self.counts.len() - 1) as Load;
+            if end == self.last {
+                return None;
+            }
+            // The next window starts at the next reported load (one lies
+            // above `end`: the maximum, at least `last`, does).
+            let next = self.loads.iter().fold(
+                Load::MAX,
+                |next, &q| if q > end { next.min(q) } else { next },
+            );
+            if next > self.last {
+                return None;
+            }
+            self.base = next;
+            self.histogram();
         }
     }
 }

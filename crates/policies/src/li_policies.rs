@@ -44,7 +44,7 @@ impl ProbCache {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
-        let line = WaterLine::new(loads, r, &mut self.counts);
+        let line = WaterLine::of_view(loads, r, &mut self.counts);
         line.tabulate(loads.len(), &mut self.table);
         // The same additions in the same server order as a prefix sum over
         // `basic_li_probabilities`, so the same bits.

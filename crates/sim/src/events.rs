@@ -1,20 +1,11 @@
-//! Swappable, time-ordered pending-event schedulers.
+//! The time-ordered pending-event set.
 //!
-//! The simulation engine drives everything through the [`EventScheduler`]
-//! trait: a pending-event set ordered by time with **FIFO tie-breaking**
-//! (events pushed earlier pop earlier when their times are bit-identical).
-//! Two backends implement the contract:
-//!
-//! * [`EventQueue`] — a binary heap; O(log n) per operation, unbeatable at
-//!   tiny sizes, and the historical reference backend every golden
-//!   trajectory was pinned against.
-//! * [`CalendarQueue`](crate::CalendarQueue) — a calendar queue (Brown
-//!   1988); amortized O(1) per operation on the near-future-heavy event
-//!   mix of an M/G/1 cluster, and the fast path at large `n`.
-//!
-//! Both backends must pop in *exactly* the same order — the differential
-//! proptests in `tests/event_queue_equiv.rs` and the golden-trajectory
-//! suite enforce this bit for bit.
+//! The simulation engine keeps its departures, renege deadlines and retry
+//! orbit in [`EventQueue`]s: binary heaps ordered by time with **FIFO
+//! tie-breaking** (events pushed earlier pop earlier when their times are
+//! bit-identical), O(log n) per operation. [`EventScheduler`] states that
+//! contract as a trait; `tests/event_queue_equiv.rs` checks the heap
+//! against a sorted-`Vec` model of it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,7 +41,7 @@ impl fmt::Display for SchedError {
 impl std::error::Error for SchedError {}
 
 /// Validates an event time for scheduling.
-pub(crate) fn check_time(time: f64) -> Result<(), SchedError> {
+fn check_time(time: f64) -> Result<(), SchedError> {
     // `time >= 0.0` is false for both NaN and negatives, so valid times —
     // the overwhelmingly common case — pay a single comparison; the two
     // rejections are disambiguated only on the cold path.
@@ -72,15 +63,9 @@ pub(crate) fn check_time(time: f64) -> Result<(), SchedError> {
 /// * Events with bit-identical times pop in push order (FIFO), which keeps
 ///   runs deterministic even when events coincide (e.g. a zero-length
 ///   burst gap). The tie-break is part of the contract, not an
-///   implementation detail: every backend must produce the *same* pop
-///   sequence for the same push/pop interleaving.
+///   implementation detail: the golden trajectories depend on it.
 /// * [`try_push`](EventScheduler::try_push) rejects NaN and negative times
 ///   with a typed [`SchedError`].
-///
-/// `peek`/`peek_time` take `&mut self` because cursor-based backends (the
-/// calendar queue) advance internal position state while searching for the
-/// minimum; the observable state (the pending set and its pop order) is
-/// never changed by a peek.
 pub trait EventScheduler<E> {
     /// Creates an empty scheduler.
     fn new() -> Self
@@ -103,14 +88,14 @@ pub trait EventScheduler<E> {
     fn pop(&mut self) -> Option<(f64, E)>;
 
     /// The time of the earliest pending event, if any.
-    fn peek_time(&mut self) -> Option<f64>;
+    fn peek_time(&self) -> Option<f64>;
 
     /// The earliest pending event (time and payload) without removing it.
     ///
     /// Lets a caller that lazily invalidates events (e.g. departures
     /// cancelled by a server crash) discard stale entries before acting
     /// on the head of the queue.
-    fn peek(&mut self) -> Option<(f64, &E)>;
+    fn peek(&self) -> Option<(f64, &E)>;
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -124,70 +109,21 @@ pub trait EventScheduler<E> {
     fn clear(&mut self);
 }
 
-/// Which [`EventScheduler`] backend a simulation run uses.
+/// Which event scheduler a simulation run uses.
 ///
-/// Both backends produce bit-identical trajectories (enforced by the
-/// golden-trajectory suite); the choice is purely a performance knob.
+/// The binary heap ([`EventQueue`]) is the only one. The kind stays a
+/// field of `staleload_core::SimConfig` so that every rendered
+/// configuration, and with it every result-cache key, keeps its
+/// `scheduler: Heap` entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SchedulerKind {
-    /// Binary-heap backend ([`EventQueue`]) — the reference.
+    /// Binary-heap backend ([`EventQueue`]).
     #[default]
     Heap,
-    /// Calendar-queue backend ([`crate::CalendarQueue`]) — the fast path
-    /// for large pending sets.
-    Calendar,
 }
 
-impl SchedulerKind {
-    /// Short machine-readable label (used in benches and CLI parsing).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(SchedulerKind::Heap),
-            "calendar" => Ok(SchedulerKind::Calendar),
-            other => Err(format!(
-                "unknown scheduler backend {other:?} (expected \"heap\" or \"calendar\")"
-            )),
-        }
-    }
-}
-
-/// Ties an event-payload type to a scheduler backend at compile time, so
-/// the engine's hot loop monomorphizes per backend instead of calling
-/// through a vtable.
-pub trait SchedulerFamily {
-    /// The backend used for payload type `E`.
-    type Scheduler<E>: EventScheduler<E>;
-}
-
-/// [`SchedulerFamily`] for the binary-heap backend.
-#[derive(Debug, Clone, Copy)]
-pub struct HeapBackend;
-
-impl SchedulerFamily for HeapBackend {
-    type Scheduler<E> = EventQueue<E>;
-}
-
-/// [`SchedulerFamily`] for the calendar-queue backend.
-#[derive(Debug, Clone, Copy)]
-pub struct CalendarBackend;
-
-impl SchedulerFamily for CalendarBackend {
-    type Scheduler<E> = crate::CalendarQueue<E>;
-}
-
-/// A binary-heap pending-event set — the reference [`EventScheduler`]
-/// backend.
+/// A binary-heap pending-event set: the [`EventScheduler`] the engine
+/// runs on.
 ///
 /// Ties in time are broken by insertion order (FIFO), which keeps runs
 /// deterministic even when events coincide (e.g. a zero-length burst gap).
@@ -347,12 +283,12 @@ impl<E> EventScheduler<E> for EventQueue<E> {
     }
 
     #[inline]
-    fn peek_time(&mut self) -> Option<f64> {
+    fn peek_time(&self) -> Option<f64> {
         EventQueue::peek_time(self)
     }
 
     #[inline]
-    fn peek(&mut self) -> Option<(f64, &E)> {
+    fn peek(&self) -> Option<(f64, &E)> {
         EventQueue::peek(self)
     }
 
@@ -462,15 +398,5 @@ mod tests {
     fn rejects_negative_time() {
         let mut q = EventQueue::new();
         q.push(-1.0, ());
-    }
-
-    #[test]
-    fn scheduler_kind_parses_and_labels() {
-        assert_eq!("heap".parse(), Ok(SchedulerKind::Heap));
-        assert_eq!("calendar".parse(), Ok(SchedulerKind::Calendar));
-        assert!("wheel".parse::<SchedulerKind>().is_err());
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Heap);
-        assert_eq!(SchedulerKind::Heap.label(), "heap");
-        assert_eq!(SchedulerKind::Calendar.label(), "calendar");
     }
 }

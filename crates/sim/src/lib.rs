@@ -9,11 +9,8 @@
 //! * [`Dist`] — the random variates used by the paper's workloads and delay
 //!   models (constant, uniform, exponential, **Bounded Pareto**, and a
 //!   hyperexponential extension).
-//! * [`EventScheduler`] — the pending-event-set contract (time order with
-//!   FIFO tie-break), with two interchangeable backends: [`EventQueue`]
-//!   (binary heap) and [`CalendarQueue`] (calendar queue, amortized O(1)
-//!   for near-future-heavy event mixes). Both produce bit-identical pop
-//!   orderings; [`SchedulerKind`] selects one per experiment.
+//! * [`EventQueue`] — the pending-event set: a binary heap ordered by time
+//!   with FIFO tie-break, the contract [`EventScheduler`] states.
 //! * [`OnlineStats`] — streaming mean/variance/extrema (Welford) used for
 //!   response-time accounting.
 //!
@@ -43,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod dist;
 mod events;
 mod histogram;
@@ -51,12 +47,8 @@ mod rng;
 mod stats;
 mod timeavg;
 
-pub use calendar::CalendarQueue;
 pub use dist::{Dist, DistError};
-pub use events::{
-    CalendarBackend, EventQueue, EventScheduler, HeapBackend, SchedError, SchedulerFamily,
-    SchedulerKind,
-};
+pub use events::{EventQueue, EventScheduler, SchedError, SchedulerKind};
 pub use histogram::Histogram;
 pub use rng::SimRng;
 pub use stats::OnlineStats;

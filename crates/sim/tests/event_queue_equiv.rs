@@ -1,20 +1,19 @@
-//! Differential property tests: the heap and calendar scheduler backends
-//! must be observationally identical, and both must match a trivially
-//! correct model (a sorted `Vec` popped from the front).
+//! Oracle property tests: the binary-heap [`EventQueue`] must match a
+//! trivially correct model (a sorted `Vec` popped from the front).
 //!
 //! The model keeps `(time, push-sequence)` pairs sorted ascending with a
 //! stable tie-break on sequence, which *is* the scheduler contract. Any
 //! interleaving of pushes and pops — including coincident timestamps,
 //! which the strategies below generate deliberately by quantizing times
 //! onto a coarse grid — must produce the same `(time bits, payload)`
-//! stream from all three.
+//! stream from both.
 
 // Proptest closures sit outside #[test] fns, so clippy's
 // allow-unwrap-in-tests does not reach them; the whole file is a test.
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use staleload_sim::{CalendarQueue, EventQueue, EventScheduler, SchedError};
+use staleload_sim::{EventQueue, EventScheduler, SchedError};
 
 /// Sorted-`Vec` reference model of the scheduler contract.
 #[derive(Default)]
@@ -69,34 +68,25 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// Drives all three queues through `ops`, checking each pop agrees
+/// Drives the heap and the model through `ops`, checking each pop agrees
 /// bit-for-bit. Pushed payloads are the op index, so a mismatch names the
 /// exact push that diverged.
-fn check_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
+fn check_against_model(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut heap: EventQueue<u32> = EventScheduler::new();
-    let mut cal: CalendarQueue<u32> = EventScheduler::new();
     let mut model = ModelQueue::default();
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Push(t) => {
                 heap.try_push(t, i as u32).unwrap();
-                cal.try_push(t, i as u32).unwrap();
                 model.push(t, i as u32);
             }
             Op::Pop => {
                 let h = heap.pop();
-                let c = cal.pop();
                 let m = model.pop();
                 prop_assert_eq!(
                     h.map(|(t, p)| (t.to_bits(), p)),
                     m.map(|(t, p)| (t.to_bits(), p)),
                     "heap vs model diverged at op {}",
-                    i
-                );
-                prop_assert_eq!(
-                    c.map(|(t, p)| (t.to_bits(), p)),
-                    m.map(|(t, p)| (t.to_bits(), p)),
-                    "calendar vs model diverged at op {}",
                     i
                 );
             }
@@ -105,14 +95,9 @@ fn check_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
     // Drain: emptiness and residual order must also agree.
     loop {
         let h = heap.pop();
-        let c = cal.pop();
         let m = model.pop();
         prop_assert_eq!(
             h.map(|(t, p)| (t.to_bits(), p)),
-            m.map(|(t, p)| (t.to_bits(), p))
-        );
-        prop_assert_eq!(
-            c.map(|(t, p)| (t.to_bits(), p)),
             m.map(|(t, p)| (t.to_bits(), p))
         );
         if m.is_none() {
@@ -124,24 +109,23 @@ fn check_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
 
 proptest! {
     /// Random push/pop interleavings with coincident timestamps pop
-    /// identically from the heap backend, the calendar backend, and the
-    /// sorted-`Vec` model.
+    /// identically from the heap and the sorted-`Vec` model.
     #[test]
-    fn backends_match_model_on_random_interleavings(ops in ops_strategy(300)) {
-        check_equivalence(&ops)?;
+    fn heap_matches_model_on_random_interleavings(ops in ops_strategy(300)) {
+        check_against_model(&ops)?;
     }
 
-    /// Same property on longer workloads that force the calendar queue
-    /// through several grow/shrink resizes.
+    /// Same property on scripts of up to 2 000 operations, which grow the
+    /// heap through several reallocations.
     #[test]
-    fn backends_match_model_through_resizes(ops in ops_strategy(2000)) {
-        check_equivalence(&ops)?;
+    fn heap_matches_model_on_long_scripts(ops in ops_strategy(2000)) {
+        check_against_model(&ops)?;
     }
 
-    /// Wide-range times (forcing sparse calendars and the direct-search
-    /// fallback) still pop identically.
+    /// Wide-range times, twelve orders of magnitude apart, still pop in
+    /// order.
     #[test]
-    fn backends_match_model_on_sparse_times(
+    fn heap_matches_model_on_sparse_times(
         times in prop::collection::vec(0.0f64..1e12, 1..100),
     ) {
         let ops: Vec<Op> = times
@@ -149,37 +133,30 @@ proptest! {
             .map(|&t| Op::Push(t))
             .chain(std::iter::repeat_with(|| Op::Pop).take(times.len()))
             .collect();
-        check_equivalence(&ops)?;
+        check_against_model(&ops)?;
     }
 
-    /// Both backends reject NaN and negative times with the same typed
-    /// error and leave the queue untouched.
+    /// NaN and negative times are rejected with a typed error and leave
+    /// the queue untouched.
     #[test]
-    fn backends_reject_bad_times_identically(mag in 0.1f64..1e9) {
+    fn heap_rejects_bad_times_with_typed_errors(mag in 0.1f64..1e9) {
         let mut heap: EventQueue<u32> = EventScheduler::new();
-        let mut cal: CalendarQueue<u32> = EventScheduler::new();
         prop_assert_eq!(heap.try_push(f64::NAN, 0), Err(SchedError::NanTime));
-        prop_assert_eq!(cal.try_push(f64::NAN, 0), Err(SchedError::NanTime));
         prop_assert_eq!(heap.try_push(-mag, 0), Err(SchedError::NegativeTime(-mag)));
-        prop_assert_eq!(cal.try_push(-mag, 0), Err(SchedError::NegativeTime(-mag)));
         prop_assert!(heap.is_empty());
-        prop_assert!(cal.is_empty());
     }
 }
 
-/// Deterministic regression: a pure FIFO burst (all timestamps equal) at a
-/// size that forces calendar resizes keeps insertion order.
+/// Deterministic regression: a pure FIFO burst (all timestamps equal),
+/// large enough to regrow the heap many times, keeps insertion order.
 #[test]
 fn coincident_burst_is_fifo_through_resizes() {
     let mut heap: EventQueue<u32> = EventScheduler::new();
-    let mut cal: CalendarQueue<u32> = EventScheduler::new();
     for i in 0..5000u32 {
         heap.try_push(7.25, i).unwrap();
-        cal.try_push(7.25, i).unwrap();
     }
     for i in 0..5000u32 {
         assert_eq!(heap.pop(), Some((7.25, i)));
-        assert_eq!(cal.pop(), Some((7.25, i)));
     }
-    assert!(heap.is_empty() && cal.is_empty());
+    assert!(heap.is_empty());
 }

@@ -14,7 +14,6 @@ use staleload::core::{
 };
 use staleload::info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload::policies::PolicySpec;
-use staleload::sim::SchedulerKind;
 use staleload::workloads::BurstConfig;
 
 fn combos() -> Vec<(&'static str, ArrivalSpec, InfoSpec, PolicySpec, FaultSpec)> {
@@ -244,7 +243,6 @@ fn run_combo(
     faults: FaultSpec,
     controls: Controls,
     seed: u64,
-    scheduler: SchedulerKind,
 ) -> RunResult {
     let mut builder = SimConfig::builder();
     builder
@@ -252,8 +250,7 @@ fn run_combo(
         .lambda(0.9)
         .arrivals(20_000)
         .seed(seed)
-        .faults(faults)
-        .scheduler(scheduler);
+        .faults(faults);
     if let Some(cap) = controls.queue_cap {
         builder.queue_cap(cap);
     }
@@ -389,15 +386,7 @@ const CONTROL_GOLDEN: [(&str, u64, u64, u64); 12] = [
 fn control_plane_matrix_replays_pinned_bits() {
     for (label, arrivals, info, policy, faults, controls) in control_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             let (_, _, mean_bits, end_bits) = *CONTROL_GOLDEN
                 .iter()
                 .find(|(l, s, _, _)| *l == label && *s == seed)
@@ -415,73 +404,6 @@ fn control_plane_matrix_replays_pinned_bits() {
                 "{label} seed {seed}: end_time drifted from golden \
                  ({} vs bits {end_bits:#018x})",
                 r.end_time,
-            );
-        }
-    }
-}
-
-/// The calendar backend must replay every heap trajectory bit for bit:
-/// same response bits, same end time, same fault and overload counters.
-/// This is the scheduler contract (same pop order for the same pushes)
-/// checked end to end through the full engine, not just the queue.
-#[test]
-fn calendar_backend_replays_heap_bits_everywhere() {
-    let mut all: Vec<(
-        &'static str,
-        ArrivalSpec,
-        InfoSpec,
-        PolicySpec,
-        FaultSpec,
-        Controls,
-    )> = combos()
-        .into_iter()
-        .map(|(l, a, i, p, f)| (l, a, i, p, f, Controls::default()))
-        .collect();
-    all.extend(control_combos());
-    all.extend(tail_combos());
-    for (label, arrivals, info, policy, faults, controls) in all {
-        for seed in 1..=3u64 {
-            let heap = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
-            let cal = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Calendar,
-            );
-            assert_eq!(
-                heap.mean_response.to_bits(),
-                cal.mean_response.to_bits(),
-                "{label} seed {seed}: calendar mean_response {} != heap {}",
-                cal.mean_response,
-                heap.mean_response,
-            );
-            assert_eq!(
-                heap.end_time.to_bits(),
-                cal.end_time.to_bits(),
-                "{label} seed {seed}: calendar end_time diverged"
-            );
-            assert_eq!(
-                heap.faults, cal.faults,
-                "{label} seed {seed}: fault counters diverged"
-            );
-            assert_eq!(
-                heap.overload, cal.overload,
-                "{label} seed {seed}: overload counters diverged"
-            );
-            assert_eq!(
-                heap.measured_jobs, cal.measured_jobs,
-                "{label} seed {seed}: measured job counts diverged"
             );
         }
     }
@@ -557,15 +479,7 @@ const TAIL_GOLDEN: [(&str, u64, u64, u64); 6] = [
 fn estimator_matrix_replays_pinned_bits() {
     for (label, arrivals, info, policy, faults, controls) in tail_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             let (_, _, mean_bits, p999_bits) = *TAIL_GOLDEN
                 .iter()
                 .find(|(l, s, _, _)| *l == label && *s == seed)
@@ -589,21 +503,13 @@ fn estimator_matrix_replays_pinned_bits() {
 }
 
 /// Capture helper (not a regression test): prints the TAIL_GOLDEN array
-/// body from the current heap backend.
+/// body from the current engine.
 #[test]
 #[ignore = "capture helper; run with --ignored --nocapture to regenerate TAIL_GOLDEN"]
 fn print_tail_golden_bits() {
     for (label, arrivals, info, policy, faults, controls) in tail_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             println!(
                 "    (\"{label}\", {seed}, {:#018x}, {:#018x}),",
                 r.mean_response.to_bits(),
@@ -614,21 +520,13 @@ fn print_tail_golden_bits() {
 }
 
 /// Capture helper (not a regression test): prints the CONTROL_GOLDEN array
-/// body from the current heap backend.
+/// body from the current engine.
 #[test]
 #[ignore = "capture helper; run with --ignored --nocapture to regenerate CONTROL_GOLDEN"]
 fn print_control_golden_bits() {
     for (label, arrivals, info, policy, faults, controls) in control_combos() {
         for seed in 1..=3u64 {
-            let r = run_combo(
-                &arrivals,
-                &info,
-                &policy,
-                faults,
-                controls,
-                seed,
-                SchedulerKind::Heap,
-            );
+            let r = run_combo(&arrivals, &info, &policy, faults, controls, seed);
             println!(
                 "    (\n        \"{label}\",\n        {seed},\n        {:#018x},\n        {:#018x},\n    ),",
                 r.mean_response.to_bits(),

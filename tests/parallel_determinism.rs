@@ -7,7 +7,6 @@
 use staleload::core::{ArrivalSpec, Experiment, FaultSpec, RetrySpec, SimConfig};
 use staleload::info::InfoSpec;
 use staleload::policies::PolicySpec;
-use staleload::sim::SchedulerKind;
 
 fn experiments() -> Vec<(&'static str, Experiment)> {
     let mk_cfg = |seed: u64| {
@@ -52,16 +51,6 @@ fn experiments() -> Vec<(&'static str, Experiment)> {
                 ArrivalSpec::Poisson,
                 InfoSpec::Fresh,
                 PolicySpec::Random,
-                6,
-            ),
-        ),
-        (
-            "calendar/basic-li",
-            Experiment::new(
-                mk_cfg(104).scheduler(SchedulerKind::Calendar).build(),
-                ArrivalSpec::Poisson,
-                InfoSpec::Periodic { period: 10.0 },
-                PolicySpec::BasicLi { lambda: 0.9 },
                 6,
             ),
         ),
