@@ -120,19 +120,6 @@ impl Scale {
         self.name == "smoke"
     }
 
-    /// Reads the scale from `argv[1]` or `REPRO_SCALE` (default `std`).
-    pub fn from_env() -> Self {
-        let arg = std::env::args().nth(1);
-        let env = std::env::var("REPRO_SCALE").ok();
-        let pick = arg.as_deref().or(env.as_deref()).unwrap_or("std");
-        match pick.trim_start_matches("--") {
-            "full" => Self::full(),
-            "quick" => Self::quick(),
-            "smoke" => Self::smoke(),
-            _ => Self::std(),
-        }
-    }
-
     /// Arrivals needed so each of `clients` clients issues at least the
     /// configured minimum number of jobs (update-on-access experiments).
     pub fn arrivals_for_clients(&self, clients: usize) -> u64 {

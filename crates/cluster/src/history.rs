@@ -54,34 +54,6 @@ pub struct LoadHistory {
     misses: u64,
 }
 
-/// The recyclable allocations of one retired [`LoadHistory`]: its blocks
-/// (with their snapshot and change buffers) and its live load vector.
-type PooledBuffers = (VecDeque<Block>, Vec<Block>, Vec<u32>);
-
-thread_local! {
-    /// History buffers recycled across trials on one worker thread.
-    /// Only capacity survives: [`LoadHistory::new`] clears every buffer.
-    static HISTORY_POOL: std::cell::RefCell<Vec<PooledBuffers>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-const HISTORY_POOL_DEPTH: usize = 4;
-
-impl Drop for LoadHistory {
-    fn drop(&mut self) {
-        let _ = HISTORY_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < HISTORY_POOL_DEPTH {
-                pool.push((
-                    std::mem::take(&mut self.blocks),
-                    std::mem::take(&mut self.spare),
-                    std::mem::take(&mut self.live),
-                ));
-            }
-        });
-    }
-}
-
 impl LoadHistory {
     /// Creates a history for `n` servers retaining roughly `keep_window`
     /// time units of changes.
@@ -91,16 +63,10 @@ impl LoadHistory {
     /// Panics if `keep_window` is negative or NaN.
     pub fn new(n: usize, keep_window: f64) -> Self {
         assert!(keep_window >= 0.0, "keep_window must be non-negative");
-        let (mut blocks, mut spare, mut live) = HISTORY_POOL
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_default();
-        spare.extend(blocks.drain(..));
-        live.clear();
-        live.resize(n, 0);
         let mut history = Self {
-            blocks,
-            spare,
-            live,
+            blocks: VecDeque::new(),
+            spare: Vec::new(),
+            live: vec![0; n],
             keep_window,
             misses: 0,
         };

@@ -48,29 +48,6 @@ use slab::{JobList, JobSlab};
 /// Identifier of a server within a [`Cluster`] (a dense index in `0..n`).
 pub type ServerId = usize;
 
-/// Allocations harvested from dropped clusters, recycled thread-locally
-/// so consecutive trials on one worker allocate per *point*, not per
-/// trial. Only capacity is reused: [`Cluster::new`] clears and
-/// re-initializes every field, so a recycled cluster is
-/// indistinguishable from a fresh one.
-struct ClusterParts {
-    servers: Vec<Server>,
-    slab: JobSlab,
-    loads: Vec<u32>,
-    capacities: Vec<f64>,
-    up: Vec<bool>,
-    visible: Vec<bool>,
-}
-
-thread_local! {
-    static CLUSTER_POOL: std::cell::RefCell<Vec<ClusterParts>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// A worker runs one simulation at a time, so a shallow pool suffices;
-/// the cap bounds memory held by threads that stop simulating.
-const CLUSTER_POOL_DEPTH: usize = 4;
-
 /// Outcome of a cap-aware admission attempt (see [`Cluster::admit`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
@@ -157,31 +134,6 @@ impl Cluster {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a cluster needs at least one server");
-        if let Some(mut parts) = CLUSTER_POOL.with(|pool| pool.borrow_mut().pop()) {
-            parts.servers.clear();
-            parts.servers.resize(n, Server::default());
-            parts.slab.reset();
-            parts.loads.clear();
-            parts.loads.resize(n, 0);
-            parts.capacities.clear();
-            parts.capacities.resize(n, 1.0);
-            parts.up.clear();
-            parts.up.resize(n, true);
-            parts.visible.clear();
-            parts.visible.resize(n, true);
-            return Self {
-                servers: parts.servers,
-                slab: parts.slab,
-                loads: parts.loads,
-                capacities: parts.capacities,
-                up: parts.up,
-                visible: parts.visible,
-                history: None,
-                arrivals: 0,
-                departures: 0,
-                queue_cap: None,
-            };
-        }
         Self {
             servers: vec![Server::default(); n],
             slab: JobSlab::new(),
@@ -214,8 +166,7 @@ impl Cluster {
             "capacities must be positive and finite"
         );
         let mut c = Self::new(capacities.len());
-        c.capacities.clear();
-        c.capacities.extend_from_slice(capacities);
+        c.capacities = capacities.to_vec();
         c
     }
 
@@ -697,26 +648,6 @@ impl Cluster {
         }
         // Via requeue(), not enqueue(): a migration is not a new arrival.
         self.requeue(thief, job, now)
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        // try_with: a cluster dropped during thread teardown (after the
-        // pool's TLS destructor ran) simply frees its memory.
-        let _ = CLUSTER_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < CLUSTER_POOL_DEPTH {
-                pool.push(ClusterParts {
-                    servers: std::mem::take(&mut self.servers),
-                    slab: std::mem::take(&mut self.slab),
-                    loads: std::mem::take(&mut self.loads),
-                    capacities: std::mem::take(&mut self.capacities),
-                    up: std::mem::take(&mut self.up),
-                    visible: std::mem::take(&mut self.visible),
-                });
-            }
-        });
     }
 }
 

@@ -25,7 +25,7 @@ struct Slot {
 }
 
 /// Arena of job slots shared by every server's queue in one cluster.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct JobSlab {
     slots: Vec<Slot>,
     free_head: u32,
@@ -37,13 +37,6 @@ impl JobSlab {
             slots: Vec::new(),
             free_head: NIL,
         }
-    }
-
-    /// Forgets every slot (keeping the arena's capacity) and empties the
-    /// free list — used when a recycled slab is handed to a new cluster.
-    pub(crate) fn reset(&mut self) {
-        self.slots.clear();
-        self.free_head = NIL;
     }
 
     /// Live slots (allocated and not yet freed) — for tests/debugging.

@@ -481,9 +481,7 @@ fn run_inner(
         let attached = model.attach_corruptor(corrupt, fault_rng.fork());
         debug_assert!(attached, "supports_loss() was checked above");
     }
-    // Cached build: adopts the scratch buffers (probability/CDF/sort
-    // vectors) of the policy retired by this thread's previous run.
-    let mut policy = DispatchPolicy::from_spec_cached(policy);
+    let mut policy = DispatchPolicy::from_spec(policy);
     // Churn is crash-with-eviction: a departing server's queue is drained
     // and re-dispatched (re-execution semantics) and it rejoins cold, so
     // the membership process reuses the crash machinery with redispatch
@@ -545,10 +543,10 @@ fn run_inner(
     // The departure each server currently has in the queue. Crashes
     // invalidate scheduled departures; rather than remove them from the
     // queue we drop any popped/peeked entry that no longer matches.
-    let mut scheduled = crate::scratch::PooledOptVec::none(n);
+    let mut scheduled: Vec<Option<f64>> = vec![None; n];
     // Wall-clock work the interrupted head job had left at crash time
     // (stall mode resumes it on recovery).
-    let mut frozen = crate::scratch::PooledOptVec::none(n);
+    let mut frozen: Vec<Option<f64>> = vec![None; n];
     let mut stats = FaultStats::default();
     let mut overload = OverloadStats::default();
     let mut resilience = ResilienceStats::default();
@@ -953,7 +951,6 @@ fn run_inner(
     resilience.quarantine_ejections = telemetry.ejections;
     resilience.quarantine_readmissions = telemetry.readmissions;
     resilience.corrupted_reports = model.corrupted_reports();
-    DispatchPolicy::recycle(policy);
     Ok(RunResult {
         mean_response: response.mean(),
         response,

@@ -48,7 +48,6 @@ mod experiment;
 mod fault;
 mod metrics;
 mod population;
-mod scratch;
 
 pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
 pub use engine::{run_simulation, Diagnostic, FaultStats, RunResult};

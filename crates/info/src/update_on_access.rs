@@ -25,31 +25,6 @@ pub struct UpdateOnAccess {
     servers: usize,
 }
 
-thread_local! {
-    /// The snapshot matrix is the largest per-trial allocation in the
-    /// update-on-access sweeps (clients × servers `u32`s); recycle it
-    /// across trials on one worker. `new()` clears and re-zeroes, so
-    /// recycled state never leaks between trials.
-    static SNAPSHOT_POOL: std::cell::RefCell<Vec<(Vec<u32>, Vec<f64>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-const SNAPSHOT_POOL_DEPTH: usize = 4;
-
-impl Drop for UpdateOnAccess {
-    fn drop(&mut self) {
-        let _ = SNAPSHOT_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < SNAPSHOT_POOL_DEPTH {
-                pool.push((
-                    std::mem::take(&mut self.snapshots),
-                    std::mem::take(&mut self.taken_at),
-                ));
-            }
-        });
-    }
-}
-
 impl UpdateOnAccess {
     /// Creates the model for `clients` clients observing `servers` servers.
     ///
@@ -59,19 +34,6 @@ impl UpdateOnAccess {
     pub fn new(clients: usize, servers: usize) -> Self {
         assert!(clients > 0, "need at least one client");
         assert!(servers > 0, "need at least one server");
-        if let Some((mut snapshots, mut taken_at)) =
-            SNAPSHOT_POOL.with(|pool| pool.borrow_mut().pop())
-        {
-            snapshots.clear();
-            snapshots.resize(clients * servers, 0);
-            taken_at.clear();
-            taken_at.resize(clients, 0.0);
-            return Self {
-                snapshots,
-                taken_at,
-                servers,
-            };
-        }
         Self {
             snapshots: vec![0; clients * servers],
             taken_at: vec![0.0; clients],

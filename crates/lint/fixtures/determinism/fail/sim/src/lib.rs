@@ -1,10 +1,17 @@
-//! Determinism fail fixture: wall-clock time and unordered maps in a
-//! sim-facing crate.
+//! Determinism fail fixture: wall-clock time, unordered maps and
+//! thread-local state in a sim-facing crate.
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
+
+thread_local! {
+    /// Buffers parked on the worker thread carry one trial's state into
+    /// the next trial that runs there.
+    static POOL: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Wall-clock reads make every run unrepeatable.
 pub fn stamp() -> Instant {
@@ -18,4 +25,11 @@ pub fn tally(loads: &[u32]) -> HashMap<u32, usize> {
         *by_load.entry(l).or_insert(0) += 1;
     }
     by_load
+}
+
+/// Reuses whatever the previous trial on this thread left behind.
+pub fn scratch(n: usize) -> Vec<u32> {
+    let mut v = POOL.with(|pool| pool.borrow_mut().pop().unwrap_or_default());
+    v.resize(n, 0);
+    v
 }

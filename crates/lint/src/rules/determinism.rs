@@ -3,8 +3,9 @@
 //! Every trajectory in this repository must be a pure function of the
 //! experiment spec (including the master seed): the golden-trajectory
 //! and parallel-determinism suites pin results bit-for-bit across
-//! worker counts and cache states. A single wall-clock read or an
-//! iteration over a `HashMap` (whose order is salted per process) in a
+//! worker counts and cache states. A single wall-clock read, an
+//! iteration over a `HashMap` (whose order is salted per process) or a
+//! buffer parked on a worker thread between trials in a
 //! simulation-facing crate silently breaks that contract.
 //!
 //! The rule bans the usual suspects at the identifier level:
@@ -13,7 +14,10 @@
 //! * `thread_rng` — OS-seeded randomness (simulations must draw from
 //!   the forked [`SimRng`] streams),
 //! * `HashMap` / `HashSet` / `RandomState` — per-process iteration
-//!   order; use `BTreeMap`/`BTreeSet`/`Vec` instead.
+//!   order; use `BTreeMap`/`BTreeSet`/`Vec` instead,
+//! * `thread_local` — state that outlives its trial; each trial
+//!   allocates and owns its own state, whatever ran on the thread
+//!   before it.
 //!
 //! Scope: library code of the simulation-facing crates. Test code and
 //! the orchestration crates (`runner`, `bench`, `cli`, `lint`) may
@@ -63,6 +67,10 @@ const BANNED: &[(&str, &str)] = &[
         "RandomState",
         "per-process hasher seeding is nondeterministic by design",
     ),
+    (
+        "thread_local",
+        "state kept on a worker thread outlives the trial and makes a trial depend on what ran before it",
+    ),
 ];
 
 /// See the module docs.
@@ -74,7 +82,7 @@ impl Rule for Determinism {
     }
 
     fn describe(&self) -> &'static str {
-        "forbid wall clocks, OS randomness, and hash-order iteration in simulation crates"
+        "forbid wall clocks, OS randomness, hash-order iteration, and thread-local state in simulation crates"
     }
 
     fn check_file(&self, file: &SourceFile, out: &mut Vec<Finding>) {
@@ -121,6 +129,13 @@ mod tests {
         let got = findings("crates/policies/src/x.rs", src);
         assert_eq!(got.len(), 3, "{got:?}"); // Instant + 2× HashMap
         assert!(got[0].message.contains("wall-clock"));
+
+        let pooled =
+            "thread_local! {\n    static POOL: RefCell<Vec<u32>> = RefCell::new(Vec::new());\n}\n";
+        let got = findings("crates/cluster/src/x.rs", pooled);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].message.contains("`thread_local`"));
+        assert!(got[0].message.contains("outlives the trial"));
     }
 
     #[test]

@@ -112,6 +112,10 @@ fn determinism_fail_names_the_banned_symbols() {
         got.iter().any(|f| f.message.contains("`HashMap`")),
         "{got:?}"
     );
+    assert!(
+        got.iter().any(|f| f.message.contains("`thread_local`")),
+        "{got:?}"
+    );
 }
 
 #[test]

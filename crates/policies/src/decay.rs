@@ -12,7 +12,7 @@ use crate::{LoadView, Policy};
 /// `β·w_i + (1-β)/n`, where `w_i ∝ 1/(1 + load_i)` and `β = exp(-age/τ)`:
 /// fresh information weights short queues, stale information fades toward
 /// uniform. Unlike LI there is no principled way to pick `τ` — that is the
-/// paper's criticism, and the ablation benches quantify it.
+/// paper's criticism.
 ///
 /// # Example
 ///
@@ -49,13 +49,6 @@ impl WeightedDecay {
             tau,
             weights: Vec::new(),
         }
-    }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut weights = prev.weights;
-        weights.clear();
-        self.weights = weights;
     }
 
     /// The decay time constant.

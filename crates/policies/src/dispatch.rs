@@ -75,53 +75,17 @@ impl DispatchPolicy {
         }
     }
 
-    /// Like [`DispatchPolicy::from_spec`], but steals cleared scratch
-    /// capacity (probability / CDF / sort buffers) from `prev` when the
-    /// variants match, so back-to-back trials of one experiment point
-    /// allocate once instead of per trial.
-    ///
-    /// Behavior is identical to a fresh build: every field is set by
-    /// `from_spec` and only *emptied* buffers are adopted, so no logical
-    /// state crosses from `prev`.
-    pub fn from_spec_reusing(spec: &PolicySpec, prev: Option<Self>) -> Self {
-        let mut fresh = Self::from_spec(spec);
-        if let Some(prev) = prev {
-            match (&mut fresh, prev) {
-                (Self::KSubset(f), Self::KSubset(p)) => f.adopt_scratch(p),
-                (Self::ProbeThreshold(f), Self::ProbeThreshold(p)) => f.adopt_scratch(p),
-                (Self::BasicLi(f), Self::BasicLi(p)) => f.adopt_scratch(p),
-                (Self::AggressiveLi(f), Self::AggressiveLi(p)) => f.adopt_scratch(p),
-                (Self::HybridLi(f), Self::HybridLi(p)) => f.adopt_scratch(p),
-                (Self::LiSubset(f), Self::LiSubset(p)) => f.adopt_scratch(p),
-                (Self::WeightedDecay(f), Self::WeightedDecay(p)) => f.adopt_scratch(p),
-                (Self::AdaptiveLi(f), Self::AdaptiveLi(p)) => f.adopt_scratch(p),
-                (Self::HeteroLi(f), Self::HeteroLi(p)) => f.adopt_scratch(p),
-                // Stateless policies (Random, Greedy, Threshold, Sita) and
-                // composed Dyn policies have nothing worth adopting.
-                _ => {}
-            }
-        }
-        fresh
-    }
-
-    /// Builds from `spec`, adopting scratch from the policy most recently
-    /// passed to [`DispatchPolicy::recycle`] on this thread.
+    /// The same as [`DispatchPolicy::from_spec`]; kept because the
+    /// benchmark package under `perfbench/` still calls it.
     pub fn from_spec_cached(spec: &PolicySpec) -> Self {
-        let prev = RETIRED_POLICY.with(|cell| cell.borrow_mut().take());
-        Self::from_spec_reusing(spec, prev)
+        Self::from_spec(spec)
     }
 
-    /// Parks a finished policy so the next [`DispatchPolicy::from_spec_cached`]
-    /// on this thread can adopt its buffers.
+    /// Drops `policy`; kept because the benchmark package under
+    /// `perfbench/` still calls it.
     pub fn recycle(policy: Self) {
-        let _ = RETIRED_POLICY.try_with(|cell| *cell.borrow_mut() = Some(policy));
+        drop(policy);
     }
-}
-
-thread_local! {
-    /// The policy retired by the previous simulation run on this thread.
-    static RETIRED_POLICY: std::cell::RefCell<Option<DispatchPolicy>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 macro_rules! for_each_variant {

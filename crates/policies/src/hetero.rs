@@ -70,16 +70,6 @@ impl HeteroLi {
         }
     }
 
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut probs = prev.probs;
-        probs.clear();
-        self.probs = probs;
-        let mut order = prev.order;
-        order.clear();
-        self.order = order;
-    }
-
     /// Computes the weighted water-fill probabilities for the given loads
     /// and expected arrivals.
     fn fill(&mut self, loads: &[u32], r: f64) {

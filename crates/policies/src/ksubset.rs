@@ -50,13 +50,6 @@ impl KSubset {
     pub fn k(&self) -> usize {
         self.k
     }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut scratch = prev.scratch;
-        scratch.clear();
-        self.scratch = scratch;
-    }
 }
 
 impl Policy for KSubset {

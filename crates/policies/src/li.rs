@@ -268,15 +268,6 @@ impl AggressiveSchedule {
         }
     }
 
-    /// An empty schedule holding `self`'s buffer capacity.
-    pub(crate) fn recycled(mut self) -> Self {
-        self.ends.clear();
-        self.order.clear();
-        self.moved.clear();
-        self.counts.clear();
-        self
-    }
-
     /// Rebuilds the schedule in place for new loads (see
     /// [`aggressive_schedule`]), reusing its buffers.
     pub(crate) fn rebuild(&mut self, loads: &[Load], total_rate: f64) {
@@ -388,13 +379,6 @@ pub(crate) struct AgedAggressive {
 }
 
 impl AgedAggressive {
-    /// An empty walk holding `self`'s buffer capacity.
-    pub(crate) fn recycled(mut self) -> Self {
-        self.counts.clear();
-        self.levels.clear();
-        self
-    }
-
     /// Picks a server uniformly among the ones active at elapsed time `age`
     /// of the schedule for `loads` at total rate `total_rate`: the same
     /// server, from the same draw, as

@@ -28,16 +28,6 @@ struct ProbCache {
 }
 
 impl ProbCache {
-    /// An empty cache holding `prev`'s buffer capacity: every vector is
-    /// cleared and the epoch reset, so only the allocations survive.
-    fn recycled(mut prev: Self) -> Self {
-        prev.epoch = None;
-        prev.table.clear();
-        prev.cdf.clear();
-        prev.counts.clear();
-        prev
-    }
-
     /// Recomputes `cdf` for `loads` and `r` expected arrivals unless `epoch`
     /// matches the cache.
     fn ensure(&mut self, epoch: Option<u64>, loads: &[Load], r: f64) {
@@ -92,11 +82,6 @@ impl BasicLi {
     /// The configured arrival-rate estimate λ̂.
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        self.cache = ProbCache::recycled(prev.cache);
     }
 
     /// The cumulative send distribution [`Policy::select`] samples for
@@ -155,12 +140,6 @@ impl AggressiveLi {
             aged: AgedAggressive::default(),
         }
     }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        self.schedule = prev.schedule.recycled();
-        self.aged = prev.aged.recycled();
-    }
 }
 
 impl Policy for AggressiveLi {
@@ -211,13 +190,6 @@ impl HybridLi {
             fill_until: 0.0,
             fill_cdf: Vec::new(),
         }
-    }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut cdf = prev.fill_cdf;
-        cdf.clear();
-        self.fill_cdf = cdf;
     }
 
     fn rebuild(&mut self, loads: &[u32], total_rate: f64) {
@@ -308,11 +280,6 @@ impl AdaptiveLi {
     pub fn estimated_total_rate(&self) -> Option<f64> {
         self.ewma_gap
             .map(|g| if g > 0.0 { 1.0 / g } else { f64::INFINITY })
-    }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        self.cache = ProbCache::recycled(prev.cache);
     }
 
     fn lambda_per_server(&self, n: usize) -> f64 {

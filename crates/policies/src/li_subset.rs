@@ -60,26 +60,6 @@ impl LiSubset {
         }
     }
 
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let Self {
-            k: _,
-            lambda: _,
-            mut subset_scratch,
-            mut loads_scratch,
-            mut probs,
-            mut counts,
-        } = prev;
-        subset_scratch.clear();
-        loads_scratch.clear();
-        probs.clear();
-        counts.clear();
-        self.subset_scratch = subset_scratch;
-        self.loads_scratch = loads_scratch;
-        self.probs = probs;
-        self.counts = counts;
-    }
-
     /// The subset size `k`.
     pub fn k(&self) -> usize {
         self.k

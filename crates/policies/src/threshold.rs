@@ -118,13 +118,6 @@ impl ProbeThreshold {
     pub fn threshold(&self) -> Load {
         self.threshold
     }
-
-    /// Steals cleared buffer capacity from a retired instance.
-    pub(crate) fn adopt_scratch(&mut self, prev: Self) {
-        let mut scratch = prev.scratch;
-        scratch.clear();
-        self.scratch = scratch;
-    }
 }
 
 impl Policy for ProbeThreshold {

@@ -2,17 +2,18 @@
 //!
 //! The contract under test: `SweepRunner::run_batch` returns results
 //! **bit-identical** to running each point through `Experiment::try_run`
-//! sequentially — for every worker count, and whether the cache is
-//! disabled, cold, warm, or reloaded from disk by a fresh process-like
-//! runner. Comparison is on `f64::to_bits`, not `==`, so even a
-//! last-ulp drift or a NaN-payload change fails the test.
+//! sequentially — for every worker count, with the watchdog armed, and
+//! whether the cache is disabled, cold, warm, or reloaded from disk by a
+//! fresh process-like runner. Comparison is on `f64::to_bits`, not `==`,
+//! so even a last-ulp drift or a NaN-payload change fails the test.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use staleload_core::{ArrivalSpec, Experiment, ExperimentResult, FaultSpec, SimConfig};
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
-use staleload_runner::{ResultCache, SweepRunner, WorkerPool};
+use staleload_runner::{ResultCache, SweepRunner, WatchdogSpec, WorkerPool};
 
 /// A small but diverse batch: periodic / fresh / continuous information
 /// models, deterministic and randomized policies, mixed trial counts.
@@ -192,6 +193,18 @@ fn batch_is_bit_identical_to_sequential_for_all_workers_and_cache_states() {
             &reference,
             &got,
             &format!("workers={workers} cache=disabled"),
+        );
+
+        // Watchdog armed, as the bench binaries and perfbench run their
+        // trials: each trial runs on a guard thread spawned for it alone.
+        // The budget is far above one trial, so it never fires.
+        let mut runner = SweepRunner::new(WorkerPool::new(workers), ResultCache::disabled());
+        runner.set_watchdog(Some(WatchdogSpec::with_budget(Duration::from_secs(600))));
+        let guarded = runner.run_batch(&exps);
+        assert_matches_reference(
+            &reference,
+            &guarded,
+            &format!("workers={workers} cache=disabled watchdog=armed"),
         );
 
         // Cold cache: every point computed, then persisted.
