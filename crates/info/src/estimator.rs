@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use staleload_cluster::Cluster;
-use staleload_policies::{InfoAge, LoadView};
+use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::SimRng;
 
 use crate::InfoModel;
@@ -34,7 +34,6 @@ struct BoardCore {
     period: f64,
     board: Vec<u32>,
     entry_times: Vec<f64>,
-    ages: Vec<f64>,
     phase_start: f64,
     epoch: u64,
 }
@@ -50,16 +49,13 @@ impl BoardCore {
             period,
             board: vec![0; n],
             entry_times: vec![0.0; n],
-            ages: vec![0.0; n],
             phase_start: 0.0,
             epoch: 0,
         }
     }
 
-    fn view(&mut self, now: f64) -> LoadView<'_> {
-        for (age, &at) in self.ages.iter_mut().zip(&self.entry_times) {
-            *age = (now - at).max(0.0);
-        }
+    /// The view at `now`; no per-server work (ages are read lazily).
+    fn view(&self, now: f64) -> LoadView<'_> {
         LoadView {
             loads: &self.board,
             info: InfoAge::Phase {
@@ -68,7 +64,10 @@ impl BoardCore {
                 now,
                 epoch: self.epoch,
             },
-            ages: Some(&self.ages),
+            ages: Some(EntryAges {
+                sampled: &self.entry_times,
+                now,
+            }),
         }
     }
 }
@@ -331,8 +330,8 @@ mod tests {
         let view = board.view(20.0, 0, &mut cluster, &mut rng);
         assert_eq!(view.loads[1], 3, "crashed server's entry keeps its value");
         let ages = view.ages.expect("estimator boards report ages");
-        assert_eq!(ages[0], 0.0);
-        assert_eq!(ages[1], 10.0, "stale entry's age keeps growing");
+        assert_eq!(ages.get(0), 0.0);
+        assert_eq!(ages.get(1), 10.0, "stale entry's age keeps growing");
     }
 
     #[test]

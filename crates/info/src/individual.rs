@@ -5,7 +5,7 @@
 //! can be checked (see the `ext_individual` experiment).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{InfoAge, LoadView};
+use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::{EventQueue, SimRng};
 
 use crate::corrupt::Corruptor;
@@ -22,7 +22,8 @@ use crate::{CorruptSpec, InfoModel, LossSpec};
 /// entry age* (tracked exactly), which Basic LI interprets as its horizon —
 /// the natural generalization, and the one that makes the model comparable
 /// to `periodic` with the same `T`. Per-entry ages ride along in
-/// [`LoadView::ages`] for age-aware policies.
+/// [`LoadView::ages`] for age-aware policies, read from the entries'
+/// refresh times on demand, so a view does no per-server work.
 ///
 /// With a lossy channel ([`IndividualBoard::with_loss`]) each refresh is
 /// independently dropped or delayed, and a crashed server skips its
@@ -36,8 +37,6 @@ pub struct IndividualBoard {
     refreshed_at: Vec<f64>,
     /// Invariant: `refresh_sum == refreshed_at.iter().sum()`.
     refresh_sum: f64,
-    /// Scratch buffer for per-entry ages handed out by `view`.
-    ages: Vec<f64>,
     pending: EventQueue<usize>,
     channel: Option<LossChannel>,
     corruptor: Option<Corruptor>,
@@ -64,7 +63,6 @@ impl IndividualBoard {
             board: vec![0; n],
             refreshed_at: vec![0.0; n],
             refresh_sum: 0.0,
-            ages: vec![0.0; n],
             pending,
             channel: None,
             corruptor: None,
@@ -172,14 +170,15 @@ impl InfoModel for IndividualBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        let age = self.mean_age(now);
-        for (slot, &at) in self.ages.iter_mut().zip(&self.refreshed_at) {
-            *slot = (now - at).max(0.0);
-        }
         LoadView {
             loads: &self.board,
-            info: InfoAge::Aged { age },
-            ages: Some(&self.ages),
+            info: InfoAge::Aged {
+                age: self.mean_age(now),
+            },
+            ages: Some(EntryAges {
+                sampled: &self.refreshed_at,
+                now,
+            }),
         }
     }
 
@@ -243,7 +242,8 @@ mod tests {
         board.on_event(0.0, &cluster);
         board.on_event(5.0, &cluster);
         let v = board.view(7.0, 0, &mut cluster, &mut rng);
-        assert_eq!(v.ages.unwrap(), &[7.0, 2.0]);
+        let ages = v.ages.unwrap();
+        assert_eq!([ages.get(0), ages.get(1)], [7.0, 2.0]);
     }
 
     #[test]
@@ -279,6 +279,6 @@ mod tests {
         }
         let v = board.view(10.0, 0, &mut cluster, &mut rng);
         assert_eq!(v.loads, &[0]);
-        assert_eq!(v.ages.unwrap(), &[10.0]);
+        assert_eq!(v.ages.unwrap().get(0), 10.0);
     }
 }

@@ -1,7 +1,7 @@
 //! The periodic-update ("bulletin board") model (§3.1).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{InfoAge, LoadView};
+use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::SimRng;
 
 use crate::corrupt::Corruptor;
@@ -30,14 +30,16 @@ use crate::{CorruptSpec, InfoModel, LossSpec};
 /// report the true staleness so an age-aware policy can discount what the
 /// phase metadata over-promises (a garbled entry, however, looks fresh —
 /// corruption is the one fault age-awareness cannot see).
+///
+/// A view does no per-server work: it lends the board, the entries'
+/// sample times and the phase context, and an age is computed only when a
+/// policy reads it ([`EntryAges::get`]).
 #[derive(Debug, Clone)]
 pub struct PeriodicBoard {
     period: f64,
     board: Vec<u32>,
     /// When each entry's current value was sampled from the cluster.
     entry_times: Vec<f64>,
-    /// Scratch buffer for per-entry ages handed out by `view`.
-    ages: Vec<f64>,
     phase_start: f64,
     epoch: u64,
     channel: Option<LossChannel>,
@@ -60,7 +62,6 @@ impl PeriodicBoard {
             period,
             board: vec![0; n],
             entry_times: vec![0.0; n],
-            ages: vec![0.0; n],
             phase_start: 0.0,
             epoch: 0,
             channel: None,
@@ -179,9 +180,6 @@ impl InfoModel for PeriodicBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        for (age, &at) in self.ages.iter_mut().zip(&self.entry_times) {
-            *age = (now - at).max(0.0);
-        }
         LoadView {
             loads: &self.board,
             info: InfoAge::Phase {
@@ -190,7 +188,10 @@ impl InfoModel for PeriodicBoard {
                 now,
                 epoch: self.epoch,
             },
-            ages: Some(&self.ages),
+            ages: Some(EntryAges {
+                sampled: &self.entry_times,
+                now,
+            }),
         }
     }
 
@@ -257,7 +258,7 @@ mod tests {
         board.on_event(10.0, &cluster);
         let view = board.view(13.0, 0, &mut cluster, &mut rng);
         let ages = view.ages.expect("boards report per-entry ages");
-        assert_eq!(ages, &[3.0, 3.0]);
+        assert_eq!([ages.get(0), ages.get(1)], [3.0, 3.0]);
     }
 
     #[test]
@@ -276,8 +277,8 @@ mod tests {
             "down server's entry keeps its cold value"
         );
         let ages = view.ages.unwrap();
-        assert_eq!(ages[0], 0.0);
-        assert_eq!(ages[1], 10.0, "the stale entry's age keeps growing");
+        assert_eq!(ages.get(0), 0.0);
+        assert_eq!(ages.get(1), 10.0, "the stale entry's age keeps growing");
     }
 
     #[test]
@@ -291,7 +292,8 @@ mod tests {
         board.on_event(20.0, &cluster);
         let view = board.view(20.0, 0, &mut cluster, &mut rng);
         assert_eq!(view.loads, &[0, 0], "every refresh was dropped");
-        assert_eq!(view.ages.unwrap(), &[20.0, 20.0]);
+        let ages = view.ages.unwrap();
+        assert_eq!([ages.get(0), ages.get(1)], [20.0, 20.0]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl DispatchPolicy {
         match spec.clone() {
             PolicySpec::Random => Self::Random(Random),
             PolicySpec::KSubset { k } => Self::KSubset(KSubset::new(k)),
-            PolicySpec::Greedy => Self::Greedy(Greedy),
+            PolicySpec::Greedy => Self::Greedy(Greedy::new()),
             PolicySpec::Threshold { threshold } => Self::Threshold(Threshold::new(threshold)),
             PolicySpec::ProbeThreshold { probes, threshold } => {
                 Self::ProbeThreshold(ProbeThreshold::new(probes, threshold))

@@ -258,7 +258,7 @@ mod tests {
     fn greedy_on_static_view_herds_and_trips() {
         // Greedy on a never-updated board is the paper's herd in miniature.
         let mut rng = SimRng::from_seed(4);
-        let mut guard = HerdGuard::new(Greedy, 1.5, 100.0);
+        let mut guard = HerdGuard::new(Greedy::new(), 1.5, 100.0);
         let loads = [0u32, 5, 5, 5];
         for i in 0..64 {
             guard.observe_arrival(i as f64 * 0.01);

@@ -1,8 +1,8 @@
 //! Mitzenmacher's `k`-subset family and the full greedy policy.
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
-use crate::{least_loaded, Load, LoadView, Policy};
+use crate::{least_loaded, InfoAge, Load, LoadView, Policy};
 
 /// The `k`-subset policy: choose `k` servers uniformly at random (without
 /// replacement) and send the request to the one with the lowest *reported*
@@ -29,7 +29,7 @@ use crate::{least_loaded, Load, LoadView, Policy};
 #[derive(Debug, Clone)]
 pub struct KSubset {
     k: usize,
-    scratch: Vec<usize>,
+    scratch: SubsetScratch,
 }
 
 impl KSubset {
@@ -42,7 +42,7 @@ impl KSubset {
         assert!(k > 0, "k must be at least 1");
         Self {
             k,
-            scratch: Vec::new(),
+            scratch: SubsetScratch::new(),
         }
     }
 
@@ -78,12 +78,39 @@ impl Policy for KSubset {
 ///
 /// The classic herd-effect victim: with stale information every client
 /// stampedes the same apparently idle machines (paper §1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Greedy;
+///
+/// On a periodic board ([`InfoAge::Phase`]) the least-loaded servers are
+/// found once per epoch, like Basic and Aggressive LI's per-epoch caches,
+/// and a decision within the epoch scans nothing: it draws one uniform
+/// index into that tie set, the same single draw and the same server as a
+/// full scan. Aged views are scanned per decision.
+#[derive(Debug, Clone, Default)]
+pub struct Greedy {
+    epoch: Option<u64>,
+    /// The servers reporting the least load in `epoch`, in index order.
+    ties: Vec<usize>,
+}
+
+impl Greedy {
+    /// Creates the policy.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 impl Policy for Greedy {
     fn select(&mut self, view: &LoadView<'_>, rng: &mut SimRng) -> usize {
-        least_loaded(view.loads, rng)
+        let InfoAge::Phase { epoch, .. } = view.info else {
+            return least_loaded(view.loads, rng);
+        };
+        if self.epoch != Some(epoch) {
+            let min = *view.loads.iter().min().expect("non-empty loads");
+            self.ties.clear();
+            self.ties
+                .extend((0..view.loads.len()).filter(|&i| view.loads[i] == min));
+            self.epoch = Some(epoch);
+        }
+        self.ties[rng.index(self.ties.len())]
     }
 }
 
@@ -142,7 +169,7 @@ pub fn empirical_rank_frequencies(
 ) -> Vec<f64> {
     let view = LoadView {
         loads,
-        info: crate::InfoAge::Aged { age: 1.0 },
+        info: InfoAge::Aged { age: 1.0 },
         ages: None,
     };
     let mut counts = vec![0usize; loads.len()];
@@ -155,7 +182,6 @@ pub fn empirical_rank_frequencies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InfoAge;
 
     #[test]
     fn k1_is_uniform() {
@@ -227,8 +253,9 @@ mod tests {
             info: InfoAge::Aged { age: 0.0 },
             ages: None,
         };
+        let mut greedy = Greedy::new();
         for _ in 0..50 {
-            assert_eq!(Greedy.select(&view, &mut rng), 1);
+            assert_eq!(greedy.select(&view, &mut rng), 1);
         }
     }
 

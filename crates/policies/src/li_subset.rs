@@ -1,6 +1,6 @@
 //! Basic LI over a random `k`-subset (reduced load information, §5.7).
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
 use crate::li::basic_li_probabilities;
 use crate::{LoadView, Policy};
@@ -31,7 +31,7 @@ use crate::{LoadView, Policy};
 pub struct LiSubset {
     k: usize,
     lambda: f64,
-    subset_scratch: Vec<usize>,
+    subset_scratch: SubsetScratch,
     loads_scratch: Vec<u32>,
     probs: Vec<f64>,
     counts: Vec<u32>,
@@ -53,7 +53,7 @@ impl LiSubset {
         Self {
             k,
             lambda,
-            subset_scratch: Vec::new(),
+            subset_scratch: SubsetScratch::new(),
             loads_scratch: Vec::new(),
             probs: Vec::new(),
             counts: Vec::new(),
@@ -77,8 +77,7 @@ impl Policy for LiSubset {
         // Per §5.7: replace n by k in the expected-arrival count.
         let r = self.lambda * k as f64 * view.info.horizon();
         basic_li_probabilities(&self.loads_scratch, r, &mut self.probs, &mut self.counts);
-        let within = rng.discrete(&self.probs);
-        self.subset_scratch[within]
+        subset[rng.discrete(&self.probs)]
     }
 }
 

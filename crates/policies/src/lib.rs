@@ -144,9 +144,10 @@ pub struct LoadView<'a> {
     /// Per-server age of each entry, when entries age independently
     /// (bulletin boards under fault injection: dropped/delayed refreshes
     /// and crashed servers leave entries stale past what `info`
-    /// advertises). `None` means every entry is as old as `info` says —
-    /// the paper's fault-free setting.
-    pub ages: Option<&'a [f64]>,
+    /// advertises), computed only for the entries a policy reads. `None`
+    /// means every entry is as old as `info` says — the paper's
+    /// fault-free setting.
+    pub ages: Option<EntryAges<'a>>,
 }
 
 impl<'a> LoadView<'a> {
@@ -164,9 +165,31 @@ impl<'a> LoadView<'a> {
     /// the view-wide elapsed time.
     pub fn entry_age(&self, server: usize) -> f64 {
         match self.ages {
-            Some(ages) => ages[server],
+            Some(ages) => ages.get(server),
             None => self.info.elapsed(),
         }
+    }
+}
+
+/// The per-entry ages of a board view, read one entry at a time from when
+/// each entry was sampled.
+///
+/// A board hands out its sample times and the decision time rather than a
+/// filled table of ages, so producing a view does no per-server work and a
+/// policy pays only for the entries it reads (most read none).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EntryAges<'a> {
+    /// When each entry's current value was sampled (index = server id).
+    pub sampled: &'a [f64],
+    /// The decision time the ages are measured at.
+    pub now: f64,
+}
+
+impl EntryAges<'_> {
+    /// The age of entry `server` at `now`; never negative.
+    #[inline]
+    pub fn get(&self, server: usize) -> f64 {
+        (self.now - self.sampled[server]).max(0.0)
     }
 }
 

@@ -204,22 +204,26 @@ impl<P: Policy> Policy for Quarantine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Greedy, InfoAge, Random};
+    use crate::{EntryAges, Greedy, InfoAge, Random};
 
-    fn aged_view<'a>(loads: &'a [u32], ages: &'a [f64]) -> LoadView<'a> {
+    /// The decision time of the hand-built views; an entry sampled at
+    /// `NOW - a` is `a` old.
+    const NOW: f64 = 100.0;
+
+    fn aged_view<'a>(loads: &'a [u32], sampled: &'a [f64]) -> LoadView<'a> {
         LoadView {
             loads,
             info: InfoAge::Aged { age: 1.0 },
-            ages: Some(ages),
+            ages: Some(EntryAges { sampled, now: NOW }),
         }
     }
 
     #[test]
     fn silent_server_is_ejected_and_avoided() {
         let mut rng = SimRng::from_seed(1);
-        let mut q = Quarantine::new(Greedy, 5.0, 50.0);
+        let mut q = Quarantine::new(Greedy::new(), 5.0, 50.0);
         // Server 0 advertises an idle queue but has been silent 20 units.
-        let view = aged_view(&[0, 2, 3], &[20.0, 1.0, 1.0]);
+        let view = aged_view(&[0, 2, 3], &[NOW - 20.0, NOW - 1.0, NOW - 1.0]);
         for i in 0..200 {
             q.observe_arrival(i as f64 * 0.01);
             assert_ne!(q.select(&view, &mut rng), 0);
@@ -231,14 +235,14 @@ mod tests {
     #[test]
     fn probe_readmits_once_reports_flow_again() {
         let mut rng = SimRng::from_seed(2);
-        let mut q = Quarantine::new(Greedy, 5.0, 10.0);
+        let mut q = Quarantine::new(Greedy::new(), 5.0, 10.0);
         let loads = [0u32, 2];
         q.observe_arrival(0.0);
-        q.select(&aged_view(&loads, &[20.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[NOW - 20.0, NOW - 1.0]), &mut rng);
         assert_eq!(q.ejections(), 1);
         // Quarantine expires at t=10; by then the entry is fresh again.
         q.observe_arrival(11.0);
-        let pick = q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        let pick = q.select(&aged_view(&loads, &[NOW - 1.0, NOW - 1.0]), &mut rng);
         assert_eq!(q.readmissions(), 1);
         assert_eq!(q.quarantined_count(), 0);
         assert_eq!(pick, 0, "readmitted idle server is selectable again");
@@ -247,9 +251,9 @@ mod tests {
     #[test]
     fn failed_probe_doubles_the_backoff() {
         let mut rng = SimRng::from_seed(3);
-        let mut q = Quarantine::new(Greedy, 5.0, 10.0);
+        let mut q = Quarantine::new(Greedy::new(), 5.0, 10.0);
         let loads = [0u32, 2];
-        let stale = [100.0, 1.0];
+        let stale = [NOW - 100.0, NOW - 1.0];
         q.observe_arrival(0.0);
         q.select(&aged_view(&loads, &stale), &mut rng);
         // First probe at t=10 fails -> next interval is 20 (until t=30).
@@ -257,20 +261,20 @@ mod tests {
         q.select(&aged_view(&loads, &stale), &mut rng);
         // Still quarantined at t=25 (< 31): no readmission even if fresh.
         q.observe_arrival(25.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[NOW - 1.0, NOW - 1.0]), &mut rng);
         assert_eq!(q.readmissions(), 0);
         assert_eq!(q.quarantined_count(), 1);
         // The doubled interval expires by t=35: fresh entry readmits.
         q.observe_arrival(35.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[NOW - 1.0, NOW - 1.0]), &mut rng);
         assert_eq!(q.readmissions(), 1);
     }
 
     #[test]
     fn all_quarantined_fails_open() {
         let mut rng = SimRng::from_seed(4);
-        let mut q = Quarantine::new(Greedy, 5.0, 50.0);
-        let view = aged_view(&[0, 1], &[20.0, 20.0]);
+        let mut q = Quarantine::new(Greedy::new(), 5.0, 50.0);
+        let view = aged_view(&[0, 1], &[NOW - 20.0, NOW - 20.0]);
         q.observe_arrival(0.0);
         let pick = q.select(&view, &mut rng);
         assert!(pick < 2);
@@ -282,11 +286,11 @@ mod tests {
     fn fresh_views_replay_the_inner_stream_exactly() {
         let mut rng_a = SimRng::from_seed(5);
         let mut rng_b = SimRng::from_seed(5);
-        let mut q = Quarantine::new(Greedy, 5.0, 50.0);
-        let mut plain = Greedy;
+        let mut q = Quarantine::new(Greedy::new(), 5.0, 50.0);
+        let mut plain = Greedy::new();
         let loads = [4u32, 0, 2, 1];
-        let ages = [1.0; 4];
-        let view = aged_view(&loads, &ages);
+        let sampled = [NOW - 1.0; 4];
+        let view = aged_view(&loads, &sampled);
         for i in 0..200 {
             q.observe_arrival(i as f64 * 0.1);
             assert_eq!(q.select(&view, &mut rng_a), plain.select(&view, &mut rng_b));
@@ -302,9 +306,9 @@ mod tests {
         let mut q = Quarantine::new(Random, 5.0, 10.0);
         let loads = [0u32, 2];
         q.observe_arrival(0.0);
-        q.select(&aged_view(&loads, &[20.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[NOW - 20.0, NOW - 1.0]), &mut rng);
         q.observe_arrival(11.0);
-        q.select(&aged_view(&loads, &[1.0, 1.0]), &mut rng);
+        q.select(&aged_view(&loads, &[NOW - 1.0, NOW - 1.0]), &mut rng);
         let t = q.telemetry();
         assert_eq!(t.ejections, 1);
         assert_eq!(t.readmissions, 1);

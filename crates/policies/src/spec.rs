@@ -152,7 +152,7 @@ impl PolicySpec {
         match self.clone() {
             PolicySpec::Random => Box::new(Random),
             PolicySpec::KSubset { k } => Box::new(KSubset::new(k)),
-            PolicySpec::Greedy => Box::new(Greedy),
+            PolicySpec::Greedy => Box::new(Greedy::new()),
             PolicySpec::Threshold { threshold } => Box::new(Threshold::new(threshold)),
             PolicySpec::ProbeThreshold { probes, threshold } => {
                 Box::new(ProbeThreshold::new(probes, threshold))

@@ -1,6 +1,6 @@
 //! The threshold classification policy.
 
-use staleload_sim::SimRng;
+use staleload_sim::{SimRng, SubsetScratch};
 
 use crate::{Load, LoadView, Policy};
 
@@ -91,7 +91,7 @@ impl Policy for Threshold {
 pub struct ProbeThreshold {
     probes: usize,
     threshold: Load,
-    scratch: Vec<usize>,
+    scratch: SubsetScratch,
 }
 
 impl ProbeThreshold {
@@ -105,7 +105,7 @@ impl ProbeThreshold {
         Self {
             probes,
             threshold,
-            scratch: Vec::new(),
+            scratch: SubsetScratch::new(),
         }
     }
 

@@ -6,10 +6,19 @@
 
 use proptest::prelude::*;
 use staleload_policies::{
-    aggressive_schedule, basic_li_probabilities, rank_distribution, AggressiveLi, BasicLi, InfoAge,
-    LoadView, Policy, PolicySpec,
+    aggressive_schedule, basic_li_probabilities, rank_distribution, AggressiveLi, BasicLi,
+    EntryAges, Greedy, InfoAge, LoadView, Policy, PolicySpec,
 };
 use staleload_sim::SimRng;
+
+/// Least-loaded selection by a full scan with one uniform draw among the
+/// ties in index order: the per-decision reference a cached `Greedy` must
+/// reproduce draw for draw.
+fn least_loaded_scan(loads: &[u32], rng: &mut SimRng) -> usize {
+    let min = *loads.iter().min().unwrap();
+    let ties: Vec<usize> = (0..loads.len()).filter(|&i| loads[i] == min).collect();
+    ties[rng.index(ties.len())]
+}
 
 fn arb_loads() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..200, 1..64)
@@ -491,6 +500,35 @@ proptest! {
         }
     }
 
+    /// `Greedy`, which finds its tie set once per board epoch, picks the
+    /// same server and leaves the RNG in the same state as a full scan,
+    /// on phase views whose epoch repeats or changes (a changed epoch
+    /// carries other loads, even another `n`) and on aged views.
+    #[test]
+    fn cached_greedy_matches_the_full_scan(
+        seed in any::<u64>(),
+        boards in prop::collection::vec(prop::collection::vec(0u32..4, 1..12), 1..5),
+        steps in prop::collection::vec((any::<bool>(), 0usize..5), 1..48),
+    ) {
+        let mut greedy = Greedy::new();
+        let mut rng = SimRng::from_seed(seed);
+        let mut oracle = SimRng::from_seed(seed);
+        for (phase, board) in steps {
+            // Epoch `e` always shows board `e`.
+            let epoch = board % boards.len();
+            let loads = &boards[epoch];
+            let info = if phase {
+                InfoAge::Phase { start: 0.0, length: 10.0, now: 1.0, epoch: epoch as u64 }
+            } else {
+                InfoAge::Aged { age: 1.0 }
+            };
+            let view = LoadView { loads, info, ages: None };
+            let pick = greedy.select(&view, &mut rng);
+            prop_assert_eq!(pick, least_loaded_scan(loads, &mut oracle));
+            prop_assert_eq!(format!("{rng:?}"), format!("{oracle:?}"));
+        }
+    }
+
     /// A staleness gate over a load-seeking inner policy never routes to
     /// a server whose entry is older than the cutoff while at least one
     /// entry is still valid, and always falls back to *some* in-range
@@ -508,7 +546,10 @@ proptest! {
             .map(|i| if stale_bits[i] { cutoff * 2.0 } else { cutoff * 0.5 })
             .collect();
         let any_valid = ages.iter().any(|&a| a <= cutoff);
-        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 0.0 }, ages: Some(&ages) };
+        // Sampled at `-age`, read at 0: each entry is exactly its age old.
+        let sampled: Vec<f64> = ages.iter().map(|a| -a).collect();
+        let entry_ages = EntryAges { sampled: &sampled, now: 0.0 };
+        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 0.0 }, ages: Some(entry_ages) };
         let mut rng = SimRng::from_seed(seed);
         // Inner policies that provably put zero mass on a Load::MAX entry
         // whenever a cheaper server exists (greedy, and LI at age 0).
@@ -538,8 +579,9 @@ proptest! {
         cutoff in 1.0f64..100.0,
         age_frac in 0.0f64..1.0,
     ) {
-        let ages = vec![cutoff * age_frac; loads.len()];
-        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: Some(&ages) };
+        let sampled = vec![-cutoff * age_frac; loads.len()];
+        let entry_ages = EntryAges { sampled: &sampled, now: 0.0 };
+        let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: Some(entry_ages) };
         let inner = PolicySpec::BasicLi { lambda: 0.9 };
         let mut bare = inner.build();
         let mut gated = PolicySpec::Gated { cutoff, inner: Box::new(inner) }.build();

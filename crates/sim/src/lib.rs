@@ -50,6 +50,6 @@ mod timeavg;
 pub use dist::{Dist, DistError};
 pub use events::{EventQueue, EventScheduler, SchedError, SchedulerKind};
 pub use histogram::Histogram;
-pub use rng::SimRng;
+pub use rng::{SimRng, SubsetScratch};
 pub use stats::OnlineStats;
 pub use timeavg::TimeWeighted;

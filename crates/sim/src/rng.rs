@@ -147,8 +147,13 @@ impl SimRng {
 
     /// Samples `k` distinct indices from `[0, n)`, in no particular order.
     ///
-    /// Uses a partial Fisher–Yates shuffle over a scratch buffer, which is
-    /// O(n) in allocation-free steady state when the caller reuses `scratch`.
+    /// A partial Fisher–Yates shuffle of `0..n`: step `i` swaps position
+    /// `i` with a uniform position in `i..n`. `scratch` keeps the shuffled
+    /// array between calls and undoes the previous call's `k` swaps before
+    /// drawing, which restores `0..n` without refilling it. So a call costs
+    /// O(k), plus a one-time fill of the entries `scratch` has not held yet
+    /// (all of `0..n` on the first call), and it makes the same draws and
+    /// returns the same slice as shuffling a freshly filled `0..n`.
     ///
     /// # Panics
     ///
@@ -157,16 +162,16 @@ impl SimRng {
         &mut self,
         k: usize,
         n: usize,
-        scratch: &'a mut Vec<usize>,
+        scratch: &'a mut SubsetScratch,
     ) -> &'a [usize] {
         assert!(k <= n, "cannot choose {k} distinct values from {n}");
-        scratch.clear();
-        scratch.extend(0..n);
+        scratch.reset(n);
         for i in 0..k {
             let j = i + self.index(n - i);
-            scratch.swap(i, j);
+            scratch.perm.swap(i, j);
+            scratch.swaps.push(j);
         }
-        &scratch[..k]
+        &scratch.perm[..k]
     }
 
     /// Samples an index from a discrete distribution given by `probs`.
@@ -212,6 +217,39 @@ impl SimRng {
         let u = self.f64() * cdf.last().copied().unwrap_or(1.0);
         match cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) | Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+}
+
+/// Reusable state for [`SimRng::distinct_indices`].
+///
+/// Between calls `perm` is `0..len` except where the last call's swaps
+/// moved it, and `swaps[i]` is the position step `i` of that call swapped
+/// with position `i`.
+#[derive(Debug, Clone, Default)]
+pub struct SubsetScratch {
+    perm: Vec<usize>,
+    swaps: Vec<usize>,
+}
+
+impl SubsetScratch {
+    /// An empty scratch; the first draw fills it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Undoes the last call's swaps, last first (each swap is its own
+    /// inverse), then grows or cuts `perm` to the identity on `0..n`.
+    fn reset(&mut self, n: usize) {
+        for (i, &j) in self.swaps.iter().enumerate().rev() {
+            self.perm.swap(i, j);
+        }
+        self.swaps.clear();
+        let len = self.perm.len();
+        if n < len {
+            self.perm.truncate(n);
+        } else {
+            self.perm.extend(len..n);
         }
     }
 }
@@ -304,7 +342,7 @@ mod tests {
     #[test]
     fn distinct_indices_are_distinct_and_in_range() {
         let mut rng = SimRng::from_seed(5);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         for _ in 0..200 {
             let picked: Vec<usize> = rng.distinct_indices(5, 20, &mut scratch).to_vec();
             let mut sorted = picked.clone();
@@ -318,7 +356,7 @@ mod tests {
     #[test]
     fn distinct_indices_full_draw_is_permutation() {
         let mut rng = SimRng::from_seed(5);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         let mut picked: Vec<usize> = rng.distinct_indices(8, 8, &mut scratch).to_vec();
         picked.sort_unstable();
         assert_eq!(picked, (0..8).collect::<Vec<_>>());

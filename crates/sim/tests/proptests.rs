@@ -1,7 +1,20 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use staleload_sim::{Dist, EventQueue, OnlineStats, SimRng};
+use staleload_sim::{Dist, EventQueue, OnlineStats, SimRng, SubsetScratch};
+
+/// The dense partial Fisher–Yates shuffle: fill `0..n`, then swap each of
+/// the first `k` positions with a uniform later one. The oracle for
+/// `distinct_indices`, which reuses its scratch instead of refilling it.
+fn dense_distinct_indices(rng: &mut SimRng, k: usize, n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = i + rng.index(n - i);
+        perm.swap(i, j);
+    }
+    perm.truncate(k);
+    perm
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, regardless of push order.
@@ -105,7 +118,7 @@ proptest! {
     fn distinct_indices_contract(seed in any::<u64>(), n in 1usize..64, k_frac in 0.0f64..1.0) {
         let k = ((n as f64 * k_frac) as usize).clamp(1, n);
         let mut rng = SimRng::from_seed(seed);
-        let mut scratch = Vec::new();
+        let mut scratch = SubsetScratch::new();
         let picked: Vec<usize> = rng.distinct_indices(k, n, &mut scratch).to_vec();
         prop_assert_eq!(picked.len(), k);
         let mut sorted = picked.clone();
@@ -113,6 +126,25 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), k);
         prop_assert!(picked.iter().all(|&i| i < n));
+    }
+
+    /// Over any sequence of `(k, n)` calls on one scratch — `n` changing
+    /// between calls, `k = 0` and `k = n` included — `distinct_indices`
+    /// returns the dense shuffle's slice and leaves the RNG in its state.
+    #[test]
+    fn distinct_indices_matches_the_dense_shuffle(
+        seed in any::<u64>(),
+        calls in prop::collection::vec((1usize..12, 0.0f64..1.0), 1..32),
+    ) {
+        let mut rng = SimRng::from_seed(seed);
+        let mut oracle = SimRng::from_seed(seed);
+        let mut scratch = SubsetScratch::new();
+        for (n, k_frac) in calls {
+            let k = (((n + 1) as f64 * k_frac) as usize).min(n);
+            let picked = rng.distinct_indices(k, n, &mut scratch).to_vec();
+            prop_assert_eq!(picked, dense_distinct_indices(&mut oracle, k, n));
+            prop_assert_eq!(format!("{rng:?}"), format!("{oracle:?}"));
+        }
     }
 
     /// `discrete` only returns indices with positive mass.

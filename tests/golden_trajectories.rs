@@ -233,6 +233,20 @@ fn control_combos() -> Vec<(
             FaultSpec::none(),
             Controls::default(),
         ),
+        // A cutoff of 1.5 periods: a dropped entry ages past it half-way
+        // through an epoch, so the gate re-keys Basic LI's per-epoch cache
+        // mid-epoch.
+        (
+            "controls/drop+gate-mid-epoch",
+            ArrivalSpec::Poisson,
+            InfoSpec::Periodic { period: 10.0 },
+            PolicySpec::Gated {
+                cutoff: 15.0,
+                inner: Box::new(PolicySpec::BasicLi { lambda: 0.9 }),
+            },
+            FaultSpec::drop(0.5),
+            Controls::default(),
+        ),
     ]
 }
 
@@ -306,7 +320,7 @@ fn default_path_replays_pre_control_plane_bits() {
 /// regenerate after an *intentional* trajectory change, run
 /// `cargo test --test golden_trajectories -- --ignored --nocapture`
 /// and paste the printed array.
-const CONTROL_GOLDEN: [(&str, u64, u64, u64); 12] = [
+const CONTROL_GOLDEN: [(&str, u64, u64, u64); 15] = [
     (
         "controls/faults+gate",
         1,
@@ -378,6 +392,24 @@ const CONTROL_GOLDEN: [(&str, u64, u64, u64); 12] = [
         3,
         0x40472d06458d0814,
         0x4098af55403afde4,
+    ),
+    (
+        "controls/drop+gate-mid-epoch",
+        1,
+        0x40324a451a51a0c0,
+        0x40962b4aff5e092e,
+    ),
+    (
+        "controls/drop+gate-mid-epoch",
+        2,
+        0x403067258971408e,
+        0x409667d57b881c68,
+    ),
+    (
+        "controls/drop+gate-mid-epoch",
+        3,
+        0x4031f25d317c8749,
+        0x40961a9396c79b0a,
     ),
 ];
 
