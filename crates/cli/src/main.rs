@@ -221,9 +221,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
             d.mean_jobs_in_system(r.end_time),
             d.peak_jobs_in_system()
         );
-        let utils = d.utilizations(r.end_time);
-        let mean_u = utils.iter().sum::<f64>() / utils.len() as f64;
-        println!("utilization   : mean {:.3}", mean_u);
+        println!("utilization   : mean {:.3}", d.mean_utilization(r.end_time));
         println!(
             "fairness      : {:.4} (Jain index of per-server throughput)",
             d.throughput_fairness()

@@ -89,6 +89,31 @@ fn run_detail_prints_tails() {
 }
 
 #[test]
+fn population_detail_reports_even_shares() {
+    // 20 000 jobs over 100 000 exchangeable servers: each server's
+    // expected share is the same, so the summary is perfectly fair.
+    let (ok, stdout, stderr) = staleload(&[
+        "run",
+        "--engine",
+        "population",
+        "--servers",
+        "100000",
+        "--arrivals",
+        "20000",
+        "--trials",
+        "1",
+        "--policy",
+        "k:2",
+        "--info",
+        "periodic:1",
+        "--detail",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("utilization   : mean"), "{stdout}");
+    assert!(stdout.contains("fairness      : 1.0000"), "{stdout}");
+}
+
+#[test]
 fn run_overload_controls_print_goodput() {
     let (ok, stdout, stderr) = staleload(&[
         "run",

@@ -9,6 +9,7 @@ use staleload_sim::{EventQueue, OnlineStats, SchedError, SimRng};
 use staleload_workloads::{ArrivalProcess, RetrySpec};
 
 use crate::config::ConfigError;
+use crate::metrics::ServerTallies;
 use crate::{
     ArrivalSpec, CrashSpec, OverloadStats, PartitionSpec, ResilienceStats, RunDetail, SimConfig,
     SimError,
@@ -561,7 +562,7 @@ fn run_inner(
     let mut reneges: EventQueue<RenegeEntry> = EventQueue::new();
     let mut orbit: EventQueue<OrbitEntry> = EventQueue::new();
     let mut response = OnlineStats::new();
-    let mut detail = RunDetail::new(n, cfg.sketch_cap);
+    let mut detail = RunDetail::new(cfg.sketch_cap);
     let mut next_id: u64 = 0;
     let mut next_arrival: Option<(f64, usize)> = Some(process.next(&mut arrival_rng));
     let mut end_time: f64 = 0.0;
@@ -940,10 +941,10 @@ fn run_inner(
             ),
         });
     }
-    for s in 0..n {
-        detail.per_server_completed[s] = cluster.completed(s);
-        detail.per_server_busy[s] = cluster.busy_time(s);
-    }
+    detail.tallies = ServerTallies::PerServer {
+        completed: (0..n).map(|s| cluster.completed(s)).collect(),
+        busy: (0..n).map(|s| cluster.busy_time(s)).collect(),
+    };
     if let Some(process) = &partition_process {
         resilience.partition_seconds = process.total_seconds(end_time);
     }
@@ -1173,7 +1174,7 @@ mod tests {
         assert_eq!(r.faults.redispatched, 0, "stall mode never moves jobs");
         assert_eq!(r.generated, 30_000);
         assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>(),
+            r.detail.completed(),
             30_000,
             "every generated job completes despite crashes"
         );
@@ -1208,7 +1209,7 @@ mod tests {
             "busy servers crash with queued jobs"
         );
         assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>(),
+            r.detail.completed(),
             30_000,
             "re-dispatched jobs complete elsewhere"
         );
@@ -1342,8 +1343,7 @@ mod tests {
             "Little's law: N {measured_n} vs lambda*T {little}"
         );
         // Utilization per server ≈ λ = 0.5.
-        let utils = r.detail.utilizations(r.end_time);
-        let mean_util = utils.iter().sum::<f64>() / utils.len() as f64;
+        let mean_util = r.detail.mean_utilization(r.end_time);
         assert!(
             (mean_util - 0.5).abs() < 0.05,
             "mean utilization {mean_util}"
@@ -1505,10 +1505,7 @@ mod tests {
         );
         // Every generated job either completed on some server or was
         // abandoned at admission.
-        assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>() + r.overload.abandoned,
-            r.generated,
-        );
+        assert_eq!(r.detail.completed() + r.overload.abandoned, r.generated);
         assert!(r.goodput() < r.offered_throughput());
         // Shedding keeps waits short: mean response beats the uncapped run.
         let uncapped = run(
@@ -1536,10 +1533,7 @@ mod tests {
         );
         assert_eq!(r.overload.rejected, 0, "no cap configured");
         assert_eq!(r.overload.abandoned, r.overload.reneged);
-        assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>() + r.overload.abandoned,
-            r.generated,
-        );
+        assert_eq!(r.detail.completed() + r.overload.abandoned, r.generated);
         // A reneged job never reports a response time.
         assert!(r.measured_jobs < r.generated);
         // Jobs that did complete waited less than the patience bound, so the
@@ -1573,10 +1567,7 @@ mod tests {
             r.overload.rejected + r.overload.reneged,
             r.overload.retries + r.overload.abandoned,
         );
-        assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>() + r.overload.abandoned,
-            r.generated,
-        );
+        assert_eq!(r.detail.completed() + r.overload.abandoned, r.generated);
         // Retries rescue most bounced jobs, so fewer are lost than in the
         // no-retry run — and more admission attempts are made overall.
         let no_retry = run(
@@ -1675,7 +1666,7 @@ mod tests {
         let g = run(&cfg, &ArrivalSpec::Poisson, &info, &guarded);
         let naked = run(&cfg, &ArrivalSpec::Poisson, &info, &PolicySpec::Greedy);
         assert_eq!(g.generated, 60_000);
-        assert_eq!(g.detail.per_server_completed.iter().sum::<u64>(), 60_000);
+        assert_eq!(g.detail.completed(), 60_000);
         assert!(
             g.detail.peak_jobs_in_system() < naked.detail.peak_jobs_in_system(),
             "breaking the herd must lower the backlog peak: guarded {} vs naked {}",
@@ -1742,7 +1733,7 @@ mod tests {
         );
         assert_eq!(r.generated, 30_000);
         assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>(),
+            r.detail.completed(),
             30_000,
             "each hedged job completes exactly once"
         );
@@ -1832,7 +1823,7 @@ mod tests {
             "a departing server hands its queue off"
         );
         assert_eq!(
-            r.detail.per_server_completed.iter().sum::<u64>(),
+            r.detail.completed(),
             30_000,
             "every job survives membership churn"
         );
@@ -1861,7 +1852,7 @@ mod tests {
         );
         assert!(a.resilience.quarantine_readmissions <= a.resilience.quarantine_ejections);
         assert_eq!(
-            a.detail.per_server_completed.iter().sum::<u64>(),
+            a.detail.completed(),
             30_000,
             "partitions hide servers from the board but never lose jobs"
         );

@@ -17,19 +17,37 @@ pub struct RunDetail {
     pub response_sketch: TailSketch,
     /// Jobs in the whole system, time-averaged over the run.
     pub jobs_in_system: TimeWeighted,
-    /// Jobs completed per server.
-    pub per_server_completed: Vec<u64>,
-    /// Busy time per server over completed busy periods.
-    pub per_server_busy: Vec<f64>,
+    /// Completions and busy time of the servers, set when the run ends.
+    pub(crate) tallies: ServerTallies,
+}
+
+/// What a run reports of its servers' completions and busy time.
+#[derive(Debug, Clone)]
+pub(crate) enum ServerTallies {
+    /// The per-server engine's tallies, one entry per server: jobs
+    /// completed, and busy time over completed busy periods.
+    PerServer { completed: Vec<u64>, busy: Vec<f64> },
+    /// The population engine's summary. Its servers are exchangeable, so
+    /// each one's expected share of the completions and of the busy-time
+    /// integral is the same `1/servers`.
+    Exchangeable {
+        servers: usize,
+        completed: u64,
+        busy: f64,
+    },
 }
 
 impl RunDetail {
-    pub(crate) fn new(servers: usize, sketch_cap: usize) -> Self {
+    /// An empty detail; the engine sets its server tallies when the run
+    /// ends.
+    pub(crate) fn new(sketch_cap: usize) -> Self {
         Self {
             response_sketch: TailSketch::new(sketch_cap),
             jobs_in_system: TimeWeighted::new(0.0, 0.0),
-            per_server_completed: vec![0; servers],
-            per_server_busy: vec![0.0; servers],
+            tallies: ServerTallies::PerServer {
+                completed: Vec::new(),
+                busy: Vec::new(),
+            },
         }
     }
 
@@ -62,19 +80,73 @@ impl RunDetail {
         self.jobs_in_system.relaxation_time()
     }
 
-    /// Per-server utilization (busy time / horizon).
-    pub fn utilizations(&self, end_time: f64) -> Vec<f64> {
-        if end_time <= 0.0 {
-            return vec![0.0; self.per_server_busy.len()];
+    /// Number of servers.
+    pub fn servers(&self) -> usize {
+        match &self.tallies {
+            ServerTallies::PerServer { completed, .. } => completed.len(),
+            ServerTallies::Exchangeable { servers, .. } => *servers,
         }
-        self.per_server_busy.iter().map(|&b| b / end_time).collect()
+    }
+
+    /// Jobs completed across all servers.
+    pub fn completed(&self) -> u64 {
+        match &self.tallies {
+            ServerTallies::PerServer { completed, .. } => completed.iter().sum(),
+            ServerTallies::Exchangeable { completed, .. } => *completed,
+        }
+    }
+
+    /// Jobs completed by each server, in server order, where the engine
+    /// tallied servers one by one (`None` for an exchangeable summary).
+    pub fn per_server_completed(&self) -> Option<&[u64]> {
+        match &self.tallies {
+            ServerTallies::PerServer { completed, .. } => Some(completed),
+            ServerTallies::Exchangeable { .. } => None,
+        }
+    }
+
+    /// Busy time summed over all servers.
+    pub fn busy_time(&self) -> f64 {
+        match &self.tallies {
+            ServerTallies::PerServer { busy, .. } => busy.iter().sum(),
+            ServerTallies::Exchangeable { busy, .. } => *busy,
+        }
+    }
+
+    /// Mean per-server utilization over `[0, end_time]`: the summed busy
+    /// time over `servers · end_time` (0 for an empty horizon).
+    pub fn mean_utilization(&self, end_time: f64) -> f64 {
+        let n = self.servers();
+        if end_time <= 0.0 || n == 0 {
+            return 0.0;
+        }
+        self.busy_time() / (n as f64 * end_time)
+    }
+
+    /// Per-server utilization (busy time / horizon), one value per server
+    /// in server order; the population engine's exchangeable servers all
+    /// report the mean.
+    pub fn utilizations(&self, end_time: f64) -> impl Iterator<Item = f64> + '_ {
+        let (busy, even, copies): (&[f64], f64, usize) = match &self.tallies {
+            ServerTallies::PerServer { busy, .. } => (busy, 0.0, 0),
+            ServerTallies::Exchangeable { servers, .. } => {
+                (&[], self.mean_utilization(end_time), *servers)
+            }
+        };
+        busy.iter()
+            .map(move |&b| if end_time > 0.0 { b / end_time } else { 0.0 })
+            .chain(std::iter::repeat_n(even, copies))
     }
 
     /// Jain's fairness index of per-server completed-job counts:
     /// `(Σx)² / (n·Σx²)`; 1.0 = perfectly even, `1/n` = all work on one
-    /// server.
+    /// server. Exchangeable servers share the completions evenly in
+    /// expectation, so their index is 1.
     pub fn throughput_fairness(&self) -> f64 {
-        jain_fairness(&self.per_server_completed)
+        match &self.tallies {
+            ServerTallies::PerServer { completed, .. } => jain_fairness(completed),
+            ServerTallies::Exchangeable { .. } => 1.0,
+        }
     }
 }
 
@@ -313,15 +385,44 @@ mod tests {
 
     #[test]
     fn detail_accumulates() {
-        let mut d = RunDetail::new(2, 64);
+        let mut d = RunDetail::new(64);
         d.jobs_in_system.update(1.0, 3.0);
         d.response_sketch.record(2.0);
-        d.per_server_completed[0] = 1;
-        d.per_server_busy[0] = 2.0;
+        d.tallies = ServerTallies::PerServer {
+            completed: vec![1, 0],
+            busy: vec![2.0, 0.0],
+        };
         assert_eq!(d.peak_jobs_in_system(), 3.0);
         assert_eq!(d.response_quantile(1.0), 2.0);
-        assert!((d.utilizations(4.0)[0] - 0.5).abs() < 1e-12);
+        assert_eq!(d.utilizations(4.0).collect::<Vec<_>>(), [0.5, 0.0]);
+        assert_eq!(d.utilizations(0.0).collect::<Vec<_>>(), [0.0, 0.0]);
+        assert_eq!(d.mean_utilization(4.0), 0.25);
+        assert_eq!((d.servers(), d.completed(), d.busy_time()), (2, 1, 2.0));
+        assert_eq!(d.per_server_completed(), Some(&[1, 0][..]));
         assert!(d.throughput_fairness() < 1.0);
+    }
+
+    #[test]
+    fn exchangeable_servers_share_evenly() {
+        // Fewer completions than servers: the expected shares are still
+        // equal, so the summary is perfectly fair.
+        let mut d = RunDetail::new(64);
+        d.tallies = ServerTallies::Exchangeable {
+            servers: 1_000,
+            completed: 200,
+            busy: 150.0,
+        };
+        assert_eq!(d.throughput_fairness(), 1.0);
+        assert_eq!(
+            (d.servers(), d.completed(), d.busy_time()),
+            (1_000, 200, 150.0)
+        );
+        assert_eq!(d.per_server_completed(), None);
+        assert_eq!(d.mean_utilization(3.0), 150.0 / (1_000.0 * 3.0));
+        assert_eq!(d.mean_utilization(0.0), 0.0);
+        let mut utils = d.utilizations(3.0);
+        assert_eq!(utils.next(), Some(0.05));
+        assert_eq!(utils.count(), 999);
     }
 
     #[test]

@@ -74,6 +74,7 @@ use staleload_workloads::AliasTable;
 
 use crate::config::ConfigError;
 use crate::engine::FaultStats;
+use crate::metrics::ServerTallies;
 use crate::{
     ArrivalSpec, OverloadStats, ResilienceStats, RunDetail, RunResult, SimConfig, SimError,
 };
@@ -605,7 +606,7 @@ pub(crate) fn run_population(
     )?;
 
     let mut response = OnlineStats::new();
-    let mut detail = RunDetail::new(n, cfg.sketch_cap);
+    let mut detail = RunDetail::new(cfg.sketch_cap);
     let mut t = 0.0f64;
     let mut generated: u64 = 0;
     let mut end_time = 0.0f64;
@@ -697,19 +698,15 @@ pub(crate) fn run_population(
         "no busy server may outlive the drain"
     );
 
-    // Servers are exchangeable, so per-server tallies are reported as the
-    // symmetric expectation: completions spread uniformly (fairness 1 by
-    // construction) and the busy-time integral split evenly, which keeps
-    // the utilization ≈ λ·E[S] validation meaningful.
-    let per = generated / n as u64;
-    let rem = (generated % n as u64) as usize;
-    for (s, slot) in detail.per_server_completed.iter_mut().enumerate() {
-        *slot = per + u64::from(s < rem);
-    }
-    let share = busy_integral / n as f64;
-    for slot in detail.per_server_busy.iter_mut() {
-        *slot = share;
-    }
+    // Servers are exchangeable, so the run reports totals and each
+    // server's expected share of them is equal: fairness 1, and mean
+    // utilization busy / (n · end), which keeps the utilization ≈ λ·E[S]
+    // validation meaningful. Every generated job completed in the drain.
+    detail.tallies = ServerTallies::Exchangeable {
+        servers: n,
+        completed: generated,
+        busy: busy_integral,
+    };
 
     Ok(RunResult {
         mean_response: response.mean(),
@@ -995,10 +992,36 @@ mod tests {
             (measured - little).abs() / little < 0.1,
             "Little: {measured} vs {little}"
         );
-        // Utilization ≈ λ via the evenly-split busy integral.
-        let util: f64 = r.detail.per_server_busy.iter().sum::<f64>() / (64.0 * r.end_time);
+        // Utilization ≈ λ via the busy integral.
+        let util = r.detail.mean_utilization(r.end_time);
         assert!((util - 0.8).abs() < 0.05, "utilization {util}");
         // The sketch saw exactly the measured jobs.
         assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
+    }
+
+    #[test]
+    fn fewer_jobs_than_servers_still_report_even_shares() {
+        // 200 jobs over 1000 servers: most servers complete none, yet each
+        // one's expected share is the same, so the summary is fair.
+        let cfg = pop_config(1_000, 0.5, 200, 3);
+        let r = run_population(
+            &cfg,
+            &ArrivalSpec::Poisson,
+            &InfoSpec::Periodic { period: 2.0 },
+            &PolicySpec::KSubset { k: 2 },
+        )
+        .expect("population run");
+        let d = &r.detail;
+        assert_eq!(d.throughput_fairness(), 1.0);
+        assert_eq!((d.servers(), d.completed()), (1_000, 200));
+        assert_eq!(d.per_server_completed(), None);
+        assert_eq!(
+            d.mean_utilization(r.end_time),
+            d.busy_time() / (1_000.0 * r.end_time)
+        );
+        assert!(d.mean_utilization(r.end_time) > 0.0);
+        assert!(d
+            .utilizations(r.end_time)
+            .all(|u| u == d.mean_utilization(r.end_time)));
     }
 }

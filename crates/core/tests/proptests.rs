@@ -96,7 +96,7 @@ proptest! {
         prop_assert_eq!(r.history_misses, 0);
         prop_assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
         // All generated jobs completed (the drain emptied the system).
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed, arrivals);
         // Occupancy metrics are sane.
         prop_assert!(r.detail.peak_jobs_in_system() >= 0.0);
@@ -132,7 +132,7 @@ proptest! {
         let b = run_simulation(&cfg, &arrivals_spec, &info, &policy).expect("valid config");
         prop_assert_eq!(a.mean_response.to_bits(), b.mean_response.to_bits());
         prop_assert_eq!(a.end_time.to_bits(), b.end_time.to_bits());
-        prop_assert_eq!(a.detail.per_server_completed, b.detail.per_server_completed);
+        prop_assert_eq!(a.detail.per_server_completed(), b.detail.per_server_completed());
     }
 
     /// Heterogeneous clusters uphold the same invariants, including with
@@ -160,7 +160,7 @@ proptest! {
         let policy = PolicySpec::HeteroLi { lambda, capacities: caps };
         let r = run_simulation(&cfg, &ArrivalSpec::Poisson, &info, &policy).expect("valid config");
         prop_assert_eq!(r.generated, 3_000);
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed, 3_000);
         prop_assert_eq!(r.history_misses, 0);
     }
@@ -225,7 +225,7 @@ proptest! {
         let r = run_simulation(&cfg, &ArrivalSpec::Poisson, &info, &policy)
             .expect("valid config");
         prop_assert_eq!(r.generated, 4_000);
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed, 4_000);
         prop_assert!(r.faults.recoveries <= r.faults.crashes);
         prop_assert!(r.faults.downtime >= 0.0);
@@ -275,7 +275,7 @@ proptest! {
 
         prop_assert_eq!(r.generated, 3_000);
         // Law 1: every job ends exactly once.
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed + o.abandoned, 3_000,
             "completed {} + abandoned {} != generated", completed, o.abandoned);
         // Law 2: every bounce either re-entered the orbit or was terminal.
@@ -396,7 +396,7 @@ proptest! {
         prop_assert_eq!(r.generated, 3_000);
         // Every logical job completes exactly once: hedge replicas neither
         // arrive nor depart, so completion counts see only winners.
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed, 3_000,
             "completed {} != generated under {:?}", completed, cfg.faults);
         // Every replica placed is eventually cancelled (it loses, or it
@@ -476,13 +476,15 @@ proptest! {
         prop_assert_eq!(r.detail.response_sketch.count(), r.measured_jobs);
         prop_assert!(r.response.min() >= 0.0 || r.measured_jobs == 0);
         // Every job completes exactly once (the drain emptied the system).
-        let completed: u64 = r.detail.per_server_completed.iter().sum();
+        let completed = r.detail.completed();
         prop_assert_eq!(completed, arrivals);
         prop_assert!(r.end_time > 0.0);
-        // Utilization cannot exceed 1 per server.
-        for u in r.detail.utilizations(r.end_time.max(1e-9)) {
-            prop_assert!(u <= 1.0 + 1e-9, "utilization {}", u);
-        }
+        // Utilization cannot exceed 1 per server: the summary's servers
+        // are exchangeable, so each one's expectation is the mean.
+        prop_assert_eq!(r.detail.servers(), servers);
+        prop_assert_eq!(r.detail.throughput_fairness(), 1.0);
+        let u = r.detail.mean_utilization(r.end_time.max(1e-9));
+        prop_assert!(u > 0.0 && u <= 1.0 + 1e-9, "utilization {}", u);
         // Determinism holds across the supported config space.
         let again = run_simulation(&cfg, &ArrivalSpec::Poisson, &info, &policy)
             .expect("valid population config");

@@ -76,7 +76,7 @@ pub fn basic_li_probabilities(
     probs: &mut Vec<f64>,
     counts: &mut Vec<u32>,
 ) {
-    let line = WaterLine::of_view(loads, expected_arrivals, counts);
+    let (line, _) = WaterLine::of_view(loads, expected_arrivals, counts);
     probs.clear();
     probs.extend(loads.iter().map(|&q| line.prob(q)));
 }
@@ -156,17 +156,24 @@ impl WaterLine {
     }
 
     /// The water line of a per-server view, from a histogram of `loads`
-    /// (`counts` is its scratch). Raising the minimum server to `q` alone
-    /// costs `q − min`, so no load above `min + ⌊R⌋` can receive and the
-    /// histogram stops there (the float-to-int cast floors and saturates).
+    /// (`counts` is its scratch), and the view's largest load. Raising the
+    /// minimum server to `q` alone costs `q − min`, so no load above
+    /// `min + ⌊R⌋` can receive and the histogram stops there (the
+    /// float-to-int cast floors and saturates).
     ///
     /// # Panics
     ///
     /// Panics if `loads` is empty or `expected_arrivals` is negative/NaN.
-    pub(crate) fn of_view(loads: &[Load], expected_arrivals: f64, counts: &mut Vec<u32>) -> Self {
+    pub(crate) fn of_view(
+        loads: &[Load],
+        expected_arrivals: f64,
+        counts: &mut Vec<u32>,
+    ) -> (Self, Load) {
         assert!(!loads.is_empty(), "loads must be non-empty");
         let levels = Levels::new(loads, expected_arrivals as Load, counts);
-        Self::new(levels.map(|(q, k)| (q, u64::from(k))), expected_arrivals)
+        let max = levels.max;
+        let line = Self::new(levels.map(|(q, k)| (q, u64::from(k))), expected_arrivals);
+        (line, max)
     }
 
     /// The send probability of a server reporting load `q` of this view.
@@ -182,12 +189,19 @@ impl WaterLine {
         }
     }
 
-    /// Overwrites `table` with [`WaterLine::prob`] of every receiving load
-    /// value from the minimum up, `table[q − min]`: one division per value,
-    /// over at most one histogram window of values for a view of `n`
-    /// servers.
-    pub(crate) fn tabulate(&self, n: usize, table: &mut Vec<f64>) {
-        let last = self.top.min(self.min.saturating_add(window(n) - 1));
+    /// Overwrites `table` with [`WaterLine::prob`] of every load value from
+    /// the minimum up, `table[q − min]`, over at most one histogram window
+    /// of values for a view of `n` servers: up to the view's largest load
+    /// `max` (zeros above the top receiving load) when that span fits the
+    /// window, so every load of the view has an entry, and up to the top
+    /// receiving load otherwise.
+    pub(crate) fn tabulate(&self, max: Load, n: usize, table: &mut Vec<f64>) {
+        let width = window(n);
+        let last = if max - self.min < width {
+            max
+        } else {
+            self.top.min(self.min.saturating_add(width - 1))
+        };
         table.clear();
         table.extend((self.min..=last).map(|q| self.prob(q)));
     }
@@ -462,6 +476,8 @@ impl AgedAggressive {
 struct Levels<'a> {
     loads: &'a [Load],
     counts: &'a mut Vec<u32>,
+    /// The largest load.
+    max: Load,
     /// The highest value to visit.
     last: Load,
     /// The current window's first value.
@@ -476,6 +492,7 @@ impl<'a> Levels<'a> {
         let mut levels = Levels {
             loads,
             counts,
+            max,
             last: min.saturating_add(reach).min(max),
             base: min,
             next: 0,
@@ -583,6 +600,36 @@ mod tests {
         // everything goes to server 0 (the c = 1 case).
         let probs = basic(&[0, 10], 5.0);
         assert_eq!(probs, vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn the_table_covers_every_load_whose_span_fits_a_window() {
+        let mut counts = Vec::new();
+        let mut table = Vec::new();
+        // Loads [0, 2, 10], R = 5: the top receiving load is 2, and the
+        // table runs on to 10 with zeros, so lookups never fall back.
+        let loads = [0, 2, 10];
+        let (line, max) = WaterLine::of_view(&loads, 5.0, &mut counts);
+        assert_eq!(max, 10);
+        line.tabulate(max, loads.len(), &mut table);
+        assert_eq!(table.len(), 11);
+        for q in 0..=10 {
+            assert_eq!(
+                table[q as usize].to_bits(),
+                line.prob(q).to_bits(),
+                "q = {q}"
+            );
+        }
+        assert_eq!(&table[3..], &[0.0; 8]);
+        // A span wider than one window stops at the top receiving load;
+        // `lookup` covers the loads past it.
+        let loads = [7, 8, 7 + MIN_WINDOW as Load];
+        let (line, max) = WaterLine::of_view(&loads, 3.0, &mut counts);
+        line.tabulate(max, loads.len(), &mut table);
+        assert_eq!(table.len(), 2);
+        for &q in &loads {
+            assert_eq!(line.lookup(&table, q).to_bits(), line.prob(q).to_bits());
+        }
     }
 
     #[test]

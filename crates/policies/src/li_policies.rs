@@ -34,15 +34,15 @@ impl ProbCache {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
-        let line = WaterLine::of_view(loads, r, &mut self.counts);
-        line.tabulate(loads.len(), &mut self.table);
+        let (line, max) = WaterLine::of_view(loads, r, &mut self.counts);
+        line.tabulate(max, loads.len(), &mut self.table);
         // The same additions in the same server order as a prefix sum over
         // `basic_li_probabilities`, so the same bits.
-        self.cdf.clear();
+        self.cdf.resize(loads.len(), 0.0);
         let mut acc = 0.0;
-        for &q in loads {
+        for (c, &q) in self.cdf.iter_mut().zip(loads) {
             acc += line.lookup(&self.table, q);
-            self.cdf.push(acc);
+            *c = acc;
         }
         self.epoch = epoch;
     }

@@ -21,6 +21,10 @@
 //!   determined by the multiset alone. Bucket-count addition is a
 //!   multiset homomorphism, which is what makes `merge` commutative,
 //!   associative, and split-invariant *exactly*, not approximately.
+//!   Only the window of buckets from the one holding `min` to the one
+//!   holding `max` is stored; both extremes are exact, so the window is
+//!   as canonical as the counts, and it widens only when a record or a
+//!   merge brings a new extreme.
 //!
 //! No running f64 sum is kept (f64 addition is not associative); the
 //! only scalars carried across a compaction are the exact `min`, `max`,
@@ -76,8 +80,71 @@ enum State {
     /// The multiset in record order. Readers see it through [`sorted`]:
     /// `f64::total_cmp` order, unique down to the bit pattern.
     Exact(Vec<f64>),
-    /// Dense per-bucket counts over the fixed log grid.
-    Compacted(Vec<u64>),
+    /// Per-bucket counts over the occupied window of the fixed log grid.
+    Compacted(Window),
+}
+
+/// The counts of grid buckets `lo ..= lo + counts.len() − 1`, from the
+/// lowest occupied bucket to the highest: both ends hold a count, so two
+/// windows are equal exactly when the dense grids they stand for are.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Window {
+    lo: usize,
+    counts: Vec<u64>,
+}
+
+impl Window {
+    /// Adds `c > 0` values to bucket `i`: one bounds check while `i` is
+    /// inside the window.
+    #[inline]
+    fn add(&mut self, i: usize, c: u64) {
+        match self.counts.get_mut(i.wrapping_sub(self.lo)) {
+            Some(slot) => *slot += c,
+            None => self.widen_and_add(i, c),
+        }
+    }
+
+    /// [`Window::add`] for a bucket outside the window: a new extreme.
+    #[cold]
+    #[inline(never)]
+    fn widen_and_add(&mut self, i: usize, c: u64) {
+        self.cover(i, i);
+        self.counts[i - self.lo] += c;
+    }
+
+    /// Widens the window to take in buckets `lo ..= hi`, reallocating it
+    /// at exactly its new width.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let (lo, hi) = match self.counts.len().checked_sub(1) {
+            None => (lo, hi),
+            Some(last) if lo >= self.lo && hi <= self.lo + last => return,
+            Some(last) => (lo.min(self.lo), hi.max(self.lo + last)),
+        };
+        let mut counts = vec![0; hi - lo + 1];
+        if !self.counts.is_empty() {
+            counts[self.lo - lo..][..self.counts.len()].copy_from_slice(&self.counts);
+        }
+        *self = Self { lo, counts };
+    }
+
+    /// Adds every count of `other` (bucket-count addition).
+    fn merge(&mut self, other: &Window) {
+        let Some(last) = other.counts.len().checked_sub(1) else {
+            return;
+        };
+        self.cover(other.lo, other.lo + last);
+        let at = other.lo - self.lo;
+        for (mine, &theirs) in self.counts[at..].iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+    }
+
+    /// `(bucket, count)` of every occupied bucket, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (self.lo..)
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, c)| c > 0)
+    }
 }
 
 /// A deterministic, mergeable quantile sketch (see the module docs).
@@ -169,22 +236,26 @@ impl TailSketch {
                     self.compact();
                 }
             }
-            State::Compacted(buckets) => buckets[bucket_index(x)] += 1,
+            State::Compacted(window) => window.add(bucket_index(x), 1),
         }
     }
 
     /// The pinned compaction: fires exactly when the count crosses the
     /// capacity, collapsing the exact multiset onto the fixed grid. The
     /// result depends only on the multiset, never on arrival order.
+    /// `min` and `max` must still be the extremes of the held values.
     fn compact(&mut self) {
         let State::Exact(values) = &self.state else {
             return;
         };
-        let mut buckets = vec![0u64; NBUCKETS];
-        for &v in values {
-            buckets[bucket_index(v)] += 1;
+        let mut window = Window::default();
+        if !values.is_empty() {
+            window.cover(bucket_index(self.min), bucket_index(self.max));
         }
-        self.state = State::Compacted(buckets);
+        for &v in values {
+            window.add(bucket_index(v), 1);
+        }
+        self.state = State::Compacted(window);
     }
 
     /// Folds `other` into `self`. Exact while the union fits under the
@@ -203,6 +274,15 @@ impl TailSketch {
             self.cap, other.cap,
             "cannot merge sketches with different capacities"
         );
+        let fits_exact = matches!(
+            (&self.state, &other.state),
+            (State::Exact(_), State::Exact(_))
+        ) && self.count + other.count <= self.cap as u64;
+        // Compacting before the extremes move sizes the window to this
+        // sketch's own values.
+        if !fits_exact {
+            self.compact();
+        }
         self.count += other.count;
         if other.min < self.min {
             self.min = other.min;
@@ -210,31 +290,16 @@ impl TailSketch {
         if other.max > self.max {
             self.max = other.max;
         }
-        let fits_exact = matches!(
-            (&self.state, &other.state),
-            (State::Exact(_), State::Exact(_))
-        ) && self.count <= self.cap as u64;
-        if fits_exact {
-            let (State::Exact(a), State::Exact(b)) = (&mut self.state, &other.state) else {
-                unreachable!("fits_exact checked both states");
-            };
-            a.extend_from_slice(b);
-            return;
-        }
-        self.compact();
-        let State::Compacted(mine) = &mut self.state else {
-            unreachable!("compact() always leaves the compacted state");
-        };
-        match &other.state {
-            State::Exact(values) => {
+        match (&mut self.state, &other.state) {
+            (State::Exact(mine), State::Exact(theirs)) => mine.extend_from_slice(theirs),
+            (State::Compacted(mine), State::Exact(values)) => {
                 for &v in values {
-                    mine[bucket_index(v)] += 1;
+                    mine.add(bucket_index(v), 1);
                 }
             }
-            State::Compacted(theirs) => {
-                for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                    *m += *t;
-                }
+            (State::Compacted(mine), State::Compacted(theirs)) => mine.merge(theirs),
+            (State::Exact(_), State::Compacted(_)) => {
+                unreachable!("compact() runs unless both sides are exact")
             }
         }
     }
@@ -265,13 +330,13 @@ impl TailSketch {
         }
         match &self.state {
             State::Exact(values) => crate::quantile(&sorted(values), q),
-            State::Compacted(buckets) => {
+            State::Compacted(window) => {
                 // The type-7 position, rounded to the nearest order
                 // statistic (interpolation is meaningless inside a
                 // bucket); `round` ties away from zero, deterministic.
                 let target = (q * (self.count - 1) as f64).round() as u64;
                 let mut seen = 0u64;
-                for (i, &c) in buckets.iter().enumerate() {
+                for (i, c) in window.occupied() {
                     seen += c;
                     if seen > target {
                         return representative(i).clamp(self.min, self.max);
@@ -329,14 +394,7 @@ impl TailSketch {
     pub fn bucket_entries(&self) -> Option<Vec<(usize, u64)>> {
         match &self.state {
             State::Exact(_) => None,
-            State::Compacted(buckets) => Some(
-                buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (i, c))
-                    .collect(),
-            ),
+            State::Compacted(window) => Some(window.occupied().collect()),
         }
     }
 
@@ -401,13 +459,20 @@ impl TailSketch {
         if min.is_nan() || max.is_nan() || min > max {
             return Err(format!("invalid sketch extremes [{min}, {max}]"));
         }
-        let mut buckets = vec![0u64; NBUCKETS];
+        if let Some(&(i, _)) = entries.iter().find(|&&(i, _)| i >= NBUCKETS) {
+            return Err(format!("bucket index {i} out of range (< {NBUCKETS})"));
+        }
+        let occupied = entries.iter().filter(|&&(_, c)| c > 0);
+        let mut window = Window::default();
+        if let (Some(lo), Some(hi)) = (
+            occupied.clone().map(|&(i, _)| i).min(),
+            occupied.clone().map(|&(i, _)| i).max(),
+        ) {
+            window.cover(lo, hi);
+        }
         let mut total = 0u64;
-        for &(i, c) in entries {
-            if i >= NBUCKETS {
-                return Err(format!("bucket index {i} out of range (< {NBUCKETS})"));
-            }
-            buckets[i] += c;
+        for &(i, c) in occupied {
+            window.add(i, c);
             total += c;
         }
         if total != count {
@@ -417,7 +482,7 @@ impl TailSketch {
         }
         Ok(Self {
             cap,
-            state: State::Compacted(buckets),
+            state: State::Compacted(window),
             count,
             min,
             max,
@@ -607,6 +672,60 @@ mod tests {
         )
         .expect("valid parts");
         assert_eq!(back, compacted);
+    }
+
+    /// A compacted sketch stores exactly the buckets from its minimum's
+    /// to its maximum's, however it got there.
+    fn assert_window_is_the_extremes(s: &TailSketch) {
+        let State::Compacted(window) = &s.state else {
+            panic!("expected a compacted sketch");
+        };
+        assert_eq!(window.lo, bucket_index(s.min()), "window starts at min");
+        assert_eq!(
+            window.lo + window.counts.len() - 1,
+            bucket_index(s.max()),
+            "window ends at max"
+        );
+    }
+
+    #[test]
+    fn the_window_spans_exactly_the_extremes_buckets() {
+        let mid: Vec<f64> = (0..40).map(|i| 1.0 + f64::from(i) * 0.05).collect();
+        let mut s = filled(8, &mid);
+        assert_window_is_the_extremes(&s);
+        // New extremes arriving after the compaction widen it each way,
+        // into the underflow and overflow buckets too.
+        for v in [7.5, 0.25, 3e5, 1e-3, 2e7, 1e-6, 4.0] {
+            s.record(v);
+            assert_window_is_the_extremes(&s);
+        }
+        // Ascending and descending streams widen on every record.
+        let rising: Vec<f64> = (0..200).map(|i| 1.1f64.powi(i)).collect();
+        assert_window_is_the_extremes(&filled(4, &rising));
+        let falling: Vec<f64> = rising.iter().rev().copied().collect();
+        assert_window_is_the_extremes(&filled(4, &falling));
+        // Merges: compacted into compacted, exact into compacted, and
+        // compacted into exact (including into an empty sketch).
+        let low = filled(8, &mid.iter().map(|v| v * 1e-2).collect::<Vec<_>>());
+        let mut merged = s.clone();
+        merged.merge(&low);
+        assert_window_is_the_extremes(&merged);
+        let mut merged = s.clone();
+        merged.merge(&filled(8, &[9e8, 5e-9]));
+        assert_window_is_the_extremes(&merged);
+        let mut merged = filled(8, &[2.0, 3.0]);
+        merged.merge(&low);
+        assert_window_is_the_extremes(&merged);
+        let mut merged = TailSketch::new(8);
+        merged.merge(&s);
+        assert_window_is_the_extremes(&merged);
+        assert_eq!(merged, s);
+        // Decoding rebuilds the same window.
+        let entries = s.bucket_entries().expect("compacted");
+        let back = TailSketch::from_bucket_parts(8, &entries, s.count(), s.min(), s.max())
+            .expect("valid parts");
+        assert_window_is_the_extremes(&back);
+        assert_eq!(back, s);
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! * **Exact-mode oracle** — the append-only exact phase reads exactly
 //!   as the sorted-insert sketch it replaced, after any sequence of
 //!   records and merges.
+//! * **Dense-grid oracle** — the compacted phase, which stores only the
+//!   window of buckets its values occupy, reads exactly as the dense
+//!   grid of every bucket it replaced, after any sequence of records,
+//!   merges and codec round-trips.
 
 // Proptest closures sit outside #[test] fns, so clippy's
 // allow-unwrap-in-tests does not reach them; the whole file is a test.
@@ -173,8 +177,238 @@ fn check_against_oracle(sketch: &TailSketch, oracle: &SortedInsert, cap: usize) 
     Ok(())
 }
 
+/// The fixed log grid, restated independently of the sketch: bucket 0
+/// holds values at or below the floor, the last bucket values at or above
+/// the ceiling, and interior bucket `i` covers `[1e-4·1.01^(i−1),
+/// 1e-4·1.01^i)` through the same pinned literals.
+const GRID_BUCKETS: usize = 2317;
+const GRID_FLOOR: f64 = 1e-4;
+const GRID_CEIL: f64 = 1e6;
+
+fn grid_bucket(x: f64) -> usize {
+    if x <= GRID_FLOOR {
+        return 0;
+    }
+    if x >= GRID_CEIL {
+        return GRID_BUCKETS - 1;
+    }
+    let i = ((x * 1e4).ln() * 100.499_170_807_130_53).floor() as usize + 1;
+    i.min(GRID_BUCKETS - 2)
+}
+
+fn grid_representative(i: usize) -> f64 {
+    match i {
+        0 => GRID_FLOOR,
+        i if i >= GRID_BUCKETS - 1 => GRID_CEIL,
+        i => GRID_FLOOR * ((i as f64 - 0.5) * 0.009_950_330_853_168_083).exp(),
+    }
+}
+
+/// The dense grid the compacted phase kept before it stored only its
+/// occupied window, kept as its oracle: a count for each of the 2317
+/// buckets, whatever the values span.
+struct DenseGrid {
+    cap: usize,
+    values: Vec<f64>,
+    buckets: Vec<u64>,
+}
+
+impl DenseGrid {
+    fn of(cap: usize, values: &[f64]) -> Self {
+        let mut buckets = vec![0; GRID_BUCKETS];
+        for &v in values {
+            buckets[grid_bucket(v)] += 1;
+        }
+        let mut values = values.to_vec();
+        values.sort_by(f64::total_cmp);
+        Self {
+            cap,
+            values,
+            buckets,
+        }
+    }
+
+    fn is_exact(&self) -> bool {
+        self.values.len() <= self.cap
+    }
+
+    fn min(&self) -> f64 {
+        self.values.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    fn max(&self) -> f64 {
+        self.values
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    fn entries(&self) -> Option<Vec<(usize, u64)>> {
+        (!self.is_exact()).then(|| {
+            (0..GRID_BUCKETS)
+                .filter(|&i| self.buckets[i] > 0)
+                .map(|i| (i, self.buckets[i]))
+                .collect()
+        })
+    }
+
+    fn quantile(&self, q: f64) -> f64 {
+        if self.is_exact() || q == 0.0 || q == 1.0 {
+            return quantile(&self.values, q);
+        }
+        let target = (q * (self.values.len() - 1) as f64).round() as u64;
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen > target {
+                return grid_representative(i).clamp(self.min(), self.max());
+            }
+        }
+        unreachable!("the buckets hold every value")
+    }
+
+    /// Whether two sketches must compare equal: the same count and
+    /// extremes, and the same multiset (exact) or dense grid (compacted).
+    fn same_sketch(&self, other: &DenseGrid) -> bool {
+        self.values.len() == other.values.len()
+            && self.min().to_bits() == other.min().to_bits()
+            && self.max().to_bits() == other.max().to_bits()
+            && if self.is_exact() {
+                bits(&self.values) == bits(&other.values)
+            } else {
+                self.buckets == other.buckets
+            }
+    }
+}
+
+/// Asserts that `sketch` reads as the dense-grid oracle of its multiset:
+/// count, extremes, mode, quantiles and `bucket_entries`; a compacted
+/// window that starts at the minimum's bucket and ends at the maximum's;
+/// a codec round-trip to the same bits; and equality exactly where the
+/// oracle's, against the one-pass sketch of the multiset and against one
+/// with a value moved.
+fn check_against_dense(sketch: &TailSketch, dense: &DenseGrid, moved: f64) -> TestCaseResult {
+    let cap = dense.cap;
+    prop_assert_eq!(sketch.count(), dense.values.len() as u64);
+    prop_assert_eq!(sketch.is_exact(), dense.is_exact());
+    prop_assert_eq!(sketch.min().to_bits(), dense.min().to_bits());
+    prop_assert_eq!(sketch.max().to_bits(), dense.max().to_bits());
+    let entries = sketch.bucket_entries();
+    prop_assert_eq!(&entries, &dense.entries());
+    if dense.values.is_empty() {
+        return Ok(());
+    }
+    for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+        prop_assert_eq!(
+            sketch.quantile(q).to_bits(),
+            dense.quantile(q).to_bits(),
+            "q = {}",
+            q
+        );
+    }
+    let decoded = match &entries {
+        Some(entries) => {
+            let (first, last) = (entries[0].0, entries[entries.len() - 1].0);
+            prop_assert_eq!(first, grid_bucket(dense.min()), "window starts at min");
+            prop_assert_eq!(last, grid_bucket(dense.max()), "window ends at max");
+            TailSketch::from_bucket_parts(cap, entries, sketch.count(), sketch.min(), sketch.max())
+        }
+        None => TailSketch::from_exact_parts(cap, sketch.exact_values().unwrap()),
+    };
+    prop_assert!(
+        decoded.unwrap() == *sketch,
+        "codec round-trip changed the bits"
+    );
+    prop_assert!(
+        *sketch == sketch_of(cap, &dense.values),
+        "differs from the one-pass sketch"
+    );
+    // Move the middle value: equal sketches exactly where the oracle says.
+    let mut other = dense.values.clone();
+    let mid = other.len() / 2;
+    other[mid] = moved;
+    let other_dense = DenseGrid::of(cap, &other);
+    prop_assert_eq!(
+        *sketch == sketch_of(cap, &other),
+        dense.same_sketch(&other_dense),
+        "moved {} to {}",
+        dense.values[mid],
+        moved
+    );
+    Ok(())
+}
+
+/// Any value on or off the grid: interior ones, underflow (at or below
+/// the floor, negatives included) and overflow (at or above the ceiling).
+fn arb_grid_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.5f64..20.0,
+        0.5f64..20.0,
+        (-9.3f64..13.9).prop_map(f64::exp),
+        -3.0f64..1e-4,
+        Just(GRID_FLOOR),
+        1e6f64..1e9,
+        Just(GRID_CEIL),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any split of a multiset into records and merged parts, each part
+    /// possibly decoded from the cache codec first, reads as the dense
+    /// grid at every step, exact and compacted, whether the extremes
+    /// arrive first, last, or in sorted order.
+    #[test]
+    fn compacted_windows_read_as_the_dense_grid(
+        body in prop::collection::vec(0.8f64..5.0, 0..200),
+        extremes in prop::collection::vec(arb_grid_value(), 0..40),
+        order in 0usize..4,
+        cuts in prop::collection::vec((0.0f64..1.0, 0usize..3), 0..6),
+        cap in prop_oneof![Just(1usize), Just(8), Just(64), Just(512)],
+        moved in arb_grid_value(),
+    ) {
+        // Order 0 records the extremes last, after the body compacted.
+        let mut values = body.clone();
+        values.extend_from_slice(&extremes);
+        match order {
+            1 => values.reverse(),
+            2 => values.sort_by(f64::total_cmp),
+            3 => values.sort_by(|a, b| b.total_cmp(a)),
+            _ => {}
+        }
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&(at, _)| (at * values.len() as f64) as usize)
+            .collect();
+        ends.sort_unstable();
+        ends.push(values.len());
+        let mut sketch = TailSketch::new(cap);
+        let mut start = 0;
+        for (k, &end) in ends.iter().enumerate() {
+            let chunk = &values[start..end];
+            match cuts.get(k).map_or(0, |&(_, how)| how) {
+                0 => chunk.iter().for_each(|&v| sketch.record(v)),
+                how => {
+                    let mut part = sketch_of(cap, chunk);
+                    check_against_dense(&part, &DenseGrid::of(cap, chunk), moved)?;
+                    if how == 2 {
+                        // The part comes back through the cache codec.
+                        part = match part.bucket_entries() {
+                            Some(entries) => TailSketch::from_bucket_parts(
+                                cap, &entries, part.count(), part.min(), part.max(),
+                            ),
+                            None => TailSketch::from_exact_parts(cap, part.exact_values().unwrap()),
+                        }
+                        .unwrap();
+                    }
+                    sketch.merge(&part);
+                }
+            }
+            check_against_dense(&sketch, &DenseGrid::of(cap, &values[..end]), moved)?;
+            start = end;
+        }
+    }
 
     /// Any sequence of records and merges, over any split of a stream,
     /// leaves the append-only sketch reading as the sorted-insert oracle,
