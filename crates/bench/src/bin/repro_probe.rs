@@ -1,10 +1,10 @@
 //! End-to-end perf harness for the sweep orchestrator: measures the full
-//! figure reproduction (`figs::run_all`) under three configurations and
-//! emits `BENCH_repro.json` (ISSUE 4).
+//! figure reproduction (the 14 `FIGURES` entries of the registry) under
+//! three configurations and emits `BENCH_repro.json`.
 //!
 //! Two stages, identical workload:
 //!
-//! * **Scaling curve** — `run_all` once per worker count in
+//! * **Scaling curve** — every figure once per worker count in
 //!   {1, 2, 4, max} (deduplicated, capped at this machine's hardware
 //!   threads), cache disabled throughout so every point measures the
 //!   work-stealing pool and nothing else. The `parallel_speedup` figure
@@ -37,7 +37,7 @@
 
 use std::time::Instant;
 
-use staleload_bench::{cache_dir, configure_runner, default_workers, figs, Scale};
+use staleload_bench::{cache_dir, configure_runner, default_workers, run_entries, Scale, FIGURES};
 use staleload_runner::ResultCache;
 
 /// The regression gate: a checked ratio may drop at most this fraction
@@ -123,10 +123,14 @@ impl Measurement {
     }
 }
 
-/// One timed `run_all` pass at the given scale.
+/// One timed pass over every figure at the given scale. A figure that
+/// fails ends the probe: its time would not measure the same work.
 fn timed_run_all(scale: &Scale) -> f64 {
     let start = Instant::now();
-    figs::run_all(scale);
+    if !run_entries(scale, FIGURES) {
+        eprintln!("[repro_probe] a figure failed; no timing recorded");
+        std::process::exit(1);
+    }
     start.elapsed().as_secs_f64()
 }
 

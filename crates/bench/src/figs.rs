@@ -1,19 +1,19 @@
-//! One function per paper figure.
+//! One function per paper figure, each a [`crate::FIGURES`] entry.
 //!
 //! Each function regenerates the series of the corresponding figure of
 //! *Interpreting Stale Load Information* at the given [`Scale`]: the same
 //! workload, parameter sweep, baselines, and rows the paper plots. Exact
 //! parameter values the scanned paper lost to OCR are substituted as
-//! documented in `DESIGN.md` §3.
+//! documented in `DESIGN.md` §3. Figures carry no checks; the paper's
+//! shapes are tested in `tests/paper_shapes.rs`.
 
 use staleload_core::{clients_for_mean_age, ArrivalSpec, Experiment, SimConfig};
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::{rank_distribution, PolicySpec};
 use staleload_sim::Dist;
-use staleload_stats::Table;
 use staleload_workloads::BurstConfig;
 
-use crate::{results_path, run_sweep, CellStyle, Scale, Series};
+use crate::{publish, run_sweep, table, CellStyle, Outcome, Scale, Series};
 
 /// Paper defaults: n = 100, λ = 0.9.
 const N: usize = 100;
@@ -90,33 +90,35 @@ fn periodic_series<'a>(
 
 /// **Figure 1** — the analytic request distribution of the k-subset policy
 /// by server rank (Eq. 1), n = 100, k ∈ {1, 2, 3, 5, 10, 20, 100}.
-pub fn fig01(_scale: &Scale) {
+pub fn fig01(_scale: &Scale) -> Outcome {
     let ks = [1usize, 2, 3, 5, 10, 20, 100];
     let dists: Vec<Vec<f64>> = ks.iter().map(|&k| rank_distribution(N, k)).collect();
 
     let mut headers = vec!["rank".to_string()];
     headers.extend(ks.iter().map(|k| format!("k={k}")));
-    let mut table = Table::new(headers.clone());
-    let mut csv = Table::new(headers);
+    let mut rows = table(&headers);
+    let mut csv = table(&headers);
     for rank in 0..N {
         let mut row = vec![format!("{rank}")];
         row.extend(dists.iter().map(|d| format!("{:.5}", d[rank])));
         csv.push_row(row.clone());
         // Keep the printed table readable: dense head, sparse tail.
         if rank < 12 || rank % 10 == 0 {
-            table.push_row(row);
+            rows.push_row(row);
         }
     }
-    println!("\n== Fig. 1: k-subset request fraction by server rank (Eq. 1, n = 100) ==");
-    print!("{}", table.render());
-    let path = results_path("fig01");
-    csv.write_csv(&path).expect("write fig01 csv");
-    eprintln!("[fig01] wrote {}", path.display());
+    publish(
+        "fig01",
+        "Fig. 1: k-subset request fraction by server rank (Eq. 1, n = 100)",
+        &rows,
+        &csv,
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 2** — mean response vs update period `T`, periodic model,
 /// n = 100, λ = 0.9 (panels a/b are the same data at two x ranges).
-pub fn fig02(scale: &Scale) {
+pub fn fig02(scale: &Scale) -> Outcome {
     let series = periodic_series(
         scale,
         0xF02,
@@ -133,11 +135,12 @@ pub fn fig02(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 3** — same as Fig. 2 at the lighter load λ = 0.5.
-pub fn fig03(scale: &Scale) {
+pub fn fig03(scale: &Scale) -> Outcome {
     let series = periodic_series(
         scale,
         0xF03,
@@ -154,12 +157,13 @@ pub fn fig03(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 4** — same as Fig. 2 with a different cluster size (n = 8; the
 /// paper's exact value was lost to OCR, see DESIGN.md).
-pub fn fig04(scale: &Scale) {
+pub fn fig04(scale: &Scale) -> Outcome {
     let series = periodic_series(
         scale,
         0xF04,
@@ -176,12 +180,13 @@ pub fn fig04(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 5** — the threshold policy across thresholds, with the k = 2
 /// and k = 10 subset curves and the LI curves for comparison.
-pub fn fig05(scale: &Scale) {
+pub fn fig05(scale: &Scale) -> Outcome {
     let mut policies: Vec<PolicySpec> = [0u32, 1, 4, 8, 16, 24, 32, 40]
         .iter()
         .map(|&t| PolicySpec::Threshold { threshold: t })
@@ -206,7 +211,8 @@ pub fn fig05(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 fn continuous_panel(
@@ -217,7 +223,7 @@ fn continuous_panel(
     delay_of: impl Fn(f64) -> DelaySpec + Copy,
     knowledge: AgeKnowledge,
     policies: Vec<PolicySpec>,
-) {
+) -> Result<(), String> {
     let series: Vec<Series<'_>> = policies
         .into_iter()
         .map(|p| {
@@ -243,7 +249,7 @@ fn continuous_panel(
         &t_sweep_continuous(),
         &series,
         CellStyle::MeanCi,
-    );
+    )
 }
 
 fn continuous_policies() -> Vec<PolicySpec> {
@@ -259,7 +265,7 @@ fn continuous_policies() -> Vec<PolicySpec> {
 /// **Figure 6** — continuous update where clients know only the *mean*
 /// delay; four delay distributions of increasing variance.
 #[allow(clippy::type_complexity)] // panel table: (name, title, delay builder)
-pub fn fig06(scale: &Scale) {
+pub fn fig06(scale: &Scale) -> Outcome {
     let panels: [(&str, &str, fn(f64) -> DelaySpec); 4] = [
         (
             "fig06a",
@@ -291,14 +297,15 @@ pub fn fig06(scale: &Scale) {
             delay,
             AgeKnowledge::MeanOnly,
             continuous_policies(),
-        );
+        )?;
     }
+    Ok(Vec::new())
 }
 
 /// **Figure 7** — continuous update where clients know the *actual*
 /// per-request delay; the three non-constant distributions.
 #[allow(clippy::type_complexity)] // panel table: (name, title, delay builder)
-pub fn fig07(scale: &Scale) {
+pub fn fig07(scale: &Scale) -> Outcome {
     let panels: [(&str, &str, fn(f64) -> DelaySpec); 3] = [
         (
             "fig07a",
@@ -325,8 +332,9 @@ pub fn fig07(scale: &Scale) {
             delay,
             AgeKnowledge::Actual,
             continuous_policies(),
-        );
+        )?;
     }
+    Ok(Vec::new())
 }
 
 fn uoa_series<'a>(
@@ -360,7 +368,7 @@ fn uoa_series<'a>(
 
 /// **Figure 8** — the update-on-access model: each client's view comes from
 /// its previous request; mean age = per-client inter-request time.
-pub fn fig08(scale: &Scale) {
+pub fn fig08(scale: &Scale) -> Outcome {
     let series = uoa_series(scale, 0xF08, standard_policies(LAMBDA), None);
     run_sweep(
         "fig08",
@@ -369,13 +377,14 @@ pub fn fig08(scale: &Scale) {
         &t_sweep_uoa(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 9** — update-on-access with *bursty* clients (bursts of 10
 /// requests, intra-burst gaps Exponential(1); paper's burst constants lost
 /// to OCR, see DESIGN.md).
-pub fn fig09(scale: &Scale) {
+pub fn fig09(scale: &Scale) -> Outcome {
     let burst = BurstConfig {
         burst_len: 10,
         intra_gap_mean: 1.0,
@@ -390,7 +399,8 @@ pub fn fig09(scale: &Scale) {
         &xs,
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 fn pareto_policies(lambda: f64) -> Vec<PolicySpec> {
@@ -403,7 +413,14 @@ fn pareto_policies(lambda: f64) -> Vec<PolicySpec> {
     ]
 }
 
-fn pareto_panel(scale: &Scale, name: &str, title: &str, seed: u64, lambda: f64, max_ratio: f64) {
+fn pareto_panel(
+    scale: &Scale,
+    name: &str,
+    title: &str,
+    seed: u64,
+    lambda: f64,
+    max_ratio: f64,
+) -> Result<(), String> {
     let service = Dist::bounded_pareto_with_mean(1.1, max_ratio, 1.0)
         .expect("valid Bounded Pareto parameters");
     let series: Vec<Series<'_>> = pareto_policies(lambda)
@@ -423,25 +440,26 @@ fn pareto_panel(scale: &Scale, name: &str, title: &str, seed: u64, lambda: f64, 
         })
         .collect();
     let xs = [1.0, 4.0, 10.0, 20.0, 40.0];
-    run_sweep(name, title, "T", &xs, &series, CellStyle::MedianQuartiles);
+    run_sweep(name, title, "T", &xs, &series, CellStyle::MedianQuartiles)
 }
 
 /// **Figure 10** — Bounded-Pareto job sizes (α = 1.1, max = 100× mean) at
 /// three loads; medians and quartiles over many trials.
-pub fn fig10(scale: &Scale) {
+pub fn fig10(scale: &Scale) -> Outcome {
     for (i, lambda) in [0.5, 0.7, 0.9].into_iter().enumerate() {
         let name = ["fig10a", "fig10b", "fig10c"][i];
         let title = format!(
             "Fig. 10{}: Bounded Pareto (alpha=1.1, max=100x mean), lambda={lambda}",
             ["a", "b", "c"][i]
         );
-        pareto_panel(scale, name, &title, 0xF10 + i as u64, lambda, 100.0);
+        pareto_panel(scale, name, &title, 0xF10 + i as u64, lambda, 100.0)?;
     }
+    Ok(Vec::new())
 }
 
 /// **Figure 11** — Bounded-Pareto with a heavier tail cap
 /// (max = 1024× mean) at λ = 0.7.
-pub fn fig11(scale: &Scale) {
+pub fn fig11(scale: &Scale) -> Outcome {
     pareto_panel(
         scale,
         "fig11",
@@ -449,12 +467,13 @@ pub fn fig11(scale: &Scale) {
         0xF11,
         0.7,
         1024.0,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 12** — Basic LI when the client *mis-estimates* the arrival
 /// rate by a factor of 1/8 … 8 (periodic, λ = 0.9).
-pub fn fig12(scale: &Scale) {
+pub fn fig12(scale: &Scale) -> Outcome {
     let mut series: Vec<Series<'_>> = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         .into_iter()
         .map(|factor| {
@@ -489,13 +508,14 @@ pub fn fig12(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 13** — response vs the *actual* arrival rate λ for T = 10,
 /// comparing Basic LI with the exact λ against the conservative strategy of
 /// assuming λ̂ = 1.0 (the system's maximum throughput).
-pub fn fig13(scale: &Scale) {
+pub fn fig13(scale: &Scale) -> Outcome {
     const T: f64 = 10.0;
     let lambdas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98];
     let series: Vec<Series<'_>> = vec![
@@ -557,13 +577,14 @@ pub fn fig13(scale: &Scale) {
         &lambdas,
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
+    Ok(Vec::new())
 }
 
 /// **Figure 14** — LI with reduced information (LI-k) vs the standard
 /// k-subset policies under (a) update-on-access, (b) continuous update with
 /// fixed delay, (c) the periodic bulletin board.
-pub fn fig14(scale: &Scale) {
+pub fn fig14(scale: &Scale) -> Outcome {
     let policies = || {
         vec![
             PolicySpec::KSubset { k: 2 },
@@ -593,7 +614,7 @@ pub fn fig14(scale: &Scale) {
         &t_sweep_uoa(),
         &series,
         CellStyle::MeanCi,
-    );
+    )?;
 
     // (b) continuous update with fixed (constant) delay
     continuous_panel(
@@ -604,7 +625,7 @@ pub fn fig14(scale: &Scale) {
         |t| DelaySpec::Constant { mean: t },
         AgeKnowledge::Actual,
         policies(),
-    );
+    )?;
 
     // (c) periodic bulletin board
     let series = periodic_series(
@@ -623,61 +644,6 @@ pub fn fig14(scale: &Scale) {
         &t_sweep_periodic(),
         &series,
         CellStyle::MeanCi,
-    );
-}
-
-/// Runs every figure in order.
-pub fn run_all(scale: &Scale) {
-    run_all_filtered(scale, &[]).expect("empty filter is always valid");
-}
-
-/// A figure-reproduction entry point: takes the scale, writes the
-/// figure's tables and SVG curves under the results directory.
-pub type FigureFn = fn(&Scale);
-
-/// Every paper figure, in order, with the name `repro_all --only`
-/// selects it by.
-pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
-    vec![
-        ("fig01", fig01 as FigureFn),
-        ("fig02", fig02),
-        ("fig03", fig03),
-        ("fig04", fig04),
-        ("fig05", fig05),
-        ("fig06", fig06),
-        ("fig07", fig07),
-        ("fig08", fig08),
-        ("fig09", fig09),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("fig12", fig12),
-        ("fig13", fig13),
-        ("fig14", fig14),
-    ]
-}
-
-/// Regenerates the figures named in `only` (all of them when `only` is
-/// empty), in paper order regardless of the order given.
-///
-/// # Errors
-///
-/// Returns an error naming the first entry of `only` that is not a
-/// known figure, without running anything.
-pub fn run_all_filtered(scale: &Scale, only: &[String]) -> Result<(), String> {
-    let figures = all_figures();
-    for name in only {
-        if !figures.iter().any(|(n, _)| n == name) {
-            return Err(format!(
-                "unknown figure `{name}` (valid: fig01..fig{:02})",
-                figures.len()
-            ));
-        }
-    }
-    eprintln!("== staleload reproduction, scale = {} ==", scale.name);
-    for (name, fig) in figures {
-        if only.is_empty() || only.iter().any(|n| n == name) {
-            fig(scale);
-        }
-    }
-    Ok(())
+    )?;
+    Ok(Vec::new())
 }

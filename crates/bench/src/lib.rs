@@ -1,18 +1,24 @@
-//! Reproduction harness for the figures of *Interpreting Stale Load
-//! Information* (Dahlin, ICDCS 1999 / TPDS 2000).
+//! Reproduction harness for *Interpreting Stale Load Information*
+//! (Dahlin, ICDCS 1999 / TPDS 2000): one registry of every paper figure
+//! and extension sweep, run by `repro_all`.
 //!
-//! Every figure in the paper's evaluation has a binary (`fig01` … `fig14`)
-//! whose logic lives in [`figs`]; `repro_all` runs the full set. Each
-//! figure prints the paper's series as an aligned table on stdout and
-//! writes a CSV under `results/`.
+//! An [`Entry`] is a name plus a function of the [`Scale`]. The function
+//! builds its cells, runs them as one batch on the shared runner, prints
+//! its tables on stdout, writes its CSVs (and SVG curves) under
+//! `results/`, and returns its [`Check`]s. [`FIGURES`] holds the paper's
+//! figures (logic in `figs.rs`); [`SWEEPS`] holds the extension sweeps.
+//! `repro_all` runs them in [`registry`] order, figures first, through
+//! [`run_entries`], which prints every check's PASS/FAIL line and skips
+//! the statistical ones at `smoke` scale.
 //!
 //! Run scale is controlled by the first CLI argument or the `REPRO_SCALE`
-//! environment variable (`quick`, `std`, `full`): `full` matches the
-//! paper's protocol (500 000 arrivals, ≥ 10 trials, ≥ 30 for Bounded
+//! environment variable (`smoke`, `quick`, `std`, `full`): `full` matches
+//! the paper's protocol (500 000 arrivals, ≥ 10 trials, ≥ 30 for Bounded
 //! Pareto); `std` (default) is calibrated for a single-core machine;
-//! `quick` is a smoke test.
+//! `quick` is a short run whose statistics the checks can judge; `smoke`
+//! only exercises the code paths.
 //!
-//! Every figure executes its (point × trial) grid on one shared
+//! Every entry executes its (point × trial) grid on one shared
 //! work-stealing worker pool ([`staleload_runner`]) and consults a
 //! content-addressed result cache under `results/cache/`. Worker count
 //! comes from `REPRO_WORKERS` (default: available parallelism); the
@@ -26,15 +32,22 @@
 //! by re-running the same command, and a per-trial watchdog (budget
 //! from [`Scale::watchdog_budget`]; disarm with `--no-watchdog` or
 //! `REPRO_NO_WATCHDOG`) isolates hung trials instead of stalling the
-//! figure.
+//! run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The figure harness prints its tables; stdout is the interface.
+// The harness prints its tables; stdout is the interface.
 #![allow(clippy::print_stdout)]
 
-pub mod figs;
+mod degradation;
+mod ext;
+mod ext_meanfield;
+mod ext_resilience;
+mod ext_tail;
+mod figs;
+mod overload;
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -44,7 +57,7 @@ use staleload_core::{Experiment, ExperimentResult, SimError};
 use staleload_runner::{ResultCache, SweepJournal, SweepRunner, WatchdogSpec, WorkerPool};
 use staleload_stats::{LinePlot, Table};
 
-/// Run-scale knobs shared by all figures.
+/// Run-scale knobs shared by all entries.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Arrivals per trial for cheap (periodic/fresh) models.
@@ -86,7 +99,7 @@ impl Scale {
         }
     }
 
-    /// Smoke-test scale.
+    /// The smallest scale whose statistics the checks can judge.
     pub fn quick() -> Self {
         Self {
             arrivals: 60_000,
@@ -100,9 +113,8 @@ impl Scale {
 
     /// CI-sized scale: just enough jobs to exercise every code path.
     ///
-    /// Statistical acceptance checks are meaningless at this size, so
-    /// binaries skip them when `Scale::name == "smoke"` (see
-    /// [`Scale::is_smoke`]).
+    /// Statistical checks are meaningless at this size, so
+    /// [`run_entries`] skips them here (see [`Scale::is_smoke`]).
     pub fn smoke() -> Self {
         Self {
             arrivals: 4_000,
@@ -114,7 +126,7 @@ impl Scale {
         }
     }
 
-    /// Whether this is the CI smoke scale (too small for acceptance
+    /// Whether this is the CI smoke scale (too small for statistical
     /// checks).
     pub fn is_smoke(&self) -> bool {
         self.name == "smoke"
@@ -135,18 +147,151 @@ impl Scale {
     }
 }
 
-/// Parsed command line shared by every reproduction binary.
+/// One PASS/FAIL verdict an entry returns.
+#[derive(Debug, Clone)]
+pub struct Check {
+    /// Printed as `<name> check: PASS — <detail>`.
+    pub name: &'static str,
+    /// Statistical checks need more jobs than `smoke` runs, so
+    /// [`run_entries`] skips them there; structural ones (ordering,
+    /// bookkeeping) gate at every scale.
+    pub statistical: bool,
+    /// Whether the comparison held.
+    pub pass: bool,
+    /// What was compared, with the numbers.
+    pub detail: String,
+}
+
+impl Check {
+    /// A check that holds at every scale.
+    pub fn structural(name: &'static str, pass: bool, detail: impl Into<String>) -> Self {
+        Self {
+            name,
+            statistical: false,
+            pass,
+            detail: detail.into(),
+        }
+    }
+
+    /// A check that needs more than `smoke` scale to mean anything.
+    pub fn statistical(name: &'static str, pass: bool, detail: impl Into<String>) -> Self {
+        Self {
+            name,
+            statistical: true,
+            pass,
+            detail: detail.into(),
+        }
+    }
+}
+
+/// What an entry returns: its checks, or the error that stopped it.
+pub type Outcome = Result<Vec<Check>, String>;
+
+/// One figure or sweep of the registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    /// The name `repro_all --only` selects it by.
+    pub name: &'static str,
+    /// The CSVs it writes, each as `<results dir>/<csv>.csv`.
+    pub csvs: &'static [&'static str],
+    /// Runs the entry at a scale: cells, tables, CSVs, checks.
+    pub run: fn(&Scale) -> Outcome,
+}
+
+/// The paper's figures, in paper order (the work `repro_probe` times).
+pub const FIGURES: &[Entry] = &[
+    entry("fig01", &["fig01"], figs::fig01),
+    entry("fig02", &["fig02"], figs::fig02),
+    entry("fig03", &["fig03"], figs::fig03),
+    entry("fig04", &["fig04"], figs::fig04),
+    entry("fig05", &["fig05"], figs::fig05),
+    entry(
+        "fig06",
+        &["fig06a", "fig06b", "fig06c", "fig06d"],
+        figs::fig06,
+    ),
+    entry("fig07", &["fig07a", "fig07b", "fig07c"], figs::fig07),
+    entry("fig08", &["fig08"], figs::fig08),
+    entry("fig09", &["fig09"], figs::fig09),
+    entry("fig10", &["fig10a", "fig10b", "fig10c"], figs::fig10),
+    entry("fig11", &["fig11"], figs::fig11),
+    entry("fig12", &["fig12"], figs::fig12),
+    entry("fig13", &["fig13"], figs::fig13),
+    entry("fig14", &["fig14a", "fig14b", "fig14c"], figs::fig14),
+];
+
+/// The extension sweeps, run after the figures. The last five carry
+/// checks.
+pub const SWEEPS: &[Entry] = &[
+    entry("ext_hetero", &["ext_hetero"], ext::hetero),
+    entry("ext_mechanisms", &["ext_mechanisms"], ext::mechanisms),
+    entry("ext_adaptive", &["ext_adaptive"], ext::adaptive),
+    entry("ext_individual", &["ext_individual"], ext::individual),
+    entry("ext_sita", &["ext_sita"], ext::sita),
+    entry("ext_mmpp", &["ext_mmpp"], ext::mmpp),
+    entry("degradation", &["degradation"], degradation::run),
+    entry("ext_resilience", &["ext_resilience"], ext_resilience::run),
+    entry("overload", &["overload"], overload::run),
+    entry("ext_tail", &["ext_tail"], ext_tail::run),
+    entry("ext_meanfield", &["ext_meanfield"], ext_meanfield::run),
+];
+
+const fn entry(
+    name: &'static str,
+    csvs: &'static [&'static str],
+    run: fn(&Scale) -> Outcome,
+) -> Entry {
+    Entry { name, csvs, run }
+}
+
+/// Every entry, in the order `repro_all` runs them: figures first.
+pub fn registry() -> impl Iterator<Item = &'static Entry> {
+    FIGURES.iter().chain(SWEEPS)
+}
+
+/// Runs `entries` in order and prints each returned check as
+/// `<name> check: PASS|FAIL — <detail>`. Statistical checks are skipped
+/// at `smoke` scale, here and nowhere else.
+///
+/// Returns `false` if any entry erred or any check that ran failed; the
+/// remaining entries still run.
+pub fn run_entries<'a>(scale: &Scale, entries: impl IntoIterator<Item = &'a Entry>) -> bool {
+    eprintln!("== staleload reproduction, scale = {} ==", scale.name);
+    let mut ok = true;
+    for entry in entries {
+        match (entry.run)(scale) {
+            Ok(checks) => {
+                for check in checks {
+                    if check.statistical && scale.is_smoke() {
+                        println!("{} check: SKIPPED at smoke scale", check.name);
+                        continue;
+                    }
+                    let verdict = if check.pass { "PASS" } else { "FAIL" };
+                    println!("{} check: {verdict} — {}", check.name, check.detail);
+                    ok &= check.pass;
+                }
+            }
+            Err(e) => {
+                eprintln!("[{}] error: {e}", entry.name);
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
+/// Parsed `repro_all` command line.
 ///
 /// ```text
-/// <binary> [smoke|quick|std|full] [--no-cache] [--no-watchdog]
-///          [--only figNN,figNN,...]
+/// repro_all [smoke|quick|std|full] [--no-cache] [--no-watchdog]
+///           [--only name,name,...]
 /// ```
 ///
 /// `--no-cache` (or a non-empty `REPRO_NO_CACHE`) disables the
 /// content-addressed result cache; `--no-watchdog` (or a non-empty
 /// `REPRO_NO_WATCHDOG`) disarms the per-trial watchdog; `--only`
-/// restricts `repro_all` to the named figures (other binaries ignore
-/// it). Unknown arguments exit with status 2.
+/// restricts the run to the named registry entries. An unknown argument
+/// or entry name exits with status 2 before anything runs.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Run scale (from the scale token or `REPRO_SCALE`, default `std`).
@@ -155,12 +300,12 @@ pub struct RunArgs {
     pub no_cache: bool,
     /// Disarm the per-trial watchdog for this run.
     pub no_watchdog: bool,
-    /// Figure names `repro_all` should run (empty = all).
+    /// Registry entries to run (empty = all).
     pub only: Vec<String>,
 }
 
 const USAGE: &str =
-    "usage: <binary> [smoke|quick|std|full] [--no-cache] [--no-watchdog] [--only figNN,figNN,...]";
+    "usage: repro_all [smoke|quick|std|full] [--no-cache] [--no-watchdog] [--only name,name,...]";
 
 impl RunArgs {
     /// Parses `std::env::args()`, printing usage and exiting with status
@@ -194,7 +339,8 @@ impl RunArgs {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unrecognized argument.
+    /// Returns a description of the first unrecognized argument, or of
+    /// the first `--only` name that is not a registry entry.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut scale: Option<Scale> = None;
         let mut no_cache = std::env::var("REPRO_NO_CACHE").is_ok_and(|v| !v.is_empty() && v != "0");
@@ -211,7 +357,7 @@ impl RunArgs {
                 "no-cache" => no_cache = true,
                 "no-watchdog" => no_watchdog = true,
                 "only" => {
-                    let list = it.next().ok_or("--only needs a figure list")?;
+                    let list = it.next().ok_or("--only needs a list of entry names")?;
                     only.extend(list.split(',').map(|s| s.trim().to_string()));
                 }
                 s if s.starts_with("only=") => {
@@ -221,6 +367,13 @@ impl RunArgs {
             }
         }
         only.retain(|s| !s.is_empty());
+        if let Some(name) = only.iter().find(|n| !registry().any(|e| e.name == *n)) {
+            let valid: Vec<&str> = registry().map(|e| e.name).collect();
+            return Err(format!(
+                "unknown entry `{name}` (valid: {})",
+                valid.join(", ")
+            ));
+        }
         let scale = scale.unwrap_or_else(|| match std::env::var("REPRO_SCALE").as_deref() {
             Ok("full") => Scale::full(),
             Ok("quick") => Scale::quick(),
@@ -234,6 +387,11 @@ impl RunArgs {
             only,
         })
     }
+
+    /// Whether the entry called `name` is selected (`--only`, or all).
+    pub fn selects(&self, name: &str) -> bool {
+        self.only.is_empty() || self.only.iter().any(|n| n == name)
+    }
 }
 
 /// `--no-cache` seen on the command line (checked at lazy runner init).
@@ -243,7 +401,7 @@ static NO_CACHE: AtomicBool = AtomicBool::new(false);
 /// the default, so library tests and probes never race a wall clock).
 static WATCHDOG_MS: AtomicU64 = AtomicU64::new(0);
 
-/// The process-wide sweep runner every figure shares: one persistent
+/// The process-wide sweep runner every entry shares: one persistent
 /// work-stealing pool plus one result cache, built lazily on first use.
 static RUNNER: OnceLock<Mutex<SweepRunner>> = OnceLock::new();
 
@@ -313,26 +471,18 @@ fn default_cache() -> ResultCache {
 }
 
 /// Replaces the shared runner with one using `workers` threads and
-/// `cache` (used by `repro_probe` to compare cold/warm/sequential runs).
+/// `cache`, with no journal and the watchdog disarmed (used by
+/// `repro_probe` to compare cold/warm/sequential runs, and by tests).
 pub fn configure_runner(workers: usize, cache: ResultCache) {
     let mut guard = runner();
     *guard = SweepRunner::new(WorkerPool::new(workers), cache);
 }
 
-/// Runs one experiment point through the shared runner (pool + cache).
-///
-/// # Errors
-///
-/// Returns the same errors [`Experiment::try_run`] would.
-pub fn run_experiment(exp: &Experiment) -> Result<ExperimentResult, SimError> {
-    runner().run_one(exp)
-}
-
 /// Runs `f(0)`, …, `f(count - 1)` on the shared worker pool, returning
-/// the results in index order. For experiment shapes that need custom
-/// per-trial metrics and therefore bypass [`Experiment`] and the cache;
-/// keep `f` a pure function of its index to stay deterministic.
-pub fn run_trials<T, F>(count: usize, f: F) -> Vec<T>
+/// the results in index order. For cells that need custom per-trial
+/// metrics and therefore bypass [`Experiment`] and the cache; keep `f` a
+/// pure function of its index to stay deterministic.
+fn run_trials<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
@@ -340,9 +490,66 @@ where
     runner().run_map(count, f)
 }
 
+/// Runs an entry's cells as one batch on the shared runner, returning
+/// their results in order, or an error naming the first cell that
+/// failed.
+fn run_cells(name: &str, experiments: &[Experiment]) -> Result<Vec<ExperimentResult>, String> {
+    run_batch_with_progress(name, experiments)
+        .into_iter()
+        .zip(experiments)
+        .map(|(result, exp)| {
+            result.map_err(|e| {
+                format!(
+                    "{} under {} failed: {e}",
+                    exp.policy.label(),
+                    exp.info.label()
+                )
+            })
+        })
+        .collect()
+}
+
+/// Formats each cell with `Display`, the long-form CSVs' format (`f64`s
+/// in shortest round-trip form).
+fn row(cells: &[&dyn Display]) -> Vec<String> {
+    cells.iter().map(ToString::to_string).collect()
+}
+
+/// A table with the given column headers.
+fn table<H: ToString>(headers: impl IntoIterator<Item = H>) -> Table {
+    Table::new(headers.into_iter().map(|h| h.to_string()).collect())
+}
+
+/// Prints `table` on stdout under its title.
+fn print_table(title: &str, table: &Table) {
+    println!("\n== {title} ==");
+    print!("{}", table.render());
+}
+
+/// Prints `table` under its title and writes `csv` to
+/// `results/<name>.csv`, returning the CSV's path.
+fn publish(name: &str, title: &str, table: &Table, csv: &Table) -> Result<PathBuf, String> {
+    print_table(title, table);
+    let path = results_path(name);
+    csv.write_csv(&path)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("[{name}] wrote {}", path.display());
+    Ok(path)
+}
+
+/// How a check's detail prints an `a < b` comparison: `<` when it
+/// held, `>=` when it did not.
+fn lt_sign(held: bool) -> &'static str {
+    if held {
+        "<"
+    } else {
+        ">="
+    }
+}
+
 /// How a sweep cell is summarized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellStyle {
+enum CellStyle {
     /// `mean ±ci90` (the paper's exponential-service figures).
     MeanCi,
     /// `median [q1, q3]` (the Bounded-Pareto figures).
@@ -351,16 +558,16 @@ pub enum CellStyle {
 
 /// One labelled series of a sweep: a closure mapping the x value to an
 /// [`Experiment`].
-pub struct Series<'a> {
+struct Series<'a> {
     /// Column label (matches the paper's legend).
-    pub label: String,
+    label: String,
     /// Experiment factory for each x value.
-    pub make: Box<dyn Fn(f64) -> Experiment + 'a>,
+    make: Box<dyn Fn(f64) -> Experiment + 'a>,
 }
 
 impl<'a> Series<'a> {
     /// Creates a labelled series.
-    pub fn new(label: impl Into<String>, make: impl Fn(f64) -> Experiment + 'a) -> Self {
+    fn new(label: impl Into<String>, make: impl Fn(f64) -> Experiment + 'a) -> Self {
         Self {
             label: label.into(),
             make: Box::new(make),
@@ -369,60 +576,42 @@ impl<'a> Series<'a> {
 }
 
 /// Runs a parameter sweep (one figure panel): for each x, each series'
-/// experiment, collecting a table with one row per x and one column per
-/// series.
+/// experiment, as one batch.
 ///
-/// Progress goes to stderr; the rendered table to stdout; the CSV (with
-/// mean/ci/median/quartiles/min/max per cell) to
-/// `results/<name>.csv`.
-pub fn run_sweep(
+/// Progress goes to stderr; a table with one row per x and one column
+/// per series to stdout; the long-form CSV (with
+/// mean/ci/median/quartiles/min/max per cell) to `results/<name>.csv`,
+/// and the curves to `results/<name>.svg`.
+fn run_sweep(
     name: &str,
     title: &str,
     x_label: &str,
     xs: &[f64],
     series: &[Series<'_>],
     style: CellStyle,
-) -> Table {
+) -> Result<(), String> {
     let start = Instant::now();
     eprintln!("[{name}] {title}");
-    let mut headers = vec![x_label.to_string()];
-    headers.extend(series.iter().map(|s| s.label.clone()));
-    let mut table = Table::new(headers);
-
-    // The long-form CSV keeps every statistic.
-    let mut csv = Table::new(vec![
-        x_label.to_string(),
-        "policy".into(),
-        "mean".into(),
-        "ci90".into(),
-        "median".into(),
-        "q1".into(),
-        "q3".into(),
-        "min".into(),
-        "max".into(),
-        "trials".into(),
+    let mut rows = table(std::iter::once(x_label).chain(series.iter().map(|s| s.label.as_str())));
+    let mut csv = table([
+        x_label, "policy", "mean", "ci90", "median", "q1", "q3", "min", "max", "trials",
     ]);
 
-    // Build every (x, series) point up front, row-major so results come
-    // back in the table/CSV order, and run them as one batch on the
-    // shared pool: all trials of all points feed one task queue instead
-    // of one thread-churning pass per point.
+    // Every (x, series) point, row-major so results come back in the
+    // table/CSV order.
     let mut experiments = Vec::with_capacity(xs.len() * series.len());
     for &x in xs {
         for s in series {
             experiments.push((s.make)(x));
         }
     }
-    let mut results = run_batch_with_progress(name, &experiments).into_iter();
+    let mut results = run_cells(name, &experiments)?.into_iter();
 
     let mut curves: Vec<Vec<(f64, f64)>> = vec![Vec::new(); series.len()];
     for &x in xs {
-        let mut row = vec![format_x(x)];
+        let mut cells = vec![format_x(x)];
         for (series_idx, s) in series.iter().enumerate() {
-            let result: ExperimentResult = results
-                .next()
-                .expect("one result per point")
-                .unwrap_or_else(|e| panic!("experiment failed: {e}"));
+            let result = results.next().expect("one result per point");
             let sum = &result.summary;
             if result.history_misses > 0 {
                 eprintln!(
@@ -430,47 +619,32 @@ pub fn run_sweep(
                     result.history_misses, s.label
                 );
             }
-            row.push(match style {
-                CellStyle::MeanCi => format!("{:.3} ±{:.3}", sum.mean, sum.ci90),
-                CellStyle::MedianQuartiles => {
-                    format!("{:.2} [{:.2},{:.2}]", sum.median, sum.q1, sum.q3)
-                }
-            });
-            curves[series_idx].push((
-                x,
-                match style {
-                    CellStyle::MeanCi => sum.mean,
-                    CellStyle::MedianQuartiles => sum.median,
-                },
-            ));
-            csv.push_row(vec![
-                format!("{x}"),
-                s.label.clone(),
-                format!("{}", sum.mean),
-                format!("{}", sum.ci90),
-                format!("{}", sum.median),
-                format!("{}", sum.q1),
-                format!("{}", sum.q3),
-                format!("{}", sum.min),
-                format!("{}", sum.max),
-                format!("{}", sum.trials),
-            ]);
+            let (cell, y) = match style {
+                CellStyle::MeanCi => (format!("{:.3} ±{:.3}", sum.mean, sum.ci90), sum.mean),
+                CellStyle::MedianQuartiles => (
+                    format!("{:.2} [{:.2},{:.2}]", sum.median, sum.q1, sum.q3),
+                    sum.median,
+                ),
+            };
+            cells.push(cell);
+            curves[series_idx].push((x, y));
+            csv.push_row(row(&[
+                &x,
+                &s.label,
+                &sum.mean,
+                &sum.ci90,
+                &sum.median,
+                &sum.q1,
+                &sum.q3,
+                &sum.min,
+                &sum.max,
+                &sum.trials,
+            ]));
         }
-        table.push_row(row);
+        rows.push_row(cells);
     }
-
-    println!("\n== {title} ==");
-    print!("{}", table.render());
-    let path = results_path(name);
-    if let Err(e) = csv.write_csv(&path) {
-        eprintln!("[{name}] failed to write {}: {e}", path.display());
-    } else {
-        eprintln!(
-            "[{name}] wrote {} ({:.1}s total)",
-            path.display(),
-            start.elapsed().as_secs_f64()
-        );
-    }
+    let path = publish(name, title, &rows, &csv)?;
+    eprintln!("[{name}] done in {:.1}s", start.elapsed().as_secs_f64());
 
     // A rendered figure next to the CSV; log-y when curves span decades
     // (the herd-effect panels).
@@ -492,15 +666,12 @@ pub fn run_sweep(
         plot.log_y(true);
     }
     let svg_path = path.with_extension("svg");
-    if let Err(e) = plot.write_svg(&svg_path) {
-        eprintln!("[{name}] failed to write {}: {e}", svg_path.display());
-    }
-    table
+    plot.write_svg(&svg_path)
+        .map_err(|e| format!("cannot write {}: {e}", svg_path.display()))
 }
 
-/// Runs a figure's points on the shared runner with progress lines
-/// (`done/total` + ETA, throttled to ~8 updates) and a per-figure cache
-/// hit/miss line on stderr.
+/// Runs a batch on the shared runner with progress lines (`done/total`
+/// + ETA, throttled to ~8 updates) and a cache hit/miss line on stderr.
 fn run_batch_with_progress(
     name: &str,
     experiments: &[Experiment],
@@ -553,7 +724,7 @@ fn run_batch_with_progress(
     results
 }
 
-/// Destination for a figure's CSV.
+/// Destination for an entry's CSV.
 pub fn results_path(name: &str) -> PathBuf {
     let root = std::env::var("REPRO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     PathBuf::from(root).join(format!("{name}.csv"))
@@ -615,11 +786,21 @@ mod tests {
         assert!(a.no_cache);
         assert!(!a.no_watchdog);
         assert_eq!(a.only, vec!["fig02", "fig10"]);
+        assert!(a.selects("fig10") && !a.selects("fig03"));
         let b = parse(&["--only=fig03", "--only", "fig04"]).unwrap();
         assert_eq!(b.only, vec!["fig03", "fig04"]);
         assert_eq!(b.scale.name, "std");
         let c = parse(&["--no-watchdog"]).unwrap();
         assert!(c.no_watchdog && !c.no_cache);
+        assert!(c.selects("ext_meanfield"));
+        // Every registry entry is selectable by name, alone or all at once.
+        let names: Vec<&str> = registry().map(|e| e.name).collect();
+        assert_eq!(names.len(), 25);
+        for name in &names {
+            assert_eq!(parse(&["--only", name]).unwrap().only, vec![*name]);
+        }
+        let all = parse(&["--only", &names.join(",")]).unwrap();
+        assert_eq!(all.only, names);
     }
 
     #[test]
@@ -640,5 +821,22 @@ mod tests {
         assert!(parse(&["bogus"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--only"]).is_err());
+        let err = parse(&["--only", "fig02,fig99"]).unwrap_err();
+        assert!(err.contains("fig99"), "{err}");
+        assert!(parse(&["--only=ext_nope"]).is_err());
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_csvs_disjoint() {
+        let mut names: Vec<&str> = registry().map(|e| e.name).collect();
+        let mut csvs: Vec<&str> = registry().flat_map(|e| e.csvs.iter().copied()).collect();
+        let (n, c) = (names.len(), csvs.len());
+        names.sort_unstable();
+        names.dedup();
+        csvs.sort_unstable();
+        csvs.dedup();
+        assert_eq!((names.len(), csvs.len()), (n, c));
+        assert_eq!(FIGURES.len(), 14);
+        assert!(FIGURES.iter().all(|e| e.name.starts_with("fig")));
     }
 }

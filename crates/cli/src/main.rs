@@ -26,13 +26,12 @@
 mod args;
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use args::{parse_run, RunArgs};
-use staleload_core::{trial_seed, Experiment, ExperimentResult, TrialFailure, TrialOutcome};
+use staleload_core::Experiment;
 use staleload_policies::{rank_distribution, PolicySpec};
-use staleload_runner::{run_guarded, WatchdogSpec};
+use staleload_runner::{ResultCache, SweepRunner, WatchdogSpec, WorkerPool};
 use staleload_stats::Table;
 
 fn main() -> ExitCode {
@@ -126,41 +125,21 @@ fn print_help() {
     );
 }
 
-/// Runs the experiment: threaded and unguarded by default, or trial by
-/// trial under a per-attempt wall-clock watchdog when `--watchdog` is
-/// set. A trial whose every attempt exceeds the budget is reported as a
-/// failed trial (surfaced by `report_anomalies`), never a hang; the
-/// aggregates then cover the surviving trials only. Trial results are
-/// seed-derived, so the guarded and unguarded paths produce identical
-/// statistics whenever no trial times out.
-fn run_experiment(exp: Experiment, watchdog: Option<f64>) -> Result<ExperimentResult, String> {
-    let Some(secs) = watchdog else {
-        return exp.try_run().map_err(|e| e.to_string());
-    };
-    let spec = WatchdogSpec::with_budget(Duration::from_secs_f64(secs));
-    let exp = Arc::new(exp);
-    let outcomes: Vec<TrialOutcome> = (0..exp.trials)
-        .map(|trial| {
-            let seed = trial_seed(exp.config.seed, trial);
-            let body = Arc::clone(&exp);
-            // Perturb the jitter seed so the retry backoff stream never
-            // correlates with the trial's own random stream.
-            let guarded = run_guarded(&spec, seed ^ 0x57A7_C4D0_6B0D_6E55, move || {
-                body.run_trial(trial)
-            });
-            guarded.outcome.unwrap_or_else(|| {
-                TrialOutcome::Failed(TrialFailure {
-                    trial,
-                    seed,
-                    error: format!(
-                        "watchdog: exceeded the {:?} per-attempt budget ({} attempts, {} timeouts)",
-                        spec.budget, guarded.attempts, guarded.timeouts
-                    ),
-                })
-            })
-        })
-        .collect();
-    exp.aggregate(outcomes).map_err(|e| e.to_string())
+/// The runner behind `run` and `compare`: one worker per available
+/// core, no result cache, and the per-trial wall-clock watchdog armed
+/// only under `--watchdog`. A trial whose every attempt exceeds the
+/// budget is reported as a failed trial (surfaced by `report_anomalies`),
+/// never a hang; the aggregates then cover the surviving trials only.
+/// Results are bit-identical to `Experiment::try_run`, armed or not,
+/// whenever no trial times out.
+fn runner(args: &RunArgs) -> SweepRunner {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut runner = SweepRunner::new(WorkerPool::new(workers), ResultCache::disabled());
+    runner.set_watchdog(
+        args.watchdog
+            .map(|secs| WatchdogSpec::with_budget(Duration::from_secs_f64(secs))),
+    );
+    runner
 }
 
 fn cmd_run(args: &RunArgs) -> Result<(), String> {
@@ -180,7 +159,7 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         args.config.arrivals,
         args.trials
     );
-    let result = run_experiment(exp, args.watchdog)?;
+    let result = runner(args).run_one(&exp).map_err(|e| e.to_string())?;
     let s = &result.summary;
     println!(
         "mean response : {:.4} ±{:.4} (90% CI over {} trials)",
@@ -311,19 +290,23 @@ fn cmd_compare(args: &RunArgs) -> Result<(), String> {
         "p99".into(),
         "vs random".into(),
     ]);
-    let mut baseline = None;
-    for policy in panel {
-        let label = policy.label();
-        let r = run_experiment(
+    let experiments: Vec<Experiment> = panel
+        .into_iter()
+        .map(|policy| {
             Experiment::new(
                 args.config.clone(),
                 args.arrivals,
                 args.info,
                 policy,
                 args.trials,
-            ),
-            args.watchdog,
-        )?;
+            )
+        })
+        .collect();
+    let results = runner(args).run_batch(&experiments);
+    let mut baseline = None;
+    for (exp, r) in experiments.iter().zip(results) {
+        let label = exp.policy.label();
+        let r = r.map_err(|e| e.to_string())?;
         report_anomalies(&r);
         let mean = r.summary.mean;
         let base = *baseline.get_or_insert(mean);

@@ -369,3 +369,32 @@ fn compare_prints_policy_panel() {
         assert!(stdout.contains(needle), "missing '{needle}':\n{stdout}");
     }
 }
+
+#[test]
+fn watchdog_armed_runs_print_the_unguarded_output() {
+    let flags = [
+        "--servers",
+        "8",
+        "--lambda",
+        "0.5",
+        "--arrivals",
+        "10000",
+        "--trials",
+        "3",
+        "--info",
+        "periodic:2",
+    ];
+    for command in ["run", "compare"] {
+        let plain: Vec<&str> = [command].into_iter().chain(flags).collect();
+        let guarded: Vec<&str> = plain.iter().copied().chain(["--watchdog", "60"]).collect();
+        let (ok_plain, out_plain, err_plain) = staleload(&plain);
+        let (ok_guarded, out_guarded, err_guarded) = staleload(&guarded);
+        assert!(ok_plain, "stderr: {err_plain}");
+        assert!(ok_guarded, "stderr: {err_guarded}");
+        assert!(out_plain.contains("mean response"), "{out_plain}");
+        assert_eq!(
+            out_plain, out_guarded,
+            "{command}: --watchdog changed the output"
+        );
+    }
+}

@@ -1,15 +1,15 @@
 //! Enum-based static dispatch for the simulation hot loop.
 //!
-//! [`crate::InfoSpec::build`] returns a `Box<dyn InfoModel>`; the engine
-//! consults the model several times per arrival (`next_event`, `view`,
-//! `after_placement`), so those virtual calls sit directly on the hot
-//! path. The model set is closed — the five variants below — so
-//! [`InfoDispatch`] gives the engine a concrete type to monomorphize
-//! against. Lossy update channels don't change the variant: a lossy
-//! periodic board is still a [`PeriodicBoard`].
+//! The engine consults the model several times per arrival
+//! (`next_event`, `view`, `after_placement`), so a virtual call there
+//! would sit directly on the hot path. The model set is closed — the
+//! variants below — so [`InfoDispatch`] is the one way to build a model
+//! from an [`InfoSpec`] and gives the engine a concrete type to
+//! monomorphize against. Lossy update channels don't change the variant:
+//! a lossy periodic board is still a [`PeriodicBoard`].
 //!
-//! Behavior is bit-identical to the boxed build: both construct the same
-//! model values, which draw from the RNG in the same order.
+//! Each variant forwards to its model unchanged, so it is bit-identical
+//! to the concrete model built directly.
 
 use staleload_sim::SimRng;
 
@@ -59,8 +59,13 @@ impl InfoDispatch {
     }
 
     /// Instantiates the model with its board refreshes routed through a
-    /// lossy/delayed update channel; `None` for models without an update
-    /// channel (same contract as [`InfoSpec::build_lossy`]).
+    /// lossy/delayed update channel (fault injection).
+    ///
+    /// Only the bulletin-board models have an update channel to disturb;
+    /// returns `None` for the others (see [`InfoSpec::supports_loss`]; the
+    /// caller should surface that as a configuration error). `rng` should
+    /// be forked from the engine's fault stream so the channel's draws
+    /// stay off the fault-free streams.
     pub fn from_spec_lossy(
         spec: &InfoSpec,
         servers: usize,
@@ -162,79 +167,93 @@ mod tests {
     use crate::{AgeKnowledge, DelaySpec};
     use staleload_cluster::Job;
 
-    fn all_specs() -> Vec<InfoSpec> {
-        vec![
+    /// Replays one view stream through `dispatch` and through `model`,
+    /// the concrete model the variant should wrap: same loads, same ages,
+    /// same RNG draw order.
+    fn assert_replays(spec: InfoSpec, mut model: impl InfoModel) {
+        let servers = 4;
+        let mut dispatch = InfoDispatch::from_spec(&spec, servers, 3);
+        let mk_cluster = || {
+            let mut c = match spec.history_window() {
+                Some(w) => Cluster::with_history(servers, w),
+                None => Cluster::new(servers),
+            };
+            for i in 0..6u64 {
+                c.enqueue(
+                    (i % 4) as usize,
+                    Job::new(i, i as f64 * 0.3, 1.0),
+                    i as f64 * 0.3,
+                );
+            }
+            c
+        };
+        let mut ca = mk_cluster();
+        let mut cb = mk_cluster();
+        let mut rng_a = SimRng::from_seed(11);
+        let mut rng_b = SimRng::from_seed(11);
+        for step in 0..64u64 {
+            let now = 2.0 + step as f64 * 0.7;
+            assert_eq!(
+                model.next_event(),
+                dispatch.next_event(),
+                "{}",
+                spec.label()
+            );
+            if let Some(t) = model.next_event() {
+                if t <= now {
+                    model.on_event(t, &ca);
+                    dispatch.on_event(t, &cb);
+                }
+            }
+            let client = (step % 3) as usize;
+            {
+                let va = model.view(now, client, &mut ca, &mut rng_a);
+                let vb = dispatch.view(now, client, &mut cb, &mut rng_b);
+                assert_eq!(va.loads, vb.loads, "{} at step {step}", spec.label());
+                assert_eq!(va.ages, vb.ages, "{} at step {step}", spec.label());
+            }
+            model.after_placement(now, client, &ca);
+            dispatch.after_placement(now, client, &cb);
+        }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{}", spec.label());
+    }
+
+    /// Every variant replays the concrete model its spec names.
+    #[test]
+    fn dispatch_matches_concrete_models_bit_for_bit() {
+        let delay = DelaySpec::Exponential { mean: 2.0 };
+        let windows = [2.0, 6.0, 14.0];
+        assert_replays(
             InfoSpec::Periodic { period: 5.0 },
+            PeriodicBoard::new(4, 5.0),
+        );
+        assert_replays(
             InfoSpec::Continuous {
-                delay: DelaySpec::Exponential { mean: 2.0 },
+                delay,
                 knowledge: AgeKnowledge::Actual,
             },
-            InfoSpec::UpdateOnAccess,
+            ContinuousView::new(delay, AgeKnowledge::Actual),
+        );
+        assert_replays(InfoSpec::UpdateOnAccess, UpdateOnAccess::new(3, 4));
+        assert_replays(
             InfoSpec::Individual { period: 3.0 },
-            InfoSpec::Fresh,
+            IndividualBoard::new(4, 3.0),
+        );
+        assert_replays(InfoSpec::Fresh, FreshView);
+        assert_replays(
             InfoSpec::Ewma {
                 period: 2.0,
                 alpha: 0.4,
             },
+            EwmaBoard::new(4, 2.0, 0.4),
+        );
+        assert_replays(
             InfoSpec::MultiHorizon {
                 period: 2.0,
-                windows: [2.0, 6.0, 14.0],
+                windows,
             },
-        ]
-    }
-
-    /// The enum-dispatched model must replay the boxed build's view stream
-    /// exactly: same loads, same ages, same RNG draw order.
-    #[test]
-    fn dispatch_matches_boxed_build_bit_for_bit() {
-        for spec in all_specs() {
-            let servers = 4;
-            let mk_cluster = || {
-                let mut c = match spec.history_window() {
-                    Some(w) => Cluster::with_history(servers, w),
-                    None => Cluster::new(servers),
-                };
-                for i in 0..6u64 {
-                    c.enqueue(
-                        (i % 4) as usize,
-                        Job::new(i, i as f64 * 0.3, 1.0),
-                        i as f64 * 0.3,
-                    );
-                }
-                c
-            };
-            let mut ca = mk_cluster();
-            let mut cb = mk_cluster();
-            let mut boxed = spec.build(servers, 3);
-            let mut dispatch = InfoDispatch::from_spec(&spec, servers, 3);
-            let mut rng_a = SimRng::from_seed(11);
-            let mut rng_b = SimRng::from_seed(11);
-            for step in 0..64u64 {
-                let now = 2.0 + step as f64 * 0.7;
-                assert_eq!(
-                    boxed.next_event(),
-                    dispatch.next_event(),
-                    "{}",
-                    spec.label()
-                );
-                if let Some(t) = boxed.next_event() {
-                    if t <= now {
-                        boxed.on_event(t, &ca);
-                        dispatch.on_event(t, &cb);
-                    }
-                }
-                let client = (step % 3) as usize;
-                {
-                    let va = boxed.view(now, client, &mut ca, &mut rng_a);
-                    let vb = dispatch.view(now, client, &mut cb, &mut rng_b);
-                    assert_eq!(va.loads, vb.loads, "{} at step {step}", spec.label());
-                    assert_eq!(va.ages, vb.ages, "{} at step {step}", spec.label());
-                }
-                boxed.after_placement(now, client, &ca);
-                dispatch.after_placement(now, client, &cb);
-            }
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{}", spec.label());
-        }
+            MultiHorizonBoard::new(4, 2.0, windows),
+        );
     }
 
     #[test]

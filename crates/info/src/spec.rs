@@ -2,23 +2,19 @@
 
 use serde::{Deserialize, Serialize};
 
-use staleload_sim::SimRng;
-
-use crate::{
-    AgeKnowledge, ContinuousView, DelaySpec, EwmaBoard, FreshView, IndividualBoard, InfoModel,
-    LossSpec, MultiHorizonBoard, PeriodicBoard, UpdateOnAccess,
-};
+use crate::{AgeKnowledge, DelaySpec};
 
 /// A serializable description of an information model, used by the
-/// experiment harness.
+/// experiment harness. [`crate::InfoDispatch::from_spec`] instantiates
+/// it.
 ///
 /// # Example
 ///
 /// ```
-/// use staleload_info::InfoSpec;
+/// use staleload_info::{InfoDispatch, InfoModel, InfoSpec};
 ///
 /// let spec = InfoSpec::Periodic { period: 10.0 };
-/// let model = spec.build(100, 1);
+/// let model = InfoDispatch::from_spec(&spec, 100, 1);
 /// assert_eq!(model.next_event(), Some(10.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,49 +62,8 @@ pub enum InfoSpec {
 }
 
 impl InfoSpec {
-    /// Instantiates the model for `servers` servers and `clients` clients.
-    pub fn build(&self, servers: usize, clients: usize) -> Box<dyn InfoModel + Send> {
-        match *self {
-            InfoSpec::Periodic { period } => Box::new(PeriodicBoard::new(servers, period)),
-            InfoSpec::Continuous { delay, knowledge } => {
-                Box::new(ContinuousView::new(delay, knowledge))
-            }
-            InfoSpec::UpdateOnAccess => Box::new(UpdateOnAccess::new(clients, servers)),
-            InfoSpec::Individual { period } => Box::new(IndividualBoard::new(servers, period)),
-            InfoSpec::Fresh => Box::new(FreshView),
-            InfoSpec::Ewma { period, alpha } => Box::new(EwmaBoard::new(servers, period, alpha)),
-            InfoSpec::MultiHorizon { period, windows } => {
-                Box::new(MultiHorizonBoard::new(servers, period, windows))
-            }
-        }
-    }
-
-    /// Instantiates the model with its board refreshes routed through a
-    /// lossy/delayed update channel (fault injection).
-    ///
-    /// Only the bulletin-board models have an update channel to disturb;
-    /// returns `None` for the others (the caller should surface that as a
-    /// configuration error). `rng` should be forked from the engine's
-    /// fault stream so the channel's draws stay off the fault-free
-    /// streams.
-    pub fn build_lossy(
-        &self,
-        servers: usize,
-        loss: LossSpec,
-        rng: SimRng,
-    ) -> Option<Box<dyn InfoModel + Send>> {
-        match *self {
-            InfoSpec::Periodic { period } => Some(Box::new(PeriodicBoard::with_loss(
-                servers, period, loss, rng,
-            ))),
-            InfoSpec::Individual { period } => Some(Box::new(IndividualBoard::with_loss(
-                servers, period, loss, rng,
-            ))),
-            _ => None,
-        }
-    }
-
-    /// Whether [`InfoSpec::build_lossy`] supports this model.
+    /// Whether [`crate::InfoDispatch::from_spec_lossy`] supports this
+    /// model: only the bulletin boards have an update channel to disturb.
     pub fn supports_loss(&self) -> bool {
         matches!(
             self,
@@ -206,6 +161,8 @@ impl InfoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InfoDispatch, InfoModel, LossSpec};
+    use staleload_sim::SimRng;
 
     #[test]
     fn every_spec_builds() {
@@ -228,7 +185,7 @@ mod tests {
             },
         ];
         for spec in specs {
-            let model = spec.build(4, 3);
+            let model = InfoDispatch::from_spec(&spec, 4, 3);
             let _ = model.next_event();
             assert!(!spec.label().is_empty());
         }
@@ -241,12 +198,11 @@ mod tests {
         assert!(InfoSpec::Individual { period: 5.0 }.supports_loss());
         assert!(!InfoSpec::Fresh.supports_loss());
         assert!(!InfoSpec::UpdateOnAccess.supports_loss());
-        assert!(InfoSpec::Periodic { period: 5.0 }
-            .build_lossy(4, loss, SimRng::from_seed(1))
-            .is_some());
-        assert!(InfoSpec::Fresh
-            .build_lossy(4, loss, SimRng::from_seed(1))
-            .is_none());
+        let lossy = |spec: InfoSpec| {
+            InfoDispatch::from_spec_lossy(&spec, 4, loss, SimRng::from_seed(1)).is_some()
+        };
+        assert!(lossy(InfoSpec::Periodic { period: 5.0 }));
+        assert!(!lossy(InfoSpec::Fresh));
     }
 
     #[test]
@@ -322,7 +278,7 @@ mod tests {
             },
         ] {
             assert!(!spec.supports_loss());
-            assert!(spec.build_lossy(4, loss, SimRng::from_seed(1)).is_none());
+            assert!(InfoDispatch::from_spec_lossy(&spec, 4, loss, SimRng::from_seed(1)).is_none());
             assert!(spec.history_window().is_none());
         }
     }

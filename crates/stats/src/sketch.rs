@@ -223,10 +223,14 @@ impl TailSketch {
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "cannot record NaN into a quantile sketch");
         self.count += 1;
-        if x < self.min {
+        // The extremes are the `total_cmp` ones (as in
+        // `from_exact_parts`), so they do not depend on whether -0.0 or
+        // +0.0 arrived first. For non-NaN values `total_cmp` only refines
+        // `<=`, so the common case still costs one float comparison.
+        if x <= self.min && x.total_cmp(&self.min).is_lt() {
             self.min = x;
         }
-        if x > self.max {
+        if x >= self.max && x.total_cmp(&self.max).is_gt() {
             self.max = x;
         }
         match &mut self.state {
@@ -284,10 +288,10 @@ impl TailSketch {
             self.compact();
         }
         self.count += other.count;
-        if other.min < self.min {
+        if other.min.total_cmp(&self.min).is_lt() {
             self.min = other.min;
         }
-        if other.max > self.max {
+        if other.max.total_cmp(&self.max).is_gt() {
             self.max = other.max;
         }
         match (&mut self.state, &other.state) {

@@ -564,3 +564,37 @@ proptest! {
         }
     }
 }
+
+// Signed zeros: `==` calls -0.0 and +0.0 equal, but the sketch's
+// equality and codec are bit-level, so the extremes must be the
+// `f64::total_cmp` ones whatever order the zeros arrive in.
+
+#[test]
+fn signed_zero_extremes_do_not_depend_on_record_order() {
+    let a = sketch_of(8, &[0.0, -0.0, 1.0]);
+    let b = sketch_of(8, &[-0.0, 0.0, 1.0]);
+    assert_eq!(a.min().to_bits(), (-0.0f64).to_bits());
+    assert!(a == b, "one multiset, two record orders");
+}
+
+#[test]
+fn signed_zero_sketch_equals_its_exact_round_trip() {
+    let a = sketch_of(8, &[0.0, -0.0, 1.0]);
+    let values = a.exact_values().unwrap();
+    let back = TailSketch::from_exact_parts(8, values).unwrap();
+    assert!(a == back, "codec round-trip must be bit-exact");
+}
+
+#[test]
+fn signed_zero_merge_commutes() {
+    let neg = sketch_of(8, &[-0.0]);
+    let pos = sketch_of(8, &[0.0]);
+    let mut neg_then_pos = neg.clone();
+    neg_then_pos.merge(&pos);
+    let mut pos_then_neg = pos.clone();
+    pos_then_neg.merge(&neg);
+    assert!(
+        neg_then_pos == pos_then_neg,
+        "merge must commute on signed zeros"
+    );
+}
