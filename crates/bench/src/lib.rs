@@ -11,18 +11,18 @@
 //! [`run_entries`], which prints every check's PASS/FAIL line and skips
 //! the statistical ones at `smoke` scale.
 //!
-//! Run scale is controlled by the first CLI argument or the `REPRO_SCALE`
-//! environment variable (`smoke`, `quick`, `std`, `full`): `full` matches
-//! the paper's protocol (500 000 arrivals, ≥ 10 trials, ≥ 30 for Bounded
-//! Pareto); `std` (default) is calibrated for a single-core machine;
-//! `quick` is a short run whose statistics the checks can judge; `smoke`
-//! only exercises the code paths.
+//! Run scale is controlled by the scale argument (`smoke`, `quick`,
+//! `std`, `full`): `full` matches the paper's protocol (500 000
+//! arrivals, ≥ 10 trials, ≥ 30 for Bounded Pareto); `std` (default) is
+//! calibrated for a single-core machine; `quick` is a short run whose
+//! statistics the checks can judge; `smoke` only exercises the code
+//! paths.
 //!
 //! Every entry executes its (point × trial) grid on one shared
 //! work-stealing worker pool ([`staleload_runner`]) and consults a
 //! content-addressed result cache under `results/cache/`. Worker count
 //! comes from `REPRO_WORKERS` (default: available parallelism); the
-//! cache is disabled by `--no-cache` or a non-empty `REPRO_NO_CACHE`.
+//! cache is disabled by `--no-cache`.
 //! Results are bit-identical to a sequential run regardless of worker
 //! count or cache state.
 //!
@@ -30,9 +30,8 @@
 //! is quarantined and recomputed, never trusted), completed trials are
 //! journalled as they finish so a killed run resumes where it died just
 //! by re-running the same command, and a per-trial watchdog (budget
-//! from [`Scale::watchdog_budget`]; disarm with `--no-watchdog` or
-//! `REPRO_NO_WATCHDOG`) isolates hung trials instead of stalling the
-//! run.
+//! from [`Scale::watchdog_budget`]; disarm with `--no-watchdog`)
+//! isolates hung trials instead of stalling the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -287,14 +286,14 @@ pub fn run_entries<'a>(scale: &Scale, entries: impl IntoIterator<Item = &'a Entr
 ///           [--only name,name,...]
 /// ```
 ///
-/// `--no-cache` (or a non-empty `REPRO_NO_CACHE`) disables the
-/// content-addressed result cache; `--no-watchdog` (or a non-empty
-/// `REPRO_NO_WATCHDOG`) disarms the per-trial watchdog; `--only`
-/// restricts the run to the named registry entries. An unknown argument
-/// or entry name exits with status 2 before anything runs.
+/// The scale defaults to `std`. `--no-cache` disables the
+/// content-addressed result cache; `--no-watchdog` disarms the
+/// per-trial watchdog; `--only` restricts the run to the named registry
+/// entries. An unknown argument or entry name exits with status 2
+/// before anything runs.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
-    /// Run scale (from the scale token or `REPRO_SCALE`, default `std`).
+    /// Run scale (from the scale argument, default `std`).
     pub scale: Scale,
     /// Skip cache reads and writes for this run.
     pub no_cache: bool,
@@ -343,9 +342,8 @@ impl RunArgs {
     /// the first `--only` name that is not a registry entry.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut scale: Option<Scale> = None;
-        let mut no_cache = std::env::var("REPRO_NO_CACHE").is_ok_and(|v| !v.is_empty() && v != "0");
-        let mut no_watchdog =
-            std::env::var("REPRO_NO_WATCHDOG").is_ok_and(|v| !v.is_empty() && v != "0");
+        let mut no_cache = false;
+        let mut no_watchdog = false;
         let mut only: Vec<String> = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -374,14 +372,8 @@ impl RunArgs {
                 valid.join(", ")
             ));
         }
-        let scale = scale.unwrap_or_else(|| match std::env::var("REPRO_SCALE").as_deref() {
-            Ok("full") => Scale::full(),
-            Ok("quick") => Scale::quick(),
-            Ok("smoke") => Scale::smoke(),
-            _ => Scale::std(),
-        });
         Ok(Self {
-            scale,
+            scale: scale.unwrap_or_else(Scale::std),
             no_cache,
             no_watchdog,
             only,
@@ -452,9 +444,7 @@ pub fn cache_dir() -> PathBuf {
 }
 
 fn default_cache() -> ResultCache {
-    let disabled = NO_CACHE.load(Ordering::Relaxed)
-        || std::env::var("REPRO_NO_CACHE").is_ok_and(|v| !v.is_empty() && v != "0");
-    if disabled {
+    if NO_CACHE.load(Ordering::Relaxed) {
         return ResultCache::disabled();
     }
     let dir = cache_dir();

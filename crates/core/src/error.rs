@@ -16,16 +16,6 @@ pub enum SimError {
     /// The run was asked for an inconsistent or out-of-range
     /// configuration.
     Config(ConfigError),
-    /// A trial panicked; the panic was caught and the remaining trials
-    /// ran to completion.
-    TrialPanicked {
-        /// Zero-based trial index within the experiment.
-        trial: usize,
-        /// The trial's derived seed (for standalone reproduction).
-        seed: u64,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// Every trial of an experiment failed, so there is nothing to
     /// aggregate.
     NoSuccessfulTrials {
@@ -44,13 +34,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Config(e) => write!(f, "{e}"),
-            SimError::TrialPanicked {
-                trial,
-                seed,
-                message,
-            } => {
-                write!(f, "trial {trial} (seed {seed:#x}) panicked: {message}")
-            }
             SimError::NoSuccessfulTrials {
                 trials,
                 first_error,
@@ -90,14 +73,13 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let e = SimError::TrialPanicked {
-            trial: 3,
-            seed: 0xab,
-            message: "boom".into(),
+        let e = SimError::NoSuccessfulTrials {
+            trials: 3,
+            first_error: "panicked: boom".into(),
         };
         let s = e.to_string();
         assert!(
-            s.contains("trial 3") && s.contains("0xab") && s.contains("boom"),
+            s.contains("all 3 trials") && s.contains("panicked: boom"),
             "{s}"
         );
     }

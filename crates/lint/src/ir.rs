@@ -3,11 +3,11 @@
 //! [`ItemGraph::build`] parses every file's token stream (produced by
 //! the comment/string-aware lexer) into items: `enum` definitions with
 //! their variants and derives, `struct` definitions with named fields,
-//! and `fn` definitions with a call-edge approximation, `match`
-//! expressions + arm heads, enum-path constructions, and
-//! `Mutex`/`lock()` acquisition sites. Rules that reason about the
-//! whole workspace (spec-surface coverage, RNG taint flow, lock
-//! ordering) are written against this graph instead of raw tokens.
+//! `impl` block headers, and `fn` definitions with a call-edge
+//! approximation, enum-path constructions (told apart from match-arm
+//! patterns), and `Mutex`/`lock()` acquisition sites. Rules that reason
+//! about the whole workspace (spec-surface coverage, RNG taint flow,
+//! lock ordering) are written against this graph instead of raw tokens.
 //!
 //! Like the lexer, the parser is deliberately forgiving and entirely
 //! dependency-free (no `syn`): the code it models is compiled by rustc
@@ -29,10 +29,10 @@ const KEYWORDS: &[&str] = &[
     "type", "unsafe", "use", "where", "while",
 ];
 
-/// One enum variant.
+/// One member of a type: an enum variant or a named struct field.
 #[derive(Debug, Clone)]
-pub struct Variant {
-    /// Variant identifier.
+pub struct Member {
+    /// Variant or field identifier.
     pub name: String,
     /// 1-based line of the identifier.
     pub line: u32,
@@ -60,18 +60,7 @@ pub struct EnumDef {
     /// Trait names listed in `#[derive(…)]` attributes on the item.
     pub derives: Vec<String>,
     /// Variants in declaration order.
-    pub variants: Vec<Variant>,
-}
-
-/// One named struct field.
-#[derive(Debug, Clone)]
-pub struct Field {
-    /// Field identifier.
-    pub name: String,
-    /// 1-based line of the identifier.
-    pub line: u32,
-    /// 1-based byte column of the identifier.
-    pub col: u32,
+    pub variants: Vec<Member>,
 }
 
 /// One `struct` definition (named fields only; tuple/unit structs have
@@ -95,7 +84,7 @@ pub struct StructDef {
     /// Trait names listed in `#[derive(…)]` attributes on the item.
     pub derives: Vec<String>,
     /// Named fields in declaration order (empty for tuple/unit structs).
-    pub fields: Vec<Field>,
+    pub fields: Vec<Member>,
 }
 
 /// One call site inside a function body: `callee(args…)`,
@@ -135,22 +124,19 @@ pub struct PathPair {
     pub in_pattern: bool,
 }
 
-/// One match-arm head (tokens between the arm start and its `=>`).
+/// One `impl` block header.
 #[derive(Debug, Clone)]
-pub struct ArmHead {
-    /// 1-based line where the arm head starts.
+pub struct ImplDef {
+    /// Self type (`impl Display for X` → `X`).
+    pub self_ty: String,
+    /// Implemented trait, if any (`impl Display for X` → `Display`).
+    pub trait_name: Option<String>,
+    /// Relative path of the defining file.
+    pub path: String,
+    /// 1-based line of the `impl` keyword.
     pub line: u32,
-    /// All identifiers in the head: path segments, bindings, guards.
-    pub idents: Vec<String>,
-}
-
-/// One `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchExpr {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// Arm heads in source order.
-    pub arms: Vec<ArmHead>,
+    /// 1-based byte column of the `impl` keyword.
+    pub col: u32,
 }
 
 /// One `.lock()` acquisition site.
@@ -201,8 +187,6 @@ pub struct FnDef {
     pub calls: Vec<Call>,
     /// Every `Type::Variant` path pair in the body.
     pub constructions: Vec<PathPair>,
-    /// Every `match` expression in the body.
-    pub matches: Vec<MatchExpr>,
     /// Every `.lock()` acquisition in the body.
     pub locks: Vec<LockSite>,
 }
@@ -214,6 +198,8 @@ pub struct ItemGraph {
     pub enums: Vec<EnumDef>,
     /// Every `struct` definition in the workspace.
     pub structs: Vec<StructDef>,
+    /// Every `impl` block with a nameable self type.
+    pub impls: Vec<ImplDef>,
     /// Every `fn` definition in the workspace, nested fns included.
     pub fns: Vec<FnDef>,
 }
@@ -232,11 +218,6 @@ impl ItemGraph {
             p.scan_items(0, file.toks.len(), None, None);
         }
         g
-    }
-
-    /// All enum definitions named `name` (usually zero or one).
-    pub fn enums_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a EnumDef> + 'a {
-        self.enums.iter().filter(move |e| e.name == name)
     }
 
     /// All struct definitions named `name`.
@@ -505,7 +486,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses the variant list between an enum body's braces.
-    fn parse_variants(&self, lo: usize, hi: usize) -> Vec<Variant> {
+    fn parse_variants(&self, lo: usize, hi: usize) -> Vec<Member> {
         let mut out = Vec::new();
         let mut i = lo;
         while i < hi {
@@ -520,7 +501,7 @@ impl<'a> Parser<'a> {
             if i >= hi {
                 break;
             }
-            out.push(Variant {
+            out.push(Member {
                 name: t.text.clone(),
                 line: t.line,
                 col: t.col,
@@ -598,7 +579,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses named fields between a struct body's braces.
-    fn parse_fields(&self, lo: usize, hi: usize) -> Vec<Field> {
+    fn parse_fields(&self, lo: usize, hi: usize) -> Vec<Member> {
         let mut out = Vec::new();
         let mut i = lo;
         while i < hi {
@@ -619,7 +600,7 @@ impl<'a> Parser<'a> {
                 i += 1;
                 continue;
             }
-            out.push(Field {
+            out.push(Member {
                 name: t.text.clone(),
                 line: t.line,
                 col: t.col,
@@ -694,6 +675,15 @@ impl<'a> Parser<'a> {
         } else {
             (pre_for.last().cloned(), None)
         };
+        if let Some(self_ty) = &owner {
+            self.graph.impls.push(ImplDef {
+                self_ty: self_ty.clone(),
+                trait_name: trait_name.clone(),
+                path: self.file.rel_path.clone(),
+                line: self.toks[kw].line,
+                col: self.toks[kw].col,
+            });
+        }
         self.scan_items(j + 1, close, owner.as_deref(), trait_name.as_deref());
         close + 1
     }
@@ -779,7 +769,6 @@ impl<'a> Parser<'a> {
             body,
             calls: Vec::new(),
             constructions: Vec::new(),
-            matches: Vec::new(),
             locks: Vec::new(),
         };
         let end = match body {
@@ -793,8 +782,7 @@ impl<'a> Parser<'a> {
         end
     }
 
-    /// Walks a fn body collecting calls, constructions, matches, and
-    /// lock sites. Nested `fn` items become their own [`FnDef`]s and
+    /// Walks a fn body collecting calls, constructions, and lock sites. Nested `fn` items become their own [`FnDef`]s and
     /// are skipped in the parent walk.
     fn analyze_body(&mut self, def: &mut FnDef, lo: usize, hi: usize) {
         // Match-arm head ranges and macro-argument ranges, for marking
@@ -810,9 +798,7 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                     "match" => {
-                        if let Some(m) = self.parse_match(i, hi, &mut pattern_ranges) {
-                            def.matches.push(m);
-                        }
+                        self.mark_arm_heads(i, hi, &mut pattern_ranges);
                         i += 1;
                         continue;
                     }
@@ -1080,14 +1066,9 @@ impl<'a> Parser<'a> {
         body_hi
     }
 
-    /// Parses the arm structure of the `match` at `kw` without
-    /// consuming it; appends the arm-head token ranges to `heads`.
-    fn parse_match(
-        &self,
-        kw: usize,
-        hi: usize,
-        heads: &mut Vec<(usize, usize)>,
-    ) -> Option<MatchExpr> {
+    /// Appends the arm-head token ranges (arm start to its `=>`) of the
+    /// `match` at `kw` to `heads`, without consuming the match.
+    fn mark_arm_heads(&self, kw: usize, hi: usize, heads: &mut Vec<(usize, usize)>) {
         // The body brace is the first `{` at paren depth zero after
         // the scrutinee (struct literals are not legal there).
         let mut j = kw + 1;
@@ -1104,15 +1085,14 @@ impl<'a> Parser<'a> {
                 break;
             }
             if self.is_punct_at(j, ';') {
-                return None;
+                return;
             }
             j += 1;
         }
         if j >= hi.min(self.toks.len()) {
-            return None;
+            return;
         }
         let close = self.matching(j, '{', '}');
-        let mut arms = Vec::new();
         let mut i = j + 1;
         while i < close {
             // Arm head: tokens to the `=>` at local depth zero.
@@ -1135,17 +1115,6 @@ impl<'a> Parser<'a> {
             let Some(arrow) = arrow else {
                 break;
             };
-            let idents: Vec<String> = self.toks[head_start..arrow]
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .collect();
-            if !idents.is_empty() || arrow > head_start {
-                arms.push(ArmHead {
-                    line: self.toks[head_start].line,
-                    idents,
-                });
-            }
             heads.push((head_start, arrow));
             // Arm body: a braced block or an expression to the next
             // `,` at local depth zero.
@@ -1171,10 +1140,6 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Some(MatchExpr {
-            line: self.toks[kw].line,
-            arms,
-        })
     }
 }
 
@@ -1234,6 +1199,10 @@ mod tests {
         let f = g.fns_named("fmt").next().unwrap();
         assert_eq!(f.owner.as_deref(), Some("FaultSpec"));
         assert_eq!(f.trait_name.as_deref(), Some("Display"));
+        let imp = &g.impls[0];
+        assert_eq!(imp.self_ty, "FaultSpec");
+        assert_eq!(imp.trait_name.as_deref(), Some("Display"));
+        assert_eq!((imp.line, imp.col), (1, 1));
         let callees: Vec<_> = f.calls.iter().map(|c| c.callee.as_str()).collect();
         assert_eq!(callees, ["helper", "parse"]);
         assert_eq!(f.calls[1].turbofish, ["EngineMode"]);
@@ -1252,11 +1221,13 @@ mod tests {
              fn build() -> PolicySpec { PolicySpec::Random }\n",
         );
         let label = g.fns_named("label").next().unwrap();
-        assert_eq!(label.matches.len(), 1);
-        let arms = &label.matches[0].arms;
-        assert_eq!(arms.len(), 3);
-        assert!(arms[0].idents.contains(&"Random".to_string()));
         // Pairs in arm heads are pattern position, not constructions.
+        let arms: Vec<_> = label
+            .constructions
+            .iter()
+            .map(|p| p.variant.as_str())
+            .collect();
+        assert_eq!(arms, ["Random", "KSubset"]);
         assert!(label.constructions.iter().all(|p| p.in_pattern));
         let build = g.fns_named("build").next().unwrap();
         let c = &build.constructions[0];

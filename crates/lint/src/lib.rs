@@ -11,17 +11,17 @@
 //! The linter tokenizes the workspace's Rust sources with a
 //! comment/string-aware lexer (no `syn`, no dependencies), parses the
 //! token streams into a workspace **item graph** ([`ir`]: enums,
-//! structs, functions with name-approximated call edges, match arms,
-//! and Mutex acquisition spans), and runs nine rules over both layers:
+//! structs, impl headers, functions with name-approximated call edges
+//! and pattern-aware variant paths, and Mutex acquisition spans), and
+//! runs eight rules over both layers:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `determinism`       | no wall clocks, OS randomness, or hash-order iteration in simulation crates |
 //! | `panic-hygiene`     | config-reachable crates return typed errors instead of panicking |
-//! | `cache-key`         | every `Experiment` field feeds `experiment_key_salted` |
 //! | `crate-hardening`   | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `atomic-io`         | results are written via temp-file + rename, never in place |
-//! | `spec-surface`      | every spec variant is parseable, cache-keyed, displayed, and documented |
+//! | `spec-surface`      | the cache key covers every `Experiment` field; every spec variant is parseable, cache-keyed, displayed, and documented |
 //! | `rng-flow`          | `master.fork()` streams follow the pinned manifest and never leak into keys |
 //! | `float-determinism` | float comparators use `total_cmp`; no hash-order float reductions |
 //! | `lock-order`        | runner Mutex acquisition order is acyclic (interprocedural) |

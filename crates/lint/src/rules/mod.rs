@@ -3,7 +3,7 @@
 //! Each rule is a [`Rule`] implementation with a stable kebab-case name
 //! (the name pragmas and `--allow` refer to). Per-file rules implement
 //! [`Rule::check_file`]; rules that need to correlate several files
-//! (cache-key coverage, spec-surface, lock-order) implement
+//! (spec-surface, rng-flow, lock-order) implement
 //! [`Rule::check_workspace`] instead. The engine applies the
 //! `// lint: allow(<rule>)` pragma filter centrally, so rules report
 //! every violation they see.
@@ -13,7 +13,6 @@
 //! test. See DESIGN.md §10.
 
 mod atomic_io;
-mod cache_key;
 mod crate_hardening;
 mod determinism;
 mod float_determinism;
@@ -23,7 +22,6 @@ mod rng_flow;
 mod spec_surface;
 
 pub use atomic_io::AtomicIo;
-pub use cache_key::CacheKey;
 pub use crate_hardening::CrateHardening;
 pub use determinism::Determinism;
 pub use float_determinism::FloatDeterminism;
@@ -59,7 +57,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(Determinism),
         Box::new(PanicHygiene),
-        Box::new(CacheKey),
         Box::new(CrateHardening),
         Box::new(AtomicIo),
         Box::new(SpecSurface),

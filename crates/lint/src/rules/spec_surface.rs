@@ -1,45 +1,66 @@
-//! spec-surface: every public spec variant stays fully wired.
+//! spec-surface: the experiment spec stays fully wired, and the cache
+//! key covers all of it.
 //!
-//! The experiment spec surface — `PolicySpec`, `InfoSpec`, `FaultSpec`,
-//! and the `EngineMode` enum — must stay wired into four seams at
-//! once: the CLI parser (a variant nobody can request is dead weight),
-//! the salted cache key (a variant the key ignores aliases cached
-//! results), Display/CSV emission (a variant that prints as something
-//! else corrupts result tables), and the README/DESIGN flag tables (a
-//! variant the docs omit is unusable). `cache-key` watches one struct
-//! at one seam; this rule generalizes the idea to the whole enum
-//! surface in both directions using the item graph.
+//! The content-addressed `ResultCache` identifies an experiment point by
+//! the fields `experiment_key_salted` feeds into `SpecHasher`. A spec
+//! field the key misses lets two *different* experiments alias one cache
+//! entry, and the sweep silently serves stale results — the worst
+//! failure a reproduction can have, because every number still looks
+//! plausible. The rule therefore checks, on the item graph:
 //!
-//! Each check is vacuous when its evidence source is absent from the
-//! lint root (no `cli` crate → no reachability check; no
+//! * **Key coverage.** Every field of `struct Experiment` has a
+//!   `hasher.field("<field>", …)` call in `experiment_key_salted` (else
+//!   a finding at the field), and every hashed path but `salt` names an
+//!   `Experiment` field (else a finding at the path: a renamed or
+//!   removed field the key no longer covers).
+//! * **Derived Debug.** The key renders the nested spec types
+//!   ([`DEBUG_KEYED`]) through their derived `Debug`, which prints every
+//!   field. A hand-written `impl Debug` on one of them could drop fields
+//!   from the key, so each is a finding at its `impl` line; a definition
+//!   without `derive(Debug)` (and no such impl) is a finding at the type.
+//! * **Surface wiring.** Every member (variant or knob field) of
+//!   `PolicySpec`, `InfoSpec`, `FaultSpec` and `EngineMode` reaches four
+//!   seams: the CLI parser (a member nobody can request is dead weight),
+//!   the cache key (its type is hashed, directly or through `SimConfig`),
+//!   the label/Display emission (a member that prints as something else
+//!   corrupts result tables), and the README/DESIGN flag tables.
+//!
+//! Each check is vacuous when its evidence is absent from the lint root
+//! (no `cli` crate → no reachability check; no `Experiment` or no
 //! `experiment_key_salted` → no key check; no docs files → no docs
 //! check), so fixture trees for other rules stay clean.
 
 use crate::diag::Finding;
-use crate::ir::{EnumDef, FnDef, ItemGraph, StructDef};
+use crate::ir::{FnDef, ItemGraph, Member, StructDef};
+use crate::lexer::{Tok, TokKind};
 use crate::rules::Rule;
 use crate::workspace::Workspace;
 
-/// How a watched type exposes its surface.
-#[derive(Clone, Copy, PartialEq)]
-enum Kind {
-    /// Public enum: the surface is its variants.
-    Enum,
-    /// Struct of optional knobs: the surface is its named fields.
-    Struct,
-}
+const NAME: &str = "spec-surface";
 
-/// One watched spec type.
+/// Spec types `experiment_key_salted` renders through their **derived**
+/// `Debug`; a hand-written impl on any of them could omit fields from
+/// the key.
+const DEBUG_KEYED: &[&str] = &[
+    "SimConfig",
+    "ArrivalSpec",
+    "InfoSpec",
+    "PolicySpec",
+    "FaultSpec",
+    "EngineMode",
+];
+
+/// One watched spec type: a public enum (its members are variants) or a
+/// struct of optional knobs (its members are named fields).
 struct Surface {
     type_name: &'static str,
-    kind: Kind,
     /// `hasher.field("<path>", …)` that must appear in
     /// `experiment_key_salted` for this type to feed the cache key.
     key_path: &'static str,
     /// `SimConfig` field carrying the type, when it is keyed through
     /// the config rather than as a top-level hash path.
     config_field: Option<&'static str>,
-    /// The emission fn checked for per-variant coverage: an inherent
+    /// The emission fn checked for per-member coverage: an inherent
     /// `label` or a `Display::fmt`.
     display_fn: &'static str,
 }
@@ -47,28 +68,24 @@ struct Surface {
 const SURFACES: &[Surface] = &[
     Surface {
         type_name: "PolicySpec",
-        kind: Kind::Enum,
         key_path: "policy",
         config_field: None,
         display_fn: "label",
     },
     Surface {
         type_name: "InfoSpec",
-        kind: Kind::Enum,
         key_path: "info",
         config_field: None,
         display_fn: "label",
     },
     Surface {
         type_name: "FaultSpec",
-        kind: Kind::Struct,
         key_path: "config",
         config_field: Some("faults"),
         display_fn: "fmt",
     },
     Surface {
         type_name: "EngineMode",
-        kind: Kind::Enum,
         key_path: "config",
         config_field: Some("engine"),
         display_fn: "fmt",
@@ -80,357 +97,326 @@ pub struct SpecSurface;
 
 impl Rule for SpecSurface {
     fn name(&self) -> &'static str {
-        "spec-surface"
+        NAME
     }
 
     fn describe(&self) -> &'static str {
-        "every spec variant is CLI-reachable, cache-keyed, displayed, and documented"
+        "the cache key covers every Experiment field, and every spec variant is \
+         CLI-reachable, cache-keyed, displayed, and documented"
     }
 
     fn explain(&self) -> &'static str {
-        "Invariant: every public variant of PolicySpec/InfoSpec/FaultSpec and the\n\
-         EngineMode enum is (a) constructible from the CLI parser, (b) hashed\n\
-         into experiment_key_salted (directly or through SimConfig, with derived\n\
-         Debug), (c) covered by its label()/Display emission, and (d) named in the\n\
-         README.md/DESIGN.md tables.\n\
-         Rationale: PRs 7-9 each widened the spec surface; a variant missing any of\n\
-         those four seams is either unusable, aliases cached results, or corrupts\n\
-         result tables — and nothing else in the build notices.\n\
-         Suppress one seam at the definition site with\n\
+        "Invariant: (1) every field of `struct Experiment` is fed to SpecHasher by\n\
+         experiment_key_salted, and every hashed path but `salt` is an Experiment\n\
+         field; (2) the spec types the key renders through Debug (SimConfig,\n\
+         ArrivalSpec, InfoSpec, PolicySpec, FaultSpec, EngineMode) keep it derived;\n\
+         (3) every public variant of PolicySpec/InfoSpec/FaultSpec and the\n\
+         EngineMode enum is constructible from the CLI parser, hashed into the key\n\
+         (directly or through SimConfig), covered by its label()/Display\n\
+         emission, and named in the README.md/DESIGN.md tables.\n\
+         Rationale: a spec field the key misses lets two distinct experiments share\n\
+         one cache entry, so a sweep serves results that belong to another point;\n\
+         a variant missing any other seam is unusable or corrupts result tables —\n\
+         and nothing else in the build notices.\n\
+         Suppress one finding at its site with\n\
          `// lint: allow(spec-surface) — <reason>`."
     }
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let g = ItemGraph::build(ws);
-        let has_cli = g.fns.iter().any(|f| f.crate_name == "cli" && !f.is_test);
-        let reached = if has_cli {
-            Some(g.reachable_fns(|f| f.crate_name == "cli" && !f.is_test))
-        } else {
-            None
-        };
+        for ty in DEBUG_KEYED {
+            check_debug_is_derived(&g, ty, out);
+        }
         let key_fn = g
             .fns_named("experiment_key_salted")
             .find(|f| !f.is_test && f.body.is_some());
         let hashed = key_fn.map(|f| hashed_paths(ws, f));
-        let sim_config = g.structs_named("SimConfig").find(|s| !s.path.is_empty());
-
+        if let (Some(f), Some(hashed), Some(exp)) =
+            (key_fn, &hashed, g.structs_named("Experiment").next())
+        {
+            check_experiment(f, hashed, exp, out);
+        }
+        let reached = g
+            .fns
+            .iter()
+            .any(|f| f.crate_name == "cli" && !f.is_test)
+            .then(|| g.reachable_fns(|f| f.crate_name == "cli" && !f.is_test));
+        let sim_config = g.structs_named("SimConfig").next();
         for sf in SURFACES {
-            match sf.kind {
-                Kind::Enum => {
-                    let Some(e) = g.enums_named(sf.type_name).next() else {
-                        continue;
-                    };
-                    self.check_enum(
-                        ws,
-                        &g,
-                        sf,
-                        e,
-                        reached.as_deref(),
-                        hashed.as_deref(),
-                        sim_config,
-                        out,
-                    );
-                }
-                Kind::Struct => {
-                    let Some(s) = g.structs_named(sf.type_name).next() else {
-                        continue;
-                    };
-                    self.check_struct(
-                        ws,
-                        &g,
-                        sf,
-                        s,
-                        reached.as_deref(),
-                        hashed.as_deref(),
-                        sim_config,
-                        out,
-                    );
-                }
-            }
+            check_surface(
+                ws,
+                &g,
+                sf,
+                reached.as_deref(),
+                hashed.as_deref(),
+                sim_config,
+                out,
+            );
         }
     }
 }
 
-impl SpecSurface {
-    #[allow(clippy::too_many_arguments)]
-    fn check_enum(
-        &self,
-        ws: &Workspace,
-        g: &ItemGraph,
-        sf: &Surface,
-        e: &EnumDef,
-        reached: Option<&[bool]>,
-        hashed: Option<&[String]>,
-        sim_config: Option<&StructDef>,
-        out: &mut Vec<Finding>,
-    ) {
-        // (a) CLI reachability, per variant.
-        if let Some(reached) = reached {
-            for v in &e.variants {
-                let constructed = g.fns.iter().enumerate().any(|(i, f)| {
-                    reached[i]
-                        && !f.is_test
-                        && f.constructions
-                            .iter()
-                            .any(|p| !p.in_pattern && p.ty == sf.type_name && p.variant == v.name)
-                });
-                if !constructed {
-                    out.push(self.finding(
-                        e,
-                        v.line,
-                        v.col,
-                        format!(
-                            "`{}::{}` is not constructed on any path reachable from the \
-                             CLI parser — the variant cannot be requested; wire it into \
-                             the parser (or its FromStr) or retire it",
-                            sf.type_name, v.name
-                        ),
-                    ));
-                }
-            }
-        }
-        // (b) cache-key coverage for the whole type.
-        self.check_key(
-            g, sf, e.line, e.col, &e.path, &e.derives, hashed, sim_config, out,
-        );
-        // (c) Display/CSV emission covers every variant.
-        if let Some(f) = display_fn_of(g, sf) {
-            for v in &e.variants {
-                if !fn_mentions(ws, f, &v.name) {
-                    out.push(self.finding(
-                        e,
-                        v.line,
-                        v.col,
-                        format!(
-                            "`{}::{}` is not named in `{}` ({}): the emission path \
-                             cannot distinguish it — add an explicit arm",
-                            sf.type_name, v.name, sf.display_fn, f.path
-                        ),
-                    ));
-                }
-            }
-        } else {
-            out.push(self.finding(
-                e,
-                e.line,
-                e.col,
+fn finding(path: &str, line: u32, col: u32, message: String) -> Finding {
+    Finding {
+        rule: NAME,
+        path: path.to_string(),
+        line,
+        col,
+        message,
+    }
+}
+
+/// The definition of the enum or struct called `name`, if the tree has
+/// one: where it is, its derives, and its members (variants or fields).
+struct TypeDef<'g> {
+    path: &'g str,
+    line: u32,
+    col: u32,
+    derives: &'g [String],
+    members: &'g [Member],
+    is_enum: bool,
+}
+
+fn type_def<'g>(g: &'g ItemGraph, name: &str) -> Option<TypeDef<'g>> {
+    let enum_def = g.enums.iter().find(|e| e.name == name).map(|e| TypeDef {
+        path: &e.path,
+        line: e.line,
+        col: e.col,
+        derives: &e.derives,
+        members: &e.variants,
+        is_enum: true,
+    });
+    enum_def.or_else(|| {
+        g.structs.iter().find(|s| s.name == name).map(|s| TypeDef {
+            path: &s.path,
+            line: s.line,
+            col: s.col,
+            derives: &s.derives,
+            members: &s.fields,
+            is_enum: false,
+        })
+    })
+}
+
+/// Flags a hand-written `impl Debug` for `ty` at its `impl` line, or
+/// else a definition of `ty` that does not derive `Debug`.
+fn check_debug_is_derived(g: &ItemGraph, ty: &str, out: &mut Vec<Finding>) {
+    let manual = g
+        .impls
+        .iter()
+        .find(|i| i.self_ty == ty && i.trait_name.as_deref() == Some("Debug"));
+    if let Some(imp) = manual {
+        out.push(finding(
+            &imp.path,
+            imp.line,
+            imp.col,
+            format!(
+                "`{ty}` has a hand-written Debug impl, but the cache key hashes its \
+                 derived Debug rendering: a manual impl can silently drop spec state \
+                 from the key (two distinct configs would alias one cache entry) — \
+                 keep Debug derived, or hash every field explicitly and bump CACHE_SALT"
+            ),
+        ));
+    } else if let Some(def) =
+        type_def(g, ty).filter(|def| !def.derives.iter().any(|d| d == "Debug"))
+    {
+        out.push(finding(
+            def.path,
+            def.line,
+            def.col,
+            format!(
+                "`{ty}` is hashed into the cache key through Debug but does not \
+                 derive(Debug) — keep it derived so the key renders every field"
+            ),
+        ));
+    }
+}
+
+/// Cross-checks `Experiment`'s fields against the key fn's hashed paths,
+/// in both directions.
+fn check_experiment(key_fn: &FnDef, hashed: &[&Tok], exp: &StructDef, out: &mut Vec<Finding>) {
+    for fld in &exp.fields {
+        if !hashed.iter().any(|t| t.text == fld.name) {
+            out.push(finding(
+                &exp.path,
+                fld.line,
+                fld.col,
                 format!(
-                    "`{}` has no `{}` emission fn — every spec type must print \
-                     itself for CSV/stdout labeling",
-                    sf.type_name, sf.display_fn
+                    "Experiment field `{0}` is not hashed by experiment_key_salted: add \
+                     `hasher.field(\"{0}\", &exp.{0})` (and bump CACHE_SALT if semantics \
+                     changed), or two distinct experiments will share a cache entry",
+                    fld.name
                 ),
             ));
         }
-        // (d) docs coverage, per variant.
-        if !ws.docs.is_empty() {
-            for v in &e.variants {
-                if !docs_mention(ws, &v.name) {
-                    out.push(self.finding(
-                        e,
-                        v.line,
-                        v.col,
-                        format!(
-                            "`{}::{}` (`{}`) is not named in README.md/DESIGN.md — \
-                             document the variant in the flag tables",
-                            sf.type_name,
-                            v.name,
-                            kebab(&v.name)
-                        ),
-                    ));
-                }
-            }
-        }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn check_struct(
-        &self,
-        ws: &Workspace,
-        g: &ItemGraph,
-        sf: &Surface,
-        s: &StructDef,
-        reached: Option<&[bool]>,
-        hashed: Option<&[String]>,
-        sim_config: Option<&StructDef>,
-        out: &mut Vec<Finding>,
-    ) {
-        // (a) every knob field is settable from the CLI.
-        if let Some(reached) = reached {
-            for fld in &s.fields {
-                let written =
-                    g.fns.iter().enumerate().any(|(i, f)| {
-                        reached[i] && !f.is_test && fn_writes_field(ws, f, &fld.name)
-                    });
-                if !written {
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: s.path.clone(),
-                        line: fld.line,
-                        col: fld.col,
-                        message: format!(
-                            "`{}.{}` is never set on any path reachable from the CLI \
-                             parser — the fault knob cannot be requested; wire it into \
-                             the parser (or FromStr) or retire it",
-                            sf.type_name, fld.name
-                        ),
-                    });
-                }
-            }
-        }
-        // (b) cache-key coverage.
-        self.check_key(
-            g, sf, s.line, s.col, &s.path, &s.derives, hashed, sim_config, out,
-        );
-        // (c) Display mentions every field.
-        if let Some(f) = display_fn_of(g, sf) {
-            for fld in &s.fields {
-                if !fn_mentions(ws, f, &fld.name) {
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: s.path.clone(),
-                        line: fld.line,
-                        col: fld.col,
-                        message: format!(
-                            "`{}.{}` is not mentioned by `{}` ({}): an active knob \
-                             would print as if it were off",
-                            sf.type_name, fld.name, sf.display_fn, f.path
-                        ),
-                    });
-                }
-            }
-        } else {
-            out.push(Finding {
-                rule: self.name(),
-                path: s.path.clone(),
-                line: s.line,
-                col: s.col,
-                message: format!(
-                    "`{}` has no `{}` emission fn — every spec type must print \
-                     itself for CSV/stdout labeling",
-                    sf.type_name, sf.display_fn
+    for t in hashed {
+        if t.text != "salt" && !exp.fields.iter().any(|f| f.name == t.text) {
+            out.push(finding(
+                &key_fn.path,
+                t.line,
+                t.col,
+                format!(
+                    "experiment_key_salted hashes `{}`, which is not a field of \
+                     Experiment — the key no longer covers what it claims (renamed or \
+                     removed field?)",
+                    t.text
                 ),
-            });
-        }
-        // (d) docs coverage.
-        if !ws.docs.is_empty() {
-            for fld in &s.fields {
-                if !docs_mention(ws, &fld.name) {
-                    out.push(Finding {
-                        rule: self.name(),
-                        path: s.path.clone(),
-                        line: fld.line,
-                        col: fld.col,
-                        message: format!(
-                            "`{}.{}` is not named in README.md/DESIGN.md — document \
-                             the knob in the flag tables",
-                            sf.type_name, fld.name
-                        ),
-                    });
-                }
-            }
+            ));
         }
     }
+}
 
-    /// The shared cache-key checks: the hash path exists, the type is
-    /// carried by the expected `SimConfig` field, and its Debug (the
-    /// hashed rendering) is derived, not hand-written.
-    #[allow(clippy::too_many_arguments)]
-    fn check_key(
-        &self,
-        g: &ItemGraph,
-        sf: &Surface,
-        line: u32,
-        col: u32,
-        path: &str,
-        derives: &[String],
-        hashed: Option<&[String]>,
-        sim_config: Option<&StructDef>,
-        out: &mut Vec<Finding>,
-    ) {
-        let at = |message: String| Finding {
-            rule: self.name(),
-            path: path.to_string(),
-            line,
-            col,
-            message,
-        };
-        if let Some(hashed) = hashed {
-            if !hashed.iter().any(|p| p == sf.key_path) {
-                out.push(at(format!(
+/// Checks one surface: its type feeds the key, and each of its members
+/// reaches the CLI parser, the emission fn and the docs.
+fn check_surface(
+    ws: &Workspace,
+    g: &ItemGraph,
+    sf: &Surface,
+    reached: Option<&[bool]>,
+    hashed: Option<&[&Tok]>,
+    sim_config: Option<&StructDef>,
+    out: &mut Vec<Finding>,
+) {
+    let Some(TypeDef {
+        path,
+        line,
+        col,
+        members,
+        is_enum,
+        ..
+    }) = type_def(g, sf.type_name)
+    else {
+        return;
+    };
+    let name = |m: &Member| {
+        let sep = if is_enum { "::" } else { "." };
+        format!("{}{sep}{}", sf.type_name, m.name)
+    };
+    // The type feeds the cache key.
+    if let Some(hashed) = hashed {
+        if !hashed.iter().any(|t| t.text == sf.key_path) {
+            out.push(finding(
+                path,
+                line,
+                col,
+                format!(
                     "`{}` no longer feeds the cache key: experiment_key_salted does \
                      not hash the `{}` path — two experiments differing only here \
                      would alias one cache entry",
                     sf.type_name, sf.key_path
-                )));
-            }
-            if !derives.iter().any(|d| d == "Debug") {
-                out.push(at(format!(
-                    "`{}` is hashed into the cache key via Debug but does not \
-                     derive(Debug) — the key cannot see it",
-                    sf.type_name
-                )));
-            }
-            if let Some(manual) = g.fns_named("fmt").find(|f| {
-                f.trait_name.as_deref() == Some("Debug") && f.owner.as_deref() == Some(sf.type_name)
-            }) {
-                out.push(Finding {
-                    rule: self.name(),
-                    path: manual.path.clone(),
-                    line: manual.line,
-                    col: manual.col,
-                    message: format!(
-                        "hand-written `impl Debug for {}` — the cache key hashes the \
-                         Debug rendering, so a manual impl can silently drop spec \
-                         state from the key; keep it derived",
+                ),
+            ));
+        }
+        if let (Some(field), Some(cfg)) = (sf.config_field, sim_config) {
+            if !cfg.fields.iter().any(|f| f.name == field) {
+                out.push(finding(
+                    path,
+                    line,
+                    col,
+                    format!(
+                        "`{}` is keyed through `SimConfig.{field}`, but SimConfig has no \
+                         such field — the cache key no longer covers it",
                         sf.type_name
                     ),
-                });
-            }
-            if let (Some(field), Some(cfg)) = (sf.config_field, sim_config) {
-                if !cfg.fields.iter().any(|f| f.name == field) {
-                    out.push(at(format!(
-                        "`{}` is keyed through `SimConfig.{}`, but SimConfig has no \
-                         such field — the cache key no longer covers it",
-                        sf.type_name, field
-                    )));
-                }
+                ));
             }
         }
     }
-
-    fn finding(&self, e: &EnumDef, line: u32, col: u32, message: String) -> Finding {
-        Finding {
-            rule: self.name(),
-            path: e.path.clone(),
-            line,
-            col,
-            message,
+    // Each member is requestable from the CLI: an enum variant is
+    // constructed, a knob field is written, on a path the parser reaches.
+    if let Some(reached) = reached {
+        for m in members {
+            let wired = g.fns.iter().enumerate().any(|(i, f)| {
+                reached[i]
+                    && !f.is_test
+                    && if is_enum {
+                        f.constructions
+                            .iter()
+                            .any(|p| !p.in_pattern && p.ty == sf.type_name && p.variant == m.name)
+                    } else {
+                        fn_writes_field(ws, f, &m.name)
+                    }
+            });
+            if !wired {
+                out.push(finding(
+                    path,
+                    m.line,
+                    m.col,
+                    format!(
+                        "`{}` is not {} on any path reachable from the CLI parser — it \
+                         cannot be requested; wire it into the parser (or its FromStr) \
+                         or retire it",
+                        name(m),
+                        if is_enum { "constructed" } else { "set" }
+                    ),
+                ));
+            }
         }
     }
-}
-
-/// The string paths hashed by `experiment_key_salted`: first argument
-/// of each `field(…)` call with a literal path.
-fn hashed_paths(ws: &Workspace, f: &FnDef) -> Vec<String> {
-    let toks = &ws.files[f.file].toks;
-    f.calls
-        .iter()
-        .filter(|c| c.callee == "field")
-        .filter_map(|c| toks.get(c.args.0))
-        .filter(|t| t.kind == crate::lexer::TokKind::Str)
-        .map(|t| t.text.clone())
-        .collect()
-}
-
-/// The emission fn for a surface: an inherent `label` on the type, or
-/// a `Display::fmt` for it.
-fn display_fn_of<'g>(g: &'g ItemGraph, sf: &Surface) -> Option<&'g FnDef> {
-    g.fns.iter().find(|f| {
+    // The emission fn names every member.
+    let display = g.fns.iter().find(|f| {
         !f.is_test
             && f.owner.as_deref() == Some(sf.type_name)
             && f.name == sf.display_fn
             && (sf.display_fn != "fmt" || f.trait_name.as_deref() == Some("Display"))
-    })
+    });
+    if let Some(f) = display {
+        for m in members.iter().filter(|m| !fn_mentions(ws, f, &m.name)) {
+            out.push(finding(
+                path,
+                m.line,
+                m.col,
+                format!(
+                    "`{}` is not named in `{}` ({}): the emission path cannot \
+                     distinguish it — name it there",
+                    name(m),
+                    sf.display_fn,
+                    f.path
+                ),
+            ));
+        }
+    } else {
+        out.push(finding(
+            path,
+            line,
+            col,
+            format!(
+                "`{}` has no `{}` emission fn — every spec type must print \
+                 itself for CSV/stdout labeling",
+                sf.type_name, sf.display_fn
+            ),
+        ));
+    }
+    // The docs name every member.
+    if !ws.docs.is_empty() {
+        for m in members.iter().filter(|m| !docs_mention(ws, &m.name)) {
+            out.push(finding(
+                path,
+                m.line,
+                m.col,
+                format!(
+                    "`{}` (`{}`) is not named in README.md/DESIGN.md — document it \
+                     in the flag tables",
+                    name(m),
+                    kebab(&m.name)
+                ),
+            ));
+        }
+    }
+}
+
+/// The string literals `key_fn` hashes as paths: the first argument of
+/// every `field(…)` call.
+fn hashed_paths<'w>(ws: &'w Workspace, key_fn: &FnDef) -> Vec<&'w Tok> {
+    let toks = &ws.files[key_fn.file].toks;
+    key_fn
+        .calls
+        .iter()
+        .filter(|c| c.callee == "field")
+        .filter_map(|c| toks.get(c.args.0))
+        .filter(|t| t.kind == TokKind::Str)
+        .collect()
 }
 
 /// True when `name` appears as an identifier anywhere in `f`'s body.
@@ -492,6 +478,7 @@ fn kebab(name: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use crate::diag::Finding;
     use crate::rules;
     use crate::workspace::Workspace;
 
@@ -533,13 +520,16 @@ mod tests {
         ]
     }
 
-    fn findings(sources: &[(&str, &str)]) -> Vec<String> {
+    fn run(sources: &[(&str, &str)]) -> Vec<Finding> {
         let ws = Workspace::from_sources(sources);
         rules::run(&ws, &[])
             .into_iter()
             .filter(|f| f.rule == "spec-surface")
-            .map(|f| f.message)
             .collect()
+    }
+
+    fn findings(sources: &[(&str, &str)]) -> Vec<String> {
+        run(sources).into_iter().map(|f| f.message).collect()
     }
 
     #[test]
@@ -598,16 +588,30 @@ mod tests {
         let mut t = wired();
         t[0] = (
             "policies/src/spec.rs",
-            "#[derive(Debug, Clone)]\n\
-             pub enum PolicySpec { Random, Greedy }\n\
+            "pub enum PolicySpec { Random, Greedy }\n\
              impl PolicySpec {\n\
                  pub fn label(&self) -> String { \"policy\".into() }\n\
+             }\n\
+             impl std::fmt::Debug for PolicySpec {\n\
+                 fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n\
+                     write!(f, \"policy\")\n\
+                 }\n\
              }\n",
         );
-        let msgs = findings(&t);
+        let got = run(&t);
         assert!(
-            msgs.iter().any(|m| m.contains("not named in `label`")),
-            "{msgs:?}"
+            got.iter()
+                .any(|f| f.message.contains("not named in `label`")),
+            "{got:?}"
+        );
+        let debug: Vec<_> = got
+            .iter()
+            .filter(|f| f.message.contains("hand-written Debug"))
+            .collect();
+        assert_eq!(debug.len(), 1, "{got:?}");
+        assert_eq!(
+            (debug[0].path.as_str(), debug[0].line),
+            ("policies/src/spec.rs", 5)
         );
     }
 
@@ -661,5 +665,126 @@ mod tests {
             "| `random` | `greedy` | `per-server` | `population` | tables |\n",
         );
         assert_eq!(findings(&t), Vec::<String>::new());
+    }
+
+    const SPEC_OK: &str = "pub struct Experiment {\n\
+                           pub config: SimConfig,\n\
+                           pub trials: usize,\n\
+                           }\n";
+    const HASH_OK: &str =
+        "pub fn experiment_key_salted(exp: &Experiment, salt: &str) -> PointKey {\n\
+                           let mut hasher = SpecHasher::new();\n\
+                           hasher.field(\"salt\", &salt);\n\
+                           hasher.field(\"config\", &exp.config);\n\
+                           hasher.field(\"trials\", &exp.trials);\n\
+                           hasher.finish()\n\
+                           }\n";
+
+    fn key_findings(spec: &str, hash: &str) -> Vec<Finding> {
+        run(&[
+            ("core/src/experiment.rs", spec),
+            ("runner/src/hash.rs", hash),
+        ])
+    }
+
+    #[test]
+    fn covered_spec_passes() {
+        assert!(key_findings(SPEC_OK, HASH_OK).is_empty());
+    }
+
+    #[test]
+    fn unhashed_field_is_flagged_at_its_line() {
+        let spec = "pub struct Experiment {\n\
+                    pub config: SimConfig,\n\
+                    pub trials: usize,\n\
+                    pub shiny: u32,\n\
+                    }\n";
+        let got = key_findings(spec, HASH_OK);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].path.as_str(), got[0].line),
+            ("core/src/experiment.rs", 4)
+        );
+        assert!(got[0].message.contains("`shiny`"));
+        assert!(got[0].message.contains("CACHE_SALT"));
+    }
+
+    #[test]
+    fn stale_hash_path_is_flagged() {
+        let hash = "pub fn experiment_key_salted(exp: &Experiment, salt: &str) -> PointKey {\n\
+                    let mut hasher = SpecHasher::new();\n\
+                    hasher.field(\"salt\", &salt);\n\
+                    hasher.field(\"config\", &exp.config);\n\
+                    hasher.field(\"trials\", &exp.trials);\n\
+                    hasher.field(\"ghost\", &0);\n\
+                    hasher.finish()\n\
+                    }\n";
+        let got = key_findings(SPEC_OK, hash);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].path.as_str(), got[0].line),
+            ("runner/src/hash.rs", 6)
+        );
+        assert!(got[0].message.contains("`ghost`"));
+    }
+
+    #[test]
+    fn absent_definitions_are_vacuous() {
+        assert!(run(&[("core/src/other.rs", "fn f() {}")]).is_empty());
+    }
+
+    #[test]
+    fn manual_debug_on_a_hashed_spec_type_is_flagged() {
+        for ty in ["SimConfig", "ArrivalSpec", "InfoSpec", "PolicySpec"] {
+            let spec = format!(
+                "pub struct {ty} {{ pub servers: usize }}\n\
+                 impl std::fmt::Debug for {ty} {{\n\
+                 fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {{\n\
+                 write!(f, \"{ty}\")\n\
+                 }}\n\
+                 }}\n"
+            );
+            let got = run(&[("core/src/config.rs", &spec)]);
+            let debug: Vec<_> = got
+                .iter()
+                .filter(|f| f.message.contains("derived Debug"))
+                .collect();
+            assert_eq!(debug.len(), 1, "{ty}: {got:?}");
+            assert_eq!(
+                (debug[0].path.as_str(), debug[0].line),
+                ("core/src/config.rs", 2)
+            );
+        }
+    }
+
+    #[test]
+    fn underived_debug_on_a_hashed_spec_type_is_flagged() {
+        let got = run(&[("core/src/config.rs", "pub enum ArrivalSpec { Poisson }\n")]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].line, 1);
+        assert!(got[0].message.contains("does not derive(Debug)"));
+    }
+
+    #[test]
+    fn derived_debug_and_other_impls_pass() {
+        let spec = "#[derive(Debug, Clone)]\n\
+                    pub struct SimConfig { pub servers: usize }\n\
+                    impl std::fmt::Display for SimConfig {\n\
+                    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {\n\
+                    write!(f, \"SimConfig\")\n\
+                    }\n\
+                    }\n\
+                    impl std::fmt::Debug for SomethingElse {}\n";
+        assert!(run(&[("core/src/config.rs", spec)]).is_empty());
+    }
+
+    #[test]
+    fn field_calls_outside_the_key_fn_do_not_count() {
+        // The test module of the real hash.rs calls h.field("alpha", …);
+        // those must not register as hashed spec paths.
+        let hash = format!(
+            "{HASH_OK}\nfn unrelated() {{ let mut h = SpecHasher::new(); h.field(\"alpha\", &1); }}\n"
+        );
+        assert!(key_findings(SPEC_OK, &hash).is_empty());
     }
 }

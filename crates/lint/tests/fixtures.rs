@@ -9,7 +9,6 @@ use staleload_lint::{rules, Workspace};
 const RULES: &[&str] = &[
     "determinism",
     "panic-hygiene",
-    "cache-key",
     "crate-hardening",
     "atomic-io",
     "spec-surface",
@@ -134,7 +133,7 @@ fn panic_hygiene_fail_flags_each_panic_form() {
 
 #[test]
 fn cache_key_fail_flags_both_directions() {
-    let got = findings_of("cache-key", "fail");
+    let got = findings_of("spec-surface", "fail");
     // The unhashed struct field...
     assert!(
         got.iter().any(|f| f.message.contains("`deadline`")),

@@ -86,8 +86,8 @@ proptest! {
         }
     }
 
-    /// A match over generated variants yields one MatchExpr whose arm
-    /// heads name each variant, in order.
+    /// A match over generated variants records each arm head's
+    /// `Spec::Variant` as a pattern-position pair, in order.
     #[test]
     fn match_arm_heads_round_trip(vars in variants()) {
         let arms: String = vars
@@ -100,17 +100,10 @@ proptest! {
         );
         let g = graph_of(&src);
         prop_assert_eq!(g.fns.len(), 1);
-        prop_assert_eq!(g.fns[0].matches.len(), 1);
-        let m = &g.fns[0].matches[0];
-        prop_assert_eq!(m.arms.len(), vars.len());
-        for (arm, v) in m.arms.iter().zip(&vars) {
-            prop_assert!(
-                arm.idents.iter().any(|i| i == v),
-                "arm head {:?} should name `{}`",
-                arm.idents,
-                v
-            );
-        }
+        let heads = &g.fns[0].constructions;
+        let got: Vec<&str> = heads.iter().map(|p| p.variant.as_str()).collect();
+        prop_assert_eq!(got, vars.iter().map(String::as_str).collect::<Vec<_>>());
+        prop_assert!(heads.iter().all(|p| p.in_pattern), "arm heads are patterns");
     }
 
     /// Enum::Variant path expressions are recorded as constructions of

@@ -2,11 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    AdaptiveLi, AggressiveLi, BasicLi, Greedy, HerdGuard, HeteroLi, HybridLi, KSubset, LiSubset,
-    Load, Policy, ProbeThreshold, Quarantine, Random, Sita, StalenessGate, Threshold,
-    WeightedDecay,
-};
+use crate::Load;
 
 /// A serializable description of a policy, used by the experiment harness
 /// to configure runs and label output rows.
@@ -17,11 +13,11 @@ use crate::{
 /// # Example
 ///
 /// ```
-/// use staleload_policies::PolicySpec;
+/// use staleload_policies::{DispatchPolicy, PolicySpec};
 ///
 /// let spec = PolicySpec::BasicLi { lambda: 0.9 };
 /// assert_eq!(spec.label(), "Basic LI");
-/// let mut policy = spec.build();
+/// let mut policy = DispatchPolicy::from_spec(&spec);
 /// # let _ = &mut policy;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,7 +93,7 @@ pub enum PolicySpec {
         boundaries: Vec<f64>,
     },
     /// `inner` with board entries older than `cutoff` masked out
-    /// (fault-injection extension; see [`StalenessGate`]).
+    /// (fault-injection extension; see [`StalenessGate`](crate::StalenessGate)).
     Gated {
         /// Maximum entry age the inner policy is allowed to see.
         cutoff: f64,
@@ -106,7 +102,7 @@ pub enum PolicySpec {
     },
     /// `inner` behind a herd-detecting circuit breaker that demotes it to
     /// uniform random while its dispatch concentration exceeds `threshold`
-    /// (overload-control extension; see [`HerdGuard`]).
+    /// (overload-control extension; see [`HerdGuard`](crate::HerdGuard)).
     Guarded {
         /// Trip threshold on the normalized max-share score (1 = uniform,
         /// n = total concentration); must exceed 1.
@@ -123,8 +119,8 @@ pub enum PolicySpec {
     ///
     /// The replication and cancel-on-completion machinery lives in the
     /// simulation engine (it owns the event schedule), so hedging must be
-    /// the *outermost* wrapper; [`PolicySpec::build`] on a `Hedged` spec
-    /// builds only the inner policy.
+    /// the *outermost* wrapper; [`crate::DispatchPolicy::from_spec`] on a
+    /// bare `Hedged` spec builds only the inner policy.
     Hedged {
         /// Total copies dispatched per job; `1` means no hedging.
         h: u32,
@@ -134,7 +130,7 @@ pub enum PolicySpec {
     /// `inner` with servers whose reports have gone missing longer than
     /// `window` ejected from the candidate set, probed and readmitted
     /// with exponential `backoff` (degraded-information extension; see
-    /// [`Quarantine`]).
+    /// [`Quarantine`](crate::Quarantine)).
     Quarantined {
         /// Suspicion window: the entry age beyond which a server is
         /// considered silent.
@@ -147,45 +143,6 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// Instantiates the policy.
-    pub fn build(&self) -> Box<dyn Policy + Send> {
-        match self.clone() {
-            PolicySpec::Random => Box::new(Random),
-            PolicySpec::KSubset { k } => Box::new(KSubset::new(k)),
-            PolicySpec::Greedy => Box::new(Greedy::new()),
-            PolicySpec::Threshold { threshold } => Box::new(Threshold::new(threshold)),
-            PolicySpec::ProbeThreshold { probes, threshold } => {
-                Box::new(ProbeThreshold::new(probes, threshold))
-            }
-            PolicySpec::BasicLi { lambda } => Box::new(BasicLi::new(lambda)),
-            PolicySpec::AggressiveLi { lambda } => Box::new(AggressiveLi::new(lambda)),
-            PolicySpec::HybridLi { lambda } => Box::new(HybridLi::new(lambda)),
-            PolicySpec::LiSubset { k, lambda } => Box::new(LiSubset::new(k, lambda)),
-            PolicySpec::WeightedDecay { tau } => Box::new(WeightedDecay::new(tau)),
-            PolicySpec::AdaptiveLi { alpha, warmup } => Box::new(AdaptiveLi::new(alpha, warmup)),
-            PolicySpec::HeteroLi { lambda, capacities } => {
-                Box::new(HeteroLi::new(lambda, capacities))
-            }
-            PolicySpec::Sita { boundaries } => Box::new(Sita::new(boundaries)),
-            PolicySpec::Gated { cutoff, inner } => {
-                Box::new(StalenessGate::new(inner.build(), cutoff))
-            }
-            PolicySpec::Guarded {
-                threshold,
-                cooldown,
-                inner,
-            } => Box::new(HerdGuard::new(inner.build(), threshold, cooldown)),
-            // Hedging is engine machinery (see the variant docs): as a
-            // bare policy a Hedged spec decides like its inner policy.
-            PolicySpec::Hedged { inner, .. } => inner.build(),
-            PolicySpec::Quarantined {
-                window,
-                backoff,
-                inner,
-            } => Box::new(Quarantine::new(inner.build(), window, backoff)),
-        }
-    }
-
     /// Splits an outermost [`PolicySpec::Hedged`] wrapper off the spec:
     /// returns the hedge factor (if any) and the spec the engine should
     /// actually build.
@@ -369,7 +326,7 @@ impl PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InfoAge, LoadView};
+    use crate::{DispatchPolicy, InfoAge, LoadView, Policy};
     use staleload_sim::SimRng;
 
     fn all_specs() -> Vec<PolicySpec> {
@@ -438,7 +395,7 @@ mod tests {
                 ages: None,
             };
             for spec in all_specs() {
-                let mut p = spec.build();
+                let mut p = DispatchPolicy::from_spec(&spec);
                 for _ in 0..64 {
                     let s = p.select(&view, &mut rng);
                     assert!(s < loads.len(), "{}: {s}", spec.label());

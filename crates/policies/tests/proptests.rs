@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use staleload_policies::{
     aggressive_schedule, basic_li_probabilities, rank_distribution, AggressiveLi, BasicLi,
-    EntryAges, Greedy, InfoAge, LoadView, Policy, PolicySpec,
+    DispatchPolicy, EntryAges, Greedy, InfoAge, LoadView, Policy, PolicySpec,
 };
 use staleload_sim::SimRng;
 
@@ -479,7 +479,7 @@ proptest! {
         ];
         for view in &views {
             for spec in &specs {
-                let mut p = spec.build();
+                let mut p = DispatchPolicy::from_spec(spec);
                 for _ in 0..8 {
                     let s = p.select(view, &mut rng);
                     prop_assert!(s < loads.len(), "{} out of range", spec.label());
@@ -493,7 +493,7 @@ proptest! {
     fn greedy_selects_a_minimum(loads in arb_loads(), seed in any::<u64>()) {
         let mut rng = SimRng::from_seed(seed);
         let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: None };
-        let mut g = PolicySpec::Greedy.build();
+        let mut g = DispatchPolicy::from_spec(&PolicySpec::Greedy);
         let min = *loads.iter().min().unwrap();
         for _ in 0..16 {
             prop_assert_eq!(loads[g.select(&view, &mut rng)], min);
@@ -555,7 +555,7 @@ proptest! {
         // whenever a cheaper server exists (greedy, and LI at age 0).
         let inners = [PolicySpec::Greedy, PolicySpec::BasicLi { lambda: 0.9 }];
         for inner in inners {
-            let mut p = PolicySpec::Gated { cutoff, inner: Box::new(inner.clone()) }.build();
+            let mut p = DispatchPolicy::from_spec(&PolicySpec::Gated { cutoff, inner: Box::new(inner.clone()) });
             for _ in 0..8 {
                 let s = p.select(&view, &mut rng);
                 prop_assert!(s < n);
@@ -583,8 +583,8 @@ proptest! {
         let entry_ages = EntryAges { sampled: &sampled, now: 0.0 };
         let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: Some(entry_ages) };
         let inner = PolicySpec::BasicLi { lambda: 0.9 };
-        let mut bare = inner.build();
-        let mut gated = PolicySpec::Gated { cutoff, inner: Box::new(inner) }.build();
+        let mut bare = DispatchPolicy::from_spec(&inner);
+        let mut gated = DispatchPolicy::from_spec(&PolicySpec::Gated { cutoff, inner: Box::new(inner) });
         let mut rng_bare = SimRng::from_seed(seed);
         let mut rng_gated = SimRng::from_seed(seed);
         for _ in 0..16 {
@@ -597,7 +597,7 @@ proptest! {
     fn threshold_prefers_light(loads in arb_loads(), seed in any::<u64>(), t in 0u32..50) {
         let mut rng = SimRng::from_seed(seed);
         let view = LoadView { loads: &loads, info: InfoAge::Aged { age: 1.0 }, ages: None };
-        let mut p = PolicySpec::Threshold { threshold: t }.build();
+        let mut p = DispatchPolicy::from_spec(&PolicySpec::Threshold { threshold: t });
         let any_light = loads.iter().any(|&l| l <= t);
         for _ in 0..16 {
             let s = p.select(&view, &mut rng);

@@ -308,7 +308,7 @@ mod tests {
         assert_ne!(base, experiment_key(&e), "engine variants collided");
     }
 
-    /// Simulates the maintenance path `staleload-lint`'s `cache-key`
+    /// Simulates the maintenance path `staleload-lint`'s `spec-surface`
     /// rule enforces: when a spec grows a field, feeding it through one
     /// more `hasher.field(...)` call must change the key — i.e. the
     /// canonical byte stream actually covers the addition, and two

@@ -10,13 +10,17 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use staleload_core::{ArrivalSpec, Experiment, ExperimentResult, FaultSpec, SimConfig};
+use staleload_core::{
+    run_simulation, trial_seed, ArrivalSpec, Experiment, ExperimentResult, FaultSpec, RetrySpec,
+    SimConfig,
+};
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
 use staleload_runner::{ResultCache, SweepRunner, WatchdogSpec, WorkerPool};
 
 /// A small but diverse batch: periodic / fresh / continuous information
-/// models, deterministic and randomized policies, mixed trial counts.
+/// models, deterministic and randomized policies, mixed trial counts, and
+/// the engine's crash and overload paths.
 fn experiments() -> Vec<Experiment> {
     let cfg = |seed: u64, arrivals: u64| {
         SimConfig::builder()
@@ -113,7 +117,79 @@ fn experiments() -> Vec<Experiment> {
             PolicySpec::BasicLi { lambda: 0.9 },
             2,
         ),
+        // The crash path: servers fail and recover while Greedy routes
+        // on a periodic board.
+        Experiment::new(
+            SimConfig::builder()
+                .servers(8)
+                .lambda(0.9)
+                .arrivals(2_000)
+                .seed(88)
+                .faults(FaultSpec::crash(100.0, 10.0))
+                .build(),
+            ArrivalSpec::Poisson,
+            InfoSpec::Periodic { period: 5.0 },
+            PolicySpec::Greedy,
+            3,
+        ),
+        // The overload path: capped queues bounce jobs, deadlines make
+        // them renege, and the retry orbit offers the bounced ones again.
+        Experiment::new(
+            SimConfig::builder()
+                .servers(8)
+                .lambda(0.95)
+                .arrivals(2_000)
+                .seed(99)
+                .queue_cap(3)
+                .deadline(2.0)
+                .retry(RetrySpec {
+                    max_attempts: 4,
+                    base: 0.25,
+                    cap: 4.0,
+                })
+                .build(),
+            ArrivalSpec::Poisson,
+            InfoSpec::Fresh,
+            PolicySpec::Random,
+            3,
+        ),
     ]
+}
+
+/// The crash and overload points exercise the paths they stand for: each
+/// of their trials sees a crash, or a rejection, a renege and a retry.
+#[test]
+fn crash_and_overload_points_reach_their_paths() {
+    let exps = experiments();
+    let crash = exps.iter().filter(|e| e.config.faults.crash.is_some());
+    let overload = exps.iter().filter(|e| e.config.retry.is_some());
+    let trials = |e: &Experiment| {
+        (0..e.trials)
+            .map(|t| {
+                let mut cfg = e.config.clone();
+                cfg.seed = trial_seed(e.config.seed, t);
+                run_simulation(&cfg, &e.arrivals, &e.info, &e.policy).expect("trial runs")
+            })
+            .collect::<Vec<_>>()
+    };
+    for e in crash {
+        for (t, r) in trials(e).iter().enumerate() {
+            assert!(
+                r.faults.crashes > 0,
+                "crash point, trial {t}: {:?}",
+                r.faults
+            );
+        }
+    }
+    for e in overload {
+        for (t, r) in trials(e).iter().enumerate() {
+            let o = &r.overload;
+            assert!(
+                o.rejected > 0 && o.reneged > 0 && o.retries > 0,
+                "overload point, trial {t}: {o:?}"
+            );
+        }
+    }
 }
 
 /// Renders every bit of a result: floats via `to_bits`, the rest via

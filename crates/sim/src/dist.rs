@@ -10,8 +10,7 @@ use crate::SimRng;
 ///
 /// These are the distributions the paper's evaluation draws from: constant
 /// and uniform and exponential delays (§5.2), exponential job sizes (§5
-/// defaults), and Bounded Pareto job sizes (§5.5). A two-branch
-/// hyperexponential is included as an extension for variance ablations.
+/// defaults), and Bounded Pareto job sizes (§5.5).
 ///
 /// # Example
 ///
@@ -57,16 +56,6 @@ pub enum Dist {
         lo: f64,
         /// Largest possible value.
         hi: f64,
-    },
-    /// Two-branch hyperexponential: with probability `p` draw
-    /// Exponential(`mean1`), otherwise Exponential(`mean2`).
-    HyperExp {
-        /// Probability of the first branch.
-        p: f64,
-        /// Mean of the first branch.
-        mean1: f64,
-        /// Mean of the second branch.
-        mean2: f64,
     },
 }
 
@@ -178,13 +167,6 @@ impl Dist {
                 let u = rng.f64();
                 lo / (1.0 - u * ratio).powf(1.0 / alpha)
             }
-            Dist::HyperExp { p, mean1, mean2 } => {
-                if rng.chance(p) {
-                    rng.exp(mean1)
-                } else {
-                    rng.exp(mean2)
-                }
-            }
         }
     }
 
@@ -203,7 +185,6 @@ impl Dist {
                 };
                 alpha * lo.powf(alpha) * integral / norm
             }
-            Dist::HyperExp { p, mean1, mean2 } => p * mean1 + (1.0 - p) * mean2,
         }
     }
 
@@ -224,11 +205,6 @@ impl Dist {
                     alpha * lo.powf(alpha) * (hi.powf(2.0 - alpha) - lo.powf(2.0 - alpha))
                         / ((2.0 - alpha) * norm)
                 };
-                let m = self.mean();
-                second - m * m
-            }
-            Dist::HyperExp { p, mean1, mean2 } => {
-                let second = p * 2.0 * mean1 * mean1 + (1.0 - p) * 2.0 * mean2 * mean2;
                 let m = self.mean();
                 second - m * m
             }
@@ -292,21 +268,6 @@ impl Dist {
                     norm * (x.powf(1.0 - alpha) - lo.powf(1.0 - alpha)) / (1.0 - alpha)
                 }
             }
-            Dist::HyperExp { p, mean1, mean2 } => {
-                p * Dist::exponential(mean1).partial_mean_below(x)
-                    + (1.0 - p) * Dist::exponential(mean2).partial_mean_below(x)
-            }
-        }
-    }
-
-    /// Squared coefficient of variation (variance / mean²), a standard
-    /// measure of job-size variability.
-    pub fn cv2(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.variance() / (m * m)
         }
     }
 }
@@ -320,7 +281,6 @@ impl fmt::Display for Dist {
             Dist::BoundedPareto { alpha, lo, hi } => {
                 write!(f, "BoundedPareto(alpha={alpha}, lo={lo:.4}, hi={hi})")
             }
-            Dist::HyperExp { p, mean1, mean2 } => write!(f, "HyperExp(p={p}, {mean1}, {mean2})"),
         }
     }
 }
@@ -416,9 +376,10 @@ mod tests {
     fn bounded_pareto_is_highly_variable() {
         // The paper uses BP precisely because CV^2 is much larger than
         // the exponential's CV^2 of 1.
+        let cv2 = |d: Dist| d.variance() / (d.mean() * d.mean());
         let d = Dist::bounded_pareto_with_mean(1.1, 1024.0, 1.0).unwrap();
-        assert!(d.cv2() > 5.0, "cv2 = {}", d.cv2());
-        assert!((Dist::exponential(1.0).cv2() - 1.0).abs() < 1e-12);
+        assert!(cv2(d) > 5.0, "cv2 = {}", cv2(d));
+        assert!((cv2(Dist::exponential(1.0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -429,11 +390,6 @@ mod tests {
             Dist::exponential(2.0),
             Dist::bounded_pareto(1.1, 0.4, 64.0).unwrap(),
             Dist::bounded_pareto(1.0, 0.4, 64.0).unwrap(),
-            Dist::HyperExp {
-                p: 0.4,
-                mean1: 0.5,
-                mean2: 4.0,
-            },
         ];
         let mut rng = SimRng::from_seed(31);
         for d in dists {
@@ -473,32 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn hyperexp_mean_matches() {
-        let d = Dist::HyperExp {
-            p: 0.3,
-            mean1: 1.0,
-            mean2: 10.0,
-        };
-        let m = empirical_mean(&d, 300_000, 8);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.03,
-            "{m} vs {}",
-            d.mean()
-        );
-    }
-
-    #[test]
     fn display_is_nonempty() {
         for d in [
             Dist::constant(1.0),
             Dist::uniform(0.0, 1.0),
             Dist::exponential(1.0),
             Dist::bounded_pareto(1.1, 0.1, 10.0).unwrap(),
-            Dist::HyperExp {
-                p: 0.5,
-                mean1: 1.0,
-                mean2: 2.0,
-            },
         ] {
             assert!(!d.to_string().is_empty());
         }

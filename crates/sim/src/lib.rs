@@ -7,8 +7,7 @@
 //!   simulation component can own an independent stream derived from one
 //!   master seed.
 //! * [`Dist`] — the random variates used by the paper's workloads and delay
-//!   models (constant, uniform, exponential, **Bounded Pareto**, and a
-//!   hyperexponential extension).
+//!   models (constant, uniform, exponential, and **Bounded Pareto**).
 //! * [`EventQueue`] — the pending-event set: a binary heap ordered by time
 //!   with FIFO tie-break, the contract [`EventScheduler`] states.
 //! * [`OnlineStats`] — streaming mean/variance/extrema (Welford) used for
