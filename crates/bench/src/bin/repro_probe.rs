@@ -7,8 +7,9 @@
 //! * **Scaling curve** — every figure once per worker count in
 //!   {1, 2, 4, max} (deduplicated, capped at this machine's hardware
 //!   threads), cache disabled throughout so every point measures the
-//!   work-stealing pool and nothing else. The `parallel_speedup` figure
-//!   is curve-derived: t(1 worker) / t(max workers).
+//!   worker pool's scoped threads and nothing else. The
+//!   `parallel_speedup` figure is curve-derived: t(1 worker) /
+//!   t(max workers).
 //! * **cold/warm** — all workers against a fresh content-addressed
 //!   cache, then again with the cache full: what the cache buys on
 //!   re-run (every point served from the JSONL store).

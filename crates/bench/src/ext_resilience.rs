@@ -28,8 +28,6 @@
 //! (`partition`, structural), and the best resilience wrapper strictly
 //! beats naive LI at partition fraction 0.25 (`resilience`, statistical).
 
-use std::sync::Arc;
-
 use staleload_core::{run_simulation, ArrivalSpec, Experiment, FaultSpec, SimConfig};
 use staleload_info::InfoSpec;
 use staleload_policies::PolicySpec;
@@ -127,8 +125,7 @@ pub fn run(scale: &Scale) -> Outcome {
     // One representative run per cell at the master seed supplies the
     // robustness counters (the cached aggregate keeps only
     // response-time statistics).
-    let cells = Arc::new(cells);
-    let reps = run_trials(cells.len(), move |i| {
+    let reps = run_trials(cells.len(), |i| {
         let exp = &cells[i];
         run_simulation(&exp.config, &exp.arrivals, &exp.info, &exp.policy)
             .map(|r| r.resilience)

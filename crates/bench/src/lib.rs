@@ -18,11 +18,12 @@
 //! statistics the checks can judge; `smoke` only exercises the code
 //! paths.
 //!
-//! Every entry executes its (point × trial) grid on one shared
-//! work-stealing worker pool ([`staleload_runner`]) and consults a
-//! content-addressed result cache under `results/cache/`. Worker count
-//! comes from `REPRO_WORKERS` (default: available parallelism); the
-//! cache is disabled by `--no-cache`.
+//! Every entry executes its (point × trial) grid as one batch on the
+//! shared sweep runner ([`staleload_runner`]), whose worker pool maps
+//! the batch onto scoped threads, and consults a content-addressed
+//! result cache under `results/cache/`. Worker count comes from
+//! `REPRO_WORKERS` (default: available parallelism); the cache is
+//! disabled by `--no-cache`.
 //! Results are bit-identical to a sequential run regardless of worker
 //! count or cache state.
 //!
@@ -393,8 +394,8 @@ static NO_CACHE: AtomicBool = AtomicBool::new(false);
 /// the default, so library tests and probes never race a wall clock).
 static WATCHDOG_MS: AtomicU64 = AtomicU64::new(0);
 
-/// The process-wide sweep runner every entry shares: one persistent
-/// work-stealing pool plus one result cache, built lazily on first use.
+/// The process-wide sweep runner every entry shares: one worker count,
+/// one result cache and one journal, built lazily on first use.
 static RUNNER: OnceLock<Mutex<SweepRunner>> = OnceLock::new();
 
 fn runner() -> MutexGuard<'static, SweepRunner> {
@@ -474,8 +475,8 @@ pub fn configure_runner(workers: usize, cache: ResultCache) {
 /// pure function of its index to stay deterministic.
 fn run_trials<T, F>(count: usize, f: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
     runner().run_map(count, f)
 }

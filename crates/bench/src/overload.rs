@@ -31,8 +31,6 @@
 //! of Random's under the same controls, shedding a bounded fraction
 //! (`bounded-loss`), and bounds the backlog at the cap (`recovery`).
 
-use std::sync::Arc;
-
 use staleload_core::{run_simulation, trial_seed, ArrivalSpec, RetrySpec, SimConfig};
 use staleload_info::InfoSpec;
 use staleload_policies::PolicySpec;
@@ -197,20 +195,15 @@ pub fn run(scale: &Scale) -> Outcome {
     // pool. Each task is a pure function of its index and the means
     // below sum in trial order, so a cell is bit-identical to a
     // sequential loop over its trials.
-    let grid: Arc<Vec<(&str, PolicySpec, Controls)>> = Arc::new(
-        policies
-            .iter()
-            .flat_map(|(label, p)| Controls::ALL.map(|c| (*label, p.clone(), c)))
-            .collect(),
-    );
-    let (trials, arrivals) = (scale.trials, scale.arrivals);
-    let per_trial = run_trials(grid.len() * trials, {
-        let grid = Arc::clone(&grid);
-        move |i| {
-            let (label, policy, controls) = &grid[i / trials];
-            run_trial(arrivals, policy, *controls, i % trials)
-                .map_err(|e| format!("{label}/{} failed: {e}", controls.label()))
-        }
+    let grid: Vec<(&str, &PolicySpec, Controls)> = policies
+        .iter()
+        .flat_map(|(label, p)| Controls::ALL.map(|c| (*label, p, c)))
+        .collect();
+    let trials = scale.trials;
+    let per_trial = run_trials(grid.len() * trials, |i| {
+        let (label, policy, controls) = grid[i / trials];
+        run_trial(scale.arrivals, policy, controls, i % trials)
+            .map_err(|e| format!("{label}/{} failed: {e}", controls.label()))
     })
     .into_iter()
     .collect::<Result<Vec<Cell>, String>>()?;

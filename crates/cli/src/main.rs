@@ -41,6 +41,10 @@ fn main() -> ExitCode {
         None => ("help", &[][..]),
     };
     let result = match command {
+        "run" | "compare" if rest.iter().any(|a| a == "--help" || a == "-h") => {
+            print_help();
+            Ok(())
+        }
         "run" => parse_run(rest).and_then(|a| cmd_run(&a)),
         "compare" => parse_run(rest).and_then(|a| cmd_compare(&a)),
         "rank" => cmd_rank(rest),

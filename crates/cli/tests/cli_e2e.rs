@@ -24,6 +24,30 @@ fn help_lists_commands() {
 }
 
 #[test]
+fn run_help_prints_usage() {
+    let (_, usage, _) = staleload(&["--help"]);
+    for args in [
+        &["run", "--help"][..],
+        &["run", "-h"],
+        &["run", "--servers", "8", "--help"],
+    ] {
+        let (ok, stdout, stderr) = staleload(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stdout, usage, "{args:?}");
+    }
+}
+
+#[test]
+fn compare_help_prints_usage() {
+    let (_, usage, _) = staleload(&["--help"]);
+    for args in [&["compare", "--help"][..], &["compare", "-h"]] {
+        let (ok, stdout, stderr) = staleload(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stdout, usage, "{args:?}");
+    }
+}
+
+#[test]
 fn theory_prints_anchors() {
     let (ok, stdout, _) = staleload(&["theory", "--lambda", "0.5"]);
     assert!(ok);

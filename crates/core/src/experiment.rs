@@ -9,6 +9,7 @@ use staleload_stats::{Summary, TailSketch};
 
 use crate::{
     run_simulation, ArrivalSpec, ConfigError, Diagnostic, SimConfig, SimError, TailSummary,
+    WorkerPool,
 };
 
 /// Derives the seed of trial `trial` from a master seed (SplitMix-style
@@ -138,41 +139,21 @@ impl Experiment {
     ///
     /// Each trial is isolated: a trial that returns a config error or
     /// panics is recorded in [`ExperimentResult::failures`] and excluded
-    /// from the aggregates instead of aborting the batch.
+    /// from the aggregates instead of aborting the batch. The result does
+    /// not depend on the thread count: each trial's seed derives only from
+    /// its index, and [`WorkerPool::map`] hands the outcomes back in
+    /// trial order.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoSuccessfulTrials`] when *every* trial failed
     /// (there is nothing to aggregate).
     pub fn try_run(&self) -> Result<ExperimentResult, SimError> {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        self.try_run_threaded(threads)
-    }
-
-    /// Like [`Experiment::try_run`], but with an explicit worker-thread
-    /// count (clamped to at least 1 and at most `trials`).
-    ///
-    /// The result is independent of `threads`: each trial's seed derives
-    /// only from its index, and outcomes are re-ordered by trial index
-    /// before aggregation, so `try_run_threaded(1)` and
-    /// `try_run_threaded(k)` return identical [`ExperimentResult`]s
-    /// (enforced by `tests/parallel_determinism.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuccessfulTrials`] when *every* trial failed.
-    pub fn try_run_threaded(&self, threads: usize) -> Result<ExperimentResult, SimError> {
         if self.trials == 0 {
             return Err(ConfigError::new("need at least one trial").into());
         }
-        let threads = threads.clamp(1, self.trials);
-        let outcomes = if threads <= 1 {
-            (0..self.trials)
-                .map(|t| self.run_trial(t))
-                .collect::<Vec<_>>()
-        } else {
-            self.run_parallel(threads)
-        };
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let outcomes = WorkerPool::new(threads).map(self.trials, |t| self.run_trial(t));
         self.aggregate(outcomes)
     }
 
@@ -289,54 +270,6 @@ impl Experiment {
                 })
             }
         }
-    }
-
-    fn run_parallel(&self, threads: usize) -> Vec<TrialOutcome> {
-        // Each worker claims trial indices from a shared atomic counter
-        // and collects outcomes into its own vector; the vectors are
-        // merged after the scope. No lock is touched on the hot path.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let per_thread: Vec<Vec<(usize, TrialOutcome)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let trial = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if trial >= self.trials {
-                                break;
-                            }
-                            local.push((trial, self.run_trial(trial)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        });
-        let mut slots: Vec<Option<TrialOutcome>> = (0..self.trials).map(|_| None).collect();
-        for (trial, out) in per_thread.into_iter().flatten() {
-            slots[trial] = Some(out);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(trial, slot)| {
-                slot.unwrap_or_else(|| {
-                    // A worker thread died before storing its outcome
-                    // (catch_unwind should make this unreachable).
-                    TrialOutcome::Failed(TrialFailure {
-                        trial,
-                        seed: trial_seed(self.config.seed, trial),
-                        error: "trial produced no outcome".to_string(),
-                    })
-                })
-            })
-            .collect()
     }
 }
 

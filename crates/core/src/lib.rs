@@ -47,6 +47,7 @@ mod error;
 mod experiment;
 mod fault;
 mod metrics;
+mod pool;
 mod population;
 
 pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
@@ -57,4 +58,5 @@ pub use experiment::{
 };
 pub use fault::{ChurnSpec, CorruptSpec, CrashSpec, FaultSpec, LossSpec, PartitionSpec};
 pub use metrics::{jain_fairness, OverloadStats, ResilienceStats, RunDetail, TailSummary};
+pub use pool::WorkerPool;
 pub use staleload_workloads::RetrySpec;

@@ -1,13 +1,13 @@
 //! Rule `crate-hardening`: every crate root forbids `unsafe`.
 //!
-//! The workspace's concurrency story (the work-stealing pool, the
-//! thread-local scratch pools) is documented as safe Rust, and the
-//! cheapest way to keep that claim honest is `#![forbid(unsafe_code)]`
-//! at every crate root — `forbid` cannot be overridden by an inner
-//! `allow`, so the attribute is a proof, not a convention. This rule
-//! checks that every crate root (`src/lib.rs`, `src/main.rs`, and each
-//! `src/bin/*.rs` binary root, which is its own crate) carries the
-//! attribute.
+//! The workspace's concurrency story (the trial executor's scoped
+//! threads and atomic claim counter, the watchdog's guard threads) is
+//! documented as safe Rust, and the cheapest way to keep that claim
+//! honest is `#![forbid(unsafe_code)]` at every crate root — `forbid`
+//! cannot be overridden by an inner `allow`, so the attribute is a
+//! proof, not a convention. This rule checks that every crate root
+//! (`src/lib.rs`, `src/main.rs`, and each `src/bin/*.rs` binary root,
+//! which is its own crate) carries the attribute.
 
 use crate::diag::Finding;
 use crate::rules::Rule;

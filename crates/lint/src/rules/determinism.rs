@@ -2,8 +2,8 @@
 //!
 //! Every trajectory in this repository must be a pure function of the
 //! experiment spec (including the master seed): the golden-trajectory
-//! and parallel-determinism suites pin results bit-for-bit across
-//! worker counts and cache states. A single wall-clock read, an
+//! and golden-batch suites pin results bit-for-bit across worker
+//! counts and cache states. A single wall-clock read, an
 //! iteration over a `HashMap` (whose order is salted per process) or a
 //! buffer parked on a worker thread between trials in a
 //! simulation-facing crate silently breaks that contract.

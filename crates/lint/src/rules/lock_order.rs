@@ -1,7 +1,7 @@
 //! lock-order: Mutex acquisitions in the runner form a DAG.
 //!
 //! The runner is the only crate that holds real `std::sync::Mutex`es
-//! (journal, worker pool, interning table, outcome slots). A deadlock
+//! (the journal's map and appender, the interning table). A deadlock
 //! there doesn't fail a test — it hangs a multi-hour sweep at 3am with
 //! no stack trace. The classic cause is two code paths acquiring the
 //! same pair of locks in opposite orders, each path individually

@@ -23,13 +23,23 @@
 //! then fail to parse — either road leads to quarantine, never to a
 //! poisoned store.
 //!
+//! [`load_store`] is the one loader of both stores built on these: it
+//! reads a store back, quarantines what does not verify and parse, and
+//! compacts the live file.
+//!
 //! This module is the only place in `staleload-runner` allowed to open
 //! files for writing: the `atomic-io` lint rule fails any direct
 //! `File::create` / `OpenOptions` / `fs::write` elsewhere in the crate.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::hash::Hash;
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
+
+/// Directory (inside a store's directory) that damaged lines are moved
+/// to, preserved verbatim for post-mortems.
+pub const QUARANTINE_DIR: &str = "quarantine";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -138,6 +148,109 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
         let _ = d.sync_all();
     }
     Ok(())
+}
+
+/// A sealed JSONL store as [`load_store`] read it back.
+#[derive(Debug)]
+pub struct Loaded<K, V> {
+    /// The intact entries, by key (a later line wins over an earlier one).
+    pub entries: HashMap<K, V>,
+    /// Damaged lines moved to quarantine.
+    pub quarantined: u64,
+    /// The live file, open for appends.
+    pub appender: DurableAppender,
+}
+
+/// Opens the sealed JSONL store `dir/<file>`, creating both if needed,
+/// and reads its entries back with `parse`.
+///
+/// Sealed lines load when their footer verifies, legacy (unfootered)
+/// lines when they parse; blank lines are skipped. Every other line is
+/// copied verbatim to `dir/quarantine/<file>` with a warning. When any
+/// line was damaged or legacy, the live file is rewritten atomically
+/// from the intact entries, sealed with `encode` in key order, so damage
+/// is not quarantined again on the next open and legacy lines gain
+/// footers.
+///
+/// # Errors
+///
+/// Returns the I/O error if the directory or file cannot be created.
+pub fn load_store<K, V>(
+    dir: &Path,
+    file: &str,
+    parse: impl Fn(&str) -> Option<(K, V)>,
+    encode: impl Fn(&K, &V) -> String,
+) -> std::io::Result<Loaded<K, V>>
+where
+    K: Hash + Ord,
+{
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    let mut entries = HashMap::new();
+    let mut bad: Vec<String> = Vec::new();
+    let mut legacy = 0usize;
+    if let Ok(f) = File::open(&path) {
+        for line in BufReader::new(f).lines() {
+            let Ok(line) = line else { break };
+            if line.trim().is_empty() {
+                // A stray blank line is noise, not damage.
+                continue;
+            }
+            let parsed = match unseal(&line) {
+                Unsealed::Verified(payload) => parse(payload),
+                Unsealed::Legacy(raw) => parse(raw).inspect(|_| legacy += 1),
+                Unsealed::Corrupt => None,
+            };
+            match parsed {
+                Some((key, value)) => {
+                    entries.insert(key, value);
+                }
+                None => bad.push(line),
+            }
+        }
+    }
+
+    if !bad.is_empty() {
+        let qpath = dir.join(QUARANTINE_DIR).join(file);
+        let entr = if bad.len() == 1 { "entry" } else { "entries" };
+        match DurableAppender::open(&qpath) {
+            Ok(mut q) => {
+                for line in &bad {
+                    let _ = q.append_raw(line);
+                }
+                eprintln!(
+                    "warning: quarantined {} damaged {entr} of {} to {} (they will be recomputed)",
+                    bad.len(),
+                    path.display(),
+                    qpath.display()
+                );
+            }
+            Err(e) => eprintln!(
+                "warning: {} damaged {entr} of {} dropped (quarantine at {} failed: {e})",
+                bad.len(),
+                path.display(),
+                qpath.display()
+            ),
+        }
+    }
+    if !bad.is_empty() || legacy > 0 {
+        let mut sorted: Vec<(&K, &V)> = entries.iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut body = String::new();
+        for (key, value) in sorted {
+            body.push_str(&seal(&encode(key, value)));
+            body.push('\n');
+        }
+        if let Err(e) = write_atomic(&path, body.as_bytes()) {
+            eprintln!("warning: failed to compact {}: {e}", path.display());
+        }
+    }
+
+    Ok(Loaded {
+        entries,
+        quarantined: bad.len() as u64,
+        appender: DurableAppender::open(&path)?,
+    })
 }
 
 /// An append-only writer of sealed (checksummed) JSONL lines.

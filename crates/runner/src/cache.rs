@@ -19,23 +19,17 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use staleload_core::{Diagnostic, ExperimentResult, TailSummary, TrialFailure};
 use staleload_stats::{Summary, TailSketch};
 
-use crate::atomic::{self, DurableAppender, Unsealed};
+use crate::atomic::{self, DurableAppender};
 use crate::codec::{self, Json};
 use crate::PointKey;
 
 /// File name of the cache inside the cache directory.
 pub const CACHE_FILE: &str = "cache.jsonl";
-
-/// Directory (inside the cache directory) that damaged lines are moved
-/// to, preserved verbatim for post-mortems.
-pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Hit/miss counters, reset per figure by the sweep runner.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,91 +60,21 @@ impl ResultCache {
     /// damaged lines are moved to `dir/quarantine/cache.jsonl` and the
     /// live file is compacted with an atomic rewrite. Unsealed lines
     /// from a pre-footer cache still load (and are re-sealed by the
-    /// same compaction).
+    /// same compaction). See [`atomic::load_store`].
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the directory or file cannot be created.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(CACHE_FILE);
-        let mut map: HashMap<PointKey, ExperimentResult> = HashMap::new();
-        let mut bad: Vec<String> = Vec::new();
-        let mut legacy = 0usize;
-        if let Ok(file) = File::open(&path) {
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    // A stray blank line is noise, not damage.
-                    continue;
-                }
-                match atomic::unseal(&line) {
-                    Unsealed::Verified(payload) => match parse_line(payload) {
-                        Some((key, result)) => {
-                            map.insert(key, result);
-                        }
-                        None => bad.push(line),
-                    },
-                    Unsealed::Legacy(raw) => match parse_line(raw) {
-                        Some((key, result)) => {
-                            legacy += 1;
-                            map.insert(key, result);
-                        }
-                        None => bad.push(line),
-                    },
-                    Unsealed::Corrupt => bad.push(line),
-                }
-            }
-        }
-
-        let quarantined = bad.len() as u64;
-        if !bad.is_empty() {
-            let qpath = dir.join(QUARANTINE_DIR).join(CACHE_FILE);
-            match DurableAppender::open(&qpath) {
-                Ok(mut q) => {
-                    for line in &bad {
-                        let _ = q.append_raw(line);
-                    }
-                    eprintln!(
-                        "warning: quarantined {} damaged cache entr{} to {} (they will be recomputed)",
-                        bad.len(),
-                        if bad.len() == 1 { "y" } else { "ies" },
-                        qpath.display()
-                    );
-                }
-                Err(e) => eprintln!(
-                    "warning: {} damaged cache entries dropped (quarantine at {} failed: {e})",
-                    bad.len(),
-                    qpath.display()
-                ),
-            }
-        }
-        if !bad.is_empty() || legacy > 0 {
-            // Compact: rewrite only the intact entries, sealed, in key
-            // order, atomically — the damaged lines are now only in
-            // quarantine, and legacy lines gain footers.
-            let mut keys: Vec<PointKey> = map.keys().copied().collect();
-            keys.sort_unstable();
-            let mut body = String::new();
-            for key in keys {
-                body.push_str(&atomic::seal(&encode_line(key, &map[&key])));
-                body.push('\n');
-            }
-            if let Err(e) = atomic::write_atomic(&path, body.as_bytes()) {
-                eprintln!(
-                    "warning: failed to compact result cache {}: {e}",
-                    path.display()
-                );
-            }
-        }
-
-        let appender = DurableAppender::open(&path)?;
+        let store = atomic::load_store(dir, CACHE_FILE, parse_line, |&key, result| {
+            encode_line(key, result)
+        })?;
         Ok(Self {
-            appender: Some(appender),
-            path: Some(path),
-            map,
+            path: Some(store.appender.path().to_path_buf()),
+            appender: Some(store.appender),
+            map: store.entries,
             accounting: CacheAccounting {
-                quarantined,
+                quarantined: store.quarantined,
                 ..CacheAccounting::default()
             },
             write_error_reported: false,
@@ -463,6 +387,7 @@ pub(crate) fn decode_diagnostic(d: &Json) -> Option<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::{Unsealed, QUARANTINE_DIR};
 
     fn sample_result() -> ExperimentResult {
         let trial_means = vec![1.5, 0.1 + 0.2, f64::from_bits(0x3FF5_5555_5555_5555)];

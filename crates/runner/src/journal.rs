@@ -20,18 +20,16 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use staleload_core::{TrialFailure, TrialOutcome};
 
-use crate::atomic::{self, DurableAppender, Unsealed};
+use crate::atomic::{self, DurableAppender};
 use crate::cache::{
     decode_diagnostic, decode_failure, decode_sketch, encode_diagnostic, encode_failure,
-    encode_sketch, parse_key, QUARANTINE_DIR,
+    encode_sketch, parse_key,
 };
 use crate::codec;
 use crate::PointKey;
@@ -76,87 +74,26 @@ impl SweepJournal {
     ///
     /// Damaged lines (torn tails from a killed run, bit flips) are
     /// quarantined to `dir/quarantine/journal.jsonl` and the live file
-    /// compacted, exactly like the cache's self-healing load.
+    /// compacted by the loader the cache uses ([`atomic::load_store`]).
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the directory or file cannot be created.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(JOURNAL_FILE);
-        let mut map: HashMap<(PointKey, usize), TrialOutcome> = HashMap::new();
-        let mut bad: Vec<String> = Vec::new();
-        if let Ok(file) = File::open(&path) {
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    // A stray blank line is noise, not damage.
-                    continue;
-                }
-                let payload = match atomic::unseal(&line) {
-                    Unsealed::Verified(p) => p,
-                    Unsealed::Legacy(raw) => raw,
-                    Unsealed::Corrupt => {
-                        bad.push(line);
-                        continue;
-                    }
-                };
-                match parse_entry(payload) {
-                    Some((key, trial, outcome)) => {
-                        map.insert((key, trial), outcome);
-                    }
-                    None => bad.push(line),
-                }
-            }
-        }
-
-        let quarantined = bad.len() as u64;
-        if !bad.is_empty() {
-            let qpath = dir.join(QUARANTINE_DIR).join(JOURNAL_FILE);
-            match DurableAppender::open(&qpath) {
-                Ok(mut q) => {
-                    for line in &bad {
-                        let _ = q.append_raw(line);
-                    }
-                    eprintln!(
-                        "warning: quarantined {} damaged journal entr{} to {} (those trials will be recomputed)",
-                        bad.len(),
-                        if bad.len() == 1 { "y" } else { "ies" },
-                        qpath.display()
-                    );
-                }
-                Err(e) => eprintln!(
-                    "warning: {} damaged journal entries dropped (quarantine at {} failed: {e})",
-                    bad.len(),
-                    qpath.display()
-                ),
-            }
-            // Compact the intact entries back, sealed, in deterministic
-            // order, so the damage is not re-quarantined on every open.
-            let mut entries: Vec<(&(PointKey, usize), &TrialOutcome)> = map.iter().collect();
-            entries.sort_by_key(|((key, trial), _)| (*key, *trial));
-            let mut body = String::new();
-            for ((key, trial), outcome) in entries {
-                body.push_str(&atomic::seal(&encode_entry(*key, *trial, outcome)));
-                body.push('\n');
-            }
-            if let Err(e) = atomic::write_atomic(&path, body.as_bytes()) {
-                eprintln!(
-                    "warning: failed to compact sweep journal {}: {e}",
-                    path.display()
-                );
-            }
-        }
-
-        let appender = DurableAppender::open(&path)?;
+        let store = atomic::load_store(
+            dir,
+            JOURNAL_FILE,
+            |line| parse_entry(line).map(|(key, trial, outcome)| ((key, trial), outcome)),
+            |&(key, trial), outcome| encode_entry(key, trial, outcome),
+        )?;
         Ok(Self {
             inner: Some(Inner {
-                appender: Mutex::new(appender),
-                map: Mutex::new(map),
-                path,
+                path: store.appender.path().to_path_buf(),
+                appender: Mutex::new(store.appender),
+                map: Mutex::new(store.entries),
                 replayed: AtomicU64::new(0),
                 recorded: AtomicU64::new(0),
-                quarantined: AtomicU64::new(quarantined),
+                quarantined: AtomicU64::new(store.quarantined),
                 write_error_reported: AtomicU64::new(0),
             }),
         })
@@ -350,6 +287,7 @@ fn parse_entry(payload: &str) -> Option<(PointKey, usize, TrialOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::QUARANTINE_DIR;
     use staleload_core::Diagnostic;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -480,6 +418,25 @@ mod tests {
         // The compaction pass removed the torn line from the live file.
         let journal = SweepJournal::open(&dir).expect("reopen journal");
         assert_eq!(journal.take_accounting().quarantined, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_lines_load_and_are_resealed() {
+        let dir = temp_dir("legacy");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let line = encode_entry(key(1), 0, &ok_outcome(1.0));
+        std::fs::write(dir.join(JOURNAL_FILE), format!("{line}\n")).expect("write legacy file");
+        {
+            let journal = SweepJournal::open(&dir).expect("open legacy journal");
+            assert_eq!(journal.lookup(key(1), 0), Some(ok_outcome(1.0)));
+            assert_eq!(journal.take_accounting().quarantined, 0);
+        }
+        let body = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+        assert_eq!(
+            atomic::unseal(body.lines().next().expect("one line")),
+            atomic::Unsealed::Verified(line.as_str())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

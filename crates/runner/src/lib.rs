@@ -5,9 +5,10 @@
 //! (T, n, λ, policy) points and each point runs several trials. This
 //! crate executes that grid efficiently without touching its results:
 //!
-//! * [`WorkerPool`] — one persistent set of work-stealing workers serves
-//!   every (point × trial) task in the process, replacing per-experiment
-//!   thread churn.
+//! * [`WorkerPool`] — the one trial executor, defined in
+//!   `staleload-core` and re-exported here: each batch of
+//!   (point × trial) tasks runs on scoped threads plus the calling
+//!   thread, which claim indices from one atomic counter.
 //! * [`experiment_key`] — a canonical 128-bit content hash of the full
 //!   point spec (config + arrivals + info + policy + trials + a version
 //!   salt, [`CACHE_SALT`]).
@@ -20,14 +21,14 @@
 //! Crash safety is layered on top without touching the results
 //! (see `DESIGN.md` §11 for the full model):
 //!
-//! * [`mod@atomic`] — sealed (length + FNV checksum) JSONL lines and
-//!   tmp-file + fsync + rename whole-file replacement; the only module
-//!   in this crate that opens files for writing (the `atomic-io` lint
-//!   rule enforces this).
-//! * [`ResultCache`] quarantines damaged lines to
-//!   `<cache dir>/quarantine/` and recomputes them instead of aborting
+//! * [`mod@atomic`] — sealed (length + FNV checksum) JSONL lines,
+//!   tmp-file + fsync + rename whole-file replacement, and the one
+//!   loader of both stores; the only module in this crate that opens
+//!   files for writing (the `atomic-io` lint rule enforces this).
+//! * [`ResultCache`] and [`SweepJournal`] quarantine damaged lines to
+//!   `<cache dir>/quarantine/` and recompute them instead of aborting
 //!   or silently mis-deserializing.
-//! * [`SweepJournal`] — records each completed (point × trial) outcome
+//! * [`SweepJournal`] records each completed (point × trial) outcome
 //!   so an interrupted sweep resumes exactly where it died, with output
 //!   bit-identical to an uninterrupted run.
 //! * [`WatchdogSpec`] — a per-trial wall-clock deadline with bounded,
@@ -48,13 +49,13 @@ mod cache;
 mod codec;
 mod hash;
 mod journal;
-mod pool;
 mod runner;
 mod watchdog;
 
-pub use cache::{CacheAccounting, ResultCache, CACHE_FILE, QUARANTINE_DIR};
+pub use atomic::QUARANTINE_DIR;
+pub use cache::{CacheAccounting, ResultCache, CACHE_FILE};
 pub use hash::{experiment_key, experiment_key_salted, PointKey, SpecHasher, CACHE_SALT};
 pub use journal::{JournalAccounting, SweepJournal, JOURNAL_FILE};
-pub use pool::WorkerPool;
 pub use runner::{PointProgress, SweepRunner, WATCHDOG_DIAGNOSTIC};
+pub use staleload_core::WorkerPool;
 pub use watchdog::{run_guarded, Guarded, WatchdogSpec};

@@ -1,6 +1,6 @@
 //! The sweep runner: flattens experiment points into (point × trial)
-//! tasks, serves them from the shared worker pool, and short-circuits
-//! points already in the content-addressed result cache.
+//! tasks, maps them over the worker pool, and short-circuits points
+//! already in the content-addressed result cache.
 //!
 //! # Determinism
 //!
@@ -10,8 +10,8 @@
 //!
 //! 1. each trial's seed derives only from the master seed and the trial
 //!    index (`trial_seed`), never from which worker runs it or when;
-//! 2. trial outcomes land in per-trial slots indexed by trial number,
-//!    and aggregation consumes them in index order through the *same*
+//! 2. the pool returns trial outcomes in task order, and aggregation
+//!    consumes each point's outcomes in trial order through the *same*
 //!    `Experiment::aggregate` the sequential path uses;
 //! 3. cached results round-trip bit-exactly through the JSONL codec
 //!    (seeds as raw integer tokens, `f64`s via shortest-roundtrip
@@ -20,17 +20,17 @@
 //! The golden test `tests/golden_batch.rs` pins all three claims.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use staleload_core::{
     trial_seed, Diagnostic, Experiment, ExperimentResult, SimError, TrialFailure, TrialOutcome,
+    WorkerPool,
 };
 
 use crate::cache::{CacheAccounting, ResultCache};
 use crate::hash::experiment_key;
 use crate::journal::{JournalAccounting, SweepJournal};
-use crate::pool::WorkerPool;
 use crate::watchdog::{run_guarded, WatchdogSpec};
 
 /// Diagnostic code attached to points where at least one trial blew the
@@ -68,21 +68,6 @@ impl PointProgress {
 
 type ProgressFn = dyn Fn(PointProgress) + Send + Sync;
 
-/// Per-point landing zone for trial outcomes.
-struct PointSlots {
-    outcomes: Vec<Mutex<Option<TrialOutcome>>>,
-    remaining: AtomicUsize,
-}
-
-impl PointSlots {
-    fn new(trials: usize) -> Self {
-        Self {
-            outcomes: (0..trials).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(trials),
-        }
-    }
-}
-
 /// Whether a trial outcome is a watchdog timeout (as opposed to a real
 /// simulation error or panic).
 fn is_watchdog_failure(outcome: &TrialOutcome) -> bool {
@@ -91,7 +76,9 @@ fn is_watchdog_failure(outcome: &TrialOutcome) -> bool {
 
 /// Runs one trial, under the watchdog when one is armed. A trial whose
 /// every attempt blows the budget becomes a `TrialFailure` whose error
-/// text starts with `"watchdog:"`.
+/// text starts with `"watchdog:"`. The guard thread may outlive the
+/// batch when the watchdog abandons it, so it holds the experiment by
+/// `Arc`.
 fn run_trial_guarded(
     exp: &Arc<Experiment>,
     trial: usize,
@@ -120,14 +107,14 @@ fn run_trial_guarded(
     }
 }
 
-/// Executes batches of experiment points on a persistent worker pool,
-/// consulting (and filling) a content-addressed result cache.
+/// Executes batches of experiment points on a worker pool, consulting
+/// (and filling) a content-addressed result cache.
 pub struct SweepRunner {
     pool: WorkerPool,
     cache: ResultCache,
-    journal: Arc<SweepJournal>,
+    journal: SweepJournal,
     watchdog: Option<WatchdogSpec>,
-    progress: Option<Arc<ProgressFn>>,
+    progress: Option<Box<ProgressFn>>,
 }
 
 impl SweepRunner {
@@ -139,7 +126,7 @@ impl SweepRunner {
         Self {
             pool,
             cache,
-            journal: Arc::new(SweepJournal::disabled()),
+            journal: SweepJournal::disabled(),
             watchdog: None,
             progress: None,
         }
@@ -150,7 +137,7 @@ impl SweepRunner {
     /// an interrupted sweep resumes where it died. Replaces any
     /// previous journal.
     pub fn set_journal(&mut self, journal: SweepJournal) {
-        self.journal = Arc::new(journal);
+        self.journal = journal;
     }
 
     /// Whether a journal is recording and replaying trials.
@@ -184,7 +171,7 @@ impl SweepRunner {
     /// Installs a progress callback (invoked from worker threads as
     /// points complete). Replaces any previous callback.
     pub fn set_progress(&mut self, f: impl Fn(PointProgress) + Send + Sync + 'static) {
-        self.progress = Some(Arc::new(f));
+        self.progress = Some(Box::new(f));
     }
 
     /// Removes the progress callback.
@@ -212,36 +199,15 @@ impl SweepRunner {
     /// returns the results in index order.
     ///
     /// This is the escape hatch for experiment shapes that do not fit
-    /// [`Experiment`] (custom per-trial metrics): they still ride the
-    /// shared pool, but bypass the cache. Determinism is the caller's
-    /// concern — keep `f` a pure function of its index.
+    /// [`Experiment`] (custom per-trial metrics): they still run on the
+    /// pool, but bypass the cache. Determinism is the caller's concern —
+    /// keep `f` a pure function of its index.
     pub fn run_map<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
+        T: Send,
+        F: Fn(usize) -> T + Sync,
     {
-        let f = Arc::new(f);
-        let slots: Arc<Vec<Mutex<Option<T>>>> =
-            Arc::new((0..count).map(|_| Mutex::new(None)).collect());
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = (0..count)
-            .map(|i| {
-                let f = Arc::clone(&f);
-                let slots = Arc::clone(&slots);
-                Box::new(move || {
-                    *slots[i].lock().expect("map slot lock poisoned") = Some(f(i));
-                }) as Box<dyn FnOnce() + Send + 'static>
-            })
-            .collect();
-        self.pool.run(tasks);
-        Arc::try_unwrap(slots)
-            .unwrap_or_else(|_| panic!("all task clones dropped after pool.run"))
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("map slot lock poisoned")
-                    .expect("every map task stores its result")
-            })
-            .collect()
+        self.pool.map(count, f)
     }
 
     /// Runs every point of `experiments`, returning results in input
@@ -275,35 +241,27 @@ impl SweepRunner {
             }
         }
 
-        // Replay journalled trials into their slots before building
-        // tasks: a resumed sweep recomputes only what never completed.
-        let slots_by_point: Vec<Arc<PointSlots>> = uncached
-            .iter()
-            .map(|&(i, _)| Arc::new(PointSlots::new(experiments[i].trials)))
-            .collect();
-        let mut pending_by_point: Vec<Vec<usize>> = Vec::with_capacity(uncached.len());
+        // Replay journalled trials instead of running them: a resumed
+        // sweep recomputes only what never completed. Both lists are in
+        // (point, trial) order.
+        let mut replayed: Vec<(usize, usize, TrialOutcome)> = Vec::new();
+        let mut tasks: Vec<(usize, usize)> = Vec::new();
+        let mut pending = vec![0usize; uncached.len()];
         for (u, &(i, key)) in uncached.iter().enumerate() {
-            let trials = experiments[i].trials;
-            let mut pending = Vec::with_capacity(trials);
-            for trial in 0..trials {
+            for trial in 0..experiments[i].trials {
                 match self.journal.lookup(key, trial) {
-                    Some(outcome) => {
-                        *slots_by_point[u].outcomes[trial]
-                            .lock()
-                            .expect("trial slot lock poisoned") = Some(outcome);
+                    Some(outcome) => replayed.push((u, trial, outcome)),
+                    None => {
+                        tasks.push((u, trial));
+                        pending[u] += 1;
                     }
-                    None => pending.push(trial),
                 }
             }
-            slots_by_point[u]
-                .remaining
-                .store(pending.len(), Ordering::Release);
-            if pending.is_empty() {
-                // Fully replayed: the point completes without a task.
-                done_upfront += 1;
-            }
-            pending_by_point.push(pending);
         }
+        // A fully replayed point completes without a task.
+        done_upfront += pending.iter().filter(|&&p| p == 0).count();
+        // Trials each point still waits for, counted down for progress.
+        let remaining: Vec<AtomicUsize> = pending.into_iter().map(AtomicUsize::new).collect();
         if let Some(progress) = &self.progress {
             progress(PointProgress {
                 done: done_upfront,
@@ -312,52 +270,46 @@ impl SweepRunner {
             });
         }
 
-        let done = Arc::new(AtomicUsize::new(done_upfront));
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::new();
-        for (u, &(i, key)) in uncached.iter().enumerate() {
-            let exp = Arc::new(experiments[i].clone());
-            for &trial in &pending_by_point[u] {
-                let exp = Arc::clone(&exp);
-                let slots = Arc::clone(&slots_by_point[u]);
-                let done = Arc::clone(&done);
-                let journal = Arc::clone(&self.journal);
-                let watchdog = self.watchdog;
-                let progress = self.progress.clone();
-                tasks.push(Box::new(move || {
-                    let outcome = run_trial_guarded(&exp, trial, watchdog);
-                    // Watchdog timeouts are wall-clock verdicts — never
-                    // journalled, so a faster resume re-attempts them.
-                    if !is_watchdog_failure(&outcome) {
-                        journal.record(key, trial, &outcome);
+        let shared: Vec<Arc<Experiment>> = uncached
+            .iter()
+            .map(|&(i, _)| Arc::new(experiments[i].clone()))
+            .collect();
+        let done = AtomicUsize::new(done_upfront);
+        let (journal, watchdog, progress) =
+            (&self.journal, self.watchdog, self.progress.as_deref());
+        let mut computed = self
+            .pool
+            .map(tasks.len(), |j| {
+                let (u, trial) = tasks[j];
+                let outcome = run_trial_guarded(&shared[u], trial, watchdog);
+                // Watchdog timeouts are wall-clock verdicts — never
+                // journalled, so a faster resume re-attempts them.
+                if !is_watchdog_failure(&outcome) {
+                    journal.record(uncached[u].1, trial, &outcome);
+                }
+                if remaining[u].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    let now_done = done.fetch_add(1, Ordering::AcqRel) + 1;
+                    if let Some(progress) = progress {
+                        progress(PointProgress {
+                            done: now_done,
+                            total,
+                            elapsed: start.elapsed(),
+                        });
                     }
-                    *slots.outcomes[trial]
-                        .lock()
-                        .expect("trial slot lock poisoned") = Some(outcome);
-                    if slots.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let now_done = done.fetch_add(1, Ordering::AcqRel) + 1;
-                        if let Some(progress) = progress {
-                            progress(PointProgress {
-                                done: now_done,
-                                total,
-                                elapsed: start.elapsed(),
-                            });
-                        }
-                    }
-                }));
-            }
-        }
-        self.pool.run(tasks);
+                }
+                outcome
+            })
+            .into_iter();
 
+        let mut replayed = replayed.into_iter().peekable();
         for (u, &(i, key)) in uncached.iter().enumerate() {
-            let outcomes: Vec<TrialOutcome> = slots_by_point[u]
-                .outcomes
-                .iter()
-                .map(|slot| {
-                    slot.lock()
-                        .expect("trial slot lock poisoned")
-                        .take()
-                        .expect("every trial task stores its outcome")
-                })
+            let outcomes: Vec<TrialOutcome> = (0..experiments[i].trials)
+                .map(
+                    |trial| match replayed.next_if(|r| (r.0, r.1) == (u, trial)) {
+                        Some((_, _, outcome)) => outcome,
+                        None => computed.next().expect("one outcome per trial to run"),
+                    },
+                )
                 .collect();
             let mut result = experiments[i].aggregate(outcomes);
             if let Ok(r) = &mut result {

@@ -2,14 +2,14 @@
 //! and decorrelated-jitter backoff.
 //!
 //! A hung trial (a livelock tickled by one seed, a runaway parameter
-//! combination) used to stall its whole figure: the worker pool's
-//! `pool.run` barrier waits for every task, so one stuck worker parked
-//! the batch forever. The watchdog isolates it — the trial body runs on
-//! a dedicated guard thread while the pool worker waits with a timeout;
+//! combination) would stall its whole figure: the worker pool's `map`
+//! returns only once every task has, so one stuck task holds the batch
+//! forever. The watchdog isolates it — the trial body runs on a
+//! dedicated guard thread while the pool worker waits with a timeout;
 //! on expiry the worker *abandons* the guard thread (Rust threads
 //! cannot be killed safely) and either retries on a fresh thread or
 //! gives up, reporting a `TrialFailure`. The pool worker itself always
-//! returns, so the barrier and the condvar parking stay live.
+//! returns, so the batch completes.
 //!
 //! Retry pacing reuses the simulator's own decorrelated-jitter math
 //! ([`RetrySpec::backoff`] from the stale-retry workload model): each
