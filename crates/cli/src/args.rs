@@ -2,8 +2,7 @@
 //! CLI crate, and the grammar is small).
 
 use staleload_core::{
-    clients_for_mean_age, ArrivalSpec, ChurnSpec, CorruptSpec, EngineMode, FaultSpec,
-    PartitionSpec, RetrySpec, SimConfig,
+    clients_for_mean_age, ArrivalSpec, EngineMode, FaultSpec, RetrySpec, SimConfig,
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
@@ -280,9 +279,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut stealing: Option<u32> = None;
     let mut burst: Option<BurstConfig> = None;
     let mut faults = FaultSpec::none();
-    let mut partition: Option<PartitionSpec> = None;
-    let mut churn: Option<ChurnSpec> = None;
-    let mut corrupt: Option<CorruptSpec> = None;
     let mut hedge: Option<u32> = None;
     let mut quarantine: Option<(f64, f64)> = None;
     let mut staleness_cutoff: Option<f64> = None;
@@ -354,46 +350,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                 faults = take("--faults")?
                     .parse::<FaultSpec>()
                     .map_err(|e| e.to_string())?;
-            }
-            "--partition" => {
-                let v = take("--partition")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                if !(parts.len() == 3 || (parts.len() == 4 && parts[3] == "correlated")) {
-                    return Err(
-                        "--partition expects <MTBF>:<DURATION>:<FRACTION>[:correlated] \
-                         (e.g. 50:25:0.25)"
-                            .to_string(),
-                    );
-                }
-                partition = Some(PartitionSpec {
-                    mtbf: parts[0]
-                        .parse()
-                        .map_err(|_| format!("bad partition MTBF '{}'", parts[0]))?,
-                    duration: parts[1]
-                        .parse()
-                        .map_err(|_| format!("bad partition duration '{}'", parts[1]))?,
-                    fraction: parts[2]
-                        .parse()
-                        .map_err(|_| format!("bad partition fraction '{}'", parts[2]))?,
-                    correlated: parts.len() == 4,
-                });
-            }
-            "--churn" => {
-                let v = take("--churn")?;
-                let (m, d) = v
-                    .split_once(':')
-                    .ok_or("--churn expects <MTBF>:<DOWNTIME> (e.g. 150:30)")?;
-                churn = Some(ChurnSpec {
-                    mtbf: m.parse().map_err(|_| format!("bad churn MTBF '{m}'"))?,
-                    downtime: d.parse().map_err(|_| format!("bad churn downtime '{d}'"))?,
-                });
-            }
-            "--corrupt" => {
-                corrupt = Some(CorruptSpec {
-                    fraction: take("--corrupt")?
-                        .parse()
-                        .map_err(|e| format!("--corrupt: {e}"))?,
-                });
             }
             "--hedge" => {
                 hedge = Some(
@@ -490,27 +446,6 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
             "--detail" => detail = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
-
-    // Dedicated fault flags merge into --faults; naming a fault through
-    // both channels is ambiguous and rejected.
-    if let Some(p) = partition {
-        if faults.partition.is_some() {
-            return Err("partition faults specified twice (via --faults and --partition)".into());
-        }
-        faults.partition = Some(p);
-    }
-    if let Some(c) = churn {
-        if faults.churn.is_some() {
-            return Err("churn faults specified twice (via --faults and --churn)".into());
-        }
-        faults.churn = Some(c);
-    }
-    if let Some(c) = corrupt {
-        if faults.corrupt.is_some() {
-            return Err("corruption faults specified twice (via --faults and --corrupt)".into());
-        }
-        faults.corrupt = Some(c);
     }
 
     let info = parse_info(&info_spec)?;
@@ -958,12 +893,8 @@ mod tests {
     #[test]
     fn resilience_fault_flags_parse() {
         let args = parse_run(&strings(&[
-            "--partition",
-            "50:25:0.25:correlated",
-            "--churn",
-            "150:30",
-            "--corrupt",
-            "0.2",
+            "--faults",
+            "partition:50:25:0.25:correlated,churn:150:30,corrupt:0.2",
             "--info",
             "periodic:10",
         ]))
@@ -976,39 +907,42 @@ mod tests {
         assert_eq!(args.config.faults.corrupt.unwrap().fraction, 0.2);
 
         // The uncorrelated form omits the tag.
-        let args = parse_run(&strings(&["--partition", "50:25:0.25"])).unwrap();
+        let args = parse_run(&strings(&["--faults", "partition:50:25:0.25"])).unwrap();
         assert!(!args.config.faults.partition.unwrap().correlated);
 
         // Malformed shapes are rejected with messages, not panics.
-        assert!(parse_run(&strings(&["--partition", "50:25"])).is_err());
-        assert!(parse_run(&strings(&["--partition", "50:25:0.25:banana"])).is_err());
-        assert!(parse_run(&strings(&["--churn", "150"])).is_err());
-        assert!(parse_run(&strings(&["--corrupt", "lots"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "partition:50:25"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "partition:50:25:0.25:banana"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "churn:150"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "corrupt:lots"])).is_err());
     }
 
     #[test]
     fn degenerate_resilience_values_are_config_errors() {
         // Zero-length partition interval.
-        assert!(parse_run(&strings(&["--partition", "0:5:0.5"])).is_err());
-        assert!(parse_run(&strings(&["--partition", "10:0:0.5"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "partition:0:5:0.5"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "partition:10:0:0.5"])).is_err());
         // Churn whose downtime would empty the cluster.
-        assert!(parse_run(&strings(&["--churn", "10:20"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "churn:10:20"])).is_err());
         // Corruption fraction outside [0, 1].
-        assert!(parse_run(&strings(&["--corrupt", "1.5"])).is_err());
+        assert!(parse_run(&strings(&["--faults", "corrupt:1.5"])).is_err());
         // Hedge factor below 1; quarantine with a zero window.
         assert!(parse_run(&strings(&["--hedge", "0"])).is_err());
         assert!(parse_run(&strings(&["--quarantine", "0:5"])).is_err());
         assert!(parse_run(&strings(&["--quarantine", "15"])).is_err());
         // Churn and crash faults cannot be combined.
-        assert!(parse_run(&strings(&["--faults", "crash:500:20", "--churn", "150:30"])).is_err());
-        // Naming one fault through both channels is ambiguous.
+        assert!(parse_run(&strings(&["--faults", "crash:500:20,churn:150:30"])).is_err());
+        // Naming one fault twice is ambiguous.
         assert!(parse_run(&strings(&[
             "--faults",
-            "partition:50:25:0.25",
-            "--partition",
-            "60:20:0.5"
+            "partition:50:25:0.25,partition:60:20:0.5"
         ]))
         .is_err());
+        // --faults is the one spelling of a fault.
+        for flag in ["--partition", "--churn", "--corrupt"] {
+            let err = parse_run(&strings(&[flag, "0.2"])).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     #[test]

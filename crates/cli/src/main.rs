@@ -14,8 +14,7 @@
 //! `--policy <spec>` (run only), `--info <spec>`, `--service <spec>`,
 //! `--capacities <spec>`, `--stealing <MIN>`, `--burst <LEN>:<GAP>`,
 //! `--queue-cap <N>`, `--deadline <T>`, `--retry <MAX>:<BASE>:<CAP>`,
-//! `--guard <THR>:<COOLDOWN>`, `--partition <MTBF>:<DUR>:<FRAC>[:correlated]`,
-//! `--churn <MTBF>:<DOWNTIME>`, `--corrupt <FRAC>`, `--hedge <H>`,
+//! `--guard <THR>:<COOLDOWN>`, `--faults <spec>`, `--hedge <H>`,
 //! `--quarantine <WINDOW>:<BACKOFF>`, `--engine <per-server|population>`,
 //! `--watchdog <SECS>`, `--detail`.
 
@@ -86,8 +85,15 @@ fn print_help() {
          --capacities SPEC  e.g. 50x1.6,50x0.4 (enables heterogeneous cluster)\n  \
          --stealing MIN     idle servers steal from queues of length >= MIN\n  \
          --burst LEN:GAP    bursty update-on-access clients\n  \
-         --faults SPEC      none | crash:<MTBF>:<MTTR>[:redispatch] | drop:<P> |\n                     \
-         delay:<MEAN> (combine with commas, e.g. crash:500:20,drop:0.3)\n  \
+         --faults SPEC      none, or clauses joined by commas (e.g. crash:500:20,drop:0.3)\n                     \
+         crash:<MTBF>:<MTTR>[:redispatch] | drop:<P> | delay:<MEAN>\n                     \
+         partition:<MTBF>:<DUR>:<FRAC>[:correlated]  a FRAC subset of\n                     \
+         servers goes invisible to the board for DUR (contiguous block\n                     \
+         when correlated), healing and re-striking with mean MTBF\n                     \
+         churn:<MTBF>:<DOWNTIME>  servers leave with mean MTBF (queues\n                     \
+         handed off) and rejoin cold after DOWNTIME\n                     \
+         corrupt:<FRAC>  garble FRAC of load reports in flight (zeroed,\n                     \
+         stuck, or scaled 8x)\n  \
          --staleness-cutoff AGE  hide board entries older than AGE from the policy\n  \
          --queue-cap N      bound each server queue at N jobs; excess arrivals are rejected\n  \
          --deadline T       jobs still waiting after T renege (abandon the queue)\n  \
@@ -95,13 +101,6 @@ fn print_help() {
          decorrelated-jitter backoff in [BASE, CAP]\n  \
          --guard THR:COOLDOWN  circuit breaker: fall back to random routing for\n                     \
          COOLDOWN time when dispatch concentration exceeds THR (>1)\n  \
-         --partition MTBF:DUR:FRAC[:correlated]  a FRAC subset of servers goes\n                     \
-         invisible to the board for DUR (contiguous block when\n                     \
-         correlated), healing and re-striking with mean MTBF\n  \
-         --churn MTBF:DOWNTIME  servers leave with mean MTBF (queues handed off)\n                     \
-         and rejoin cold after DOWNTIME\n  \
-         --corrupt FRAC     garble FRAC of load reports in flight (zeroed, stuck,\n                     \
-         or scaled 8x)\n  \
          --hedge H          dispatch each job to H servers, first completion wins,\n                     \
          losers cancelled (needs a plain FIFO config)\n  \
          --quarantine WINDOW:BACKOFF  eject servers whose reports are older than\n                     \
@@ -124,8 +123,8 @@ fn print_help() {
          staleload run --policy hetero-li --capacities 50x1.6,50x0.4 --lambda 0.7\n  \
          staleload run --faults crash:500:20,drop:0.5 --staleness-cutoff 25\n  \
          staleload run --queue-cap 10 --deadline 20 --retry 5:1:30 --guard 2:100 --detail\n  \
-         staleload run --partition 50:25:0.25 --quarantine 15:10 --detail\n  \
-         staleload run --hedge 2 --churn 150:30 --corrupt 0.1 --detail"
+         staleload run --faults partition:50:25:0.25 --quarantine 15:10 --detail\n  \
+         staleload run --hedge 2 --faults churn:150:30,corrupt:0.1 --detail"
     );
 }
 

@@ -201,10 +201,8 @@ fn run_resilience_knobs_print_counters() {
         "basic-li",
         "--info",
         "periodic:5",
-        "--partition",
-        "40:20:0.25",
-        "--corrupt",
-        "0.2",
+        "--faults",
+        "partition:40:20:0.25,corrupt:0.2",
         "--hedge",
         "2",
         "--quarantine",
@@ -224,18 +222,18 @@ fn run_resilience_knobs_print_counters() {
 #[test]
 fn bad_resilience_flags_fail_with_message() {
     // Zero-length partition interval.
-    let (ok, _, stderr) = staleload(&["run", "--partition", "0:5:0.5"]);
+    let (ok, _, stderr) = staleload(&["run", "--faults", "partition:0:5:0.5"]);
     assert!(!ok);
     assert!(stderr.contains("partition"), "{stderr}");
-    let (ok, _, stderr) = staleload(&["run", "--partition", "10:0:0.5"]);
+    let (ok, _, stderr) = staleload(&["run", "--faults", "partition:10:0:0.5"]);
     assert!(!ok);
     assert!(stderr.contains("partition"), "{stderr}");
     // Churn that would empty the cluster.
-    let (ok, _, stderr) = staleload(&["run", "--churn", "10:20"]);
+    let (ok, _, stderr) = staleload(&["run", "--faults", "churn:10:20"]);
     assert!(!ok);
     assert!(stderr.contains("churn"), "{stderr}");
     // Corruption fraction out of range.
-    let (ok, _, stderr) = staleload(&["run", "--corrupt", "1.5"]);
+    let (ok, _, stderr) = staleload(&["run", "--faults", "corrupt:1.5"]);
     assert!(!ok);
     assert!(stderr.contains("corrupt"), "{stderr}");
     // Hedge factor below 1, and above the cluster size.
@@ -364,6 +362,24 @@ fn bad_policy_fails_with_message() {
     let (ok, _, stderr) = staleload(&["run", "--policy", "telepathy"]);
     assert!(!ok);
     assert!(stderr.contains("unknown policy"), "{stderr}");
+}
+
+#[test]
+fn zero_continuous_delay_is_a_config_error() {
+    let (ok, _, stderr) = staleload(&[
+        "run",
+        "--info",
+        "continuous:const:0",
+        "--servers",
+        "4",
+        "--arrivals",
+        "2000",
+        "--trials",
+        "2",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("delay mean"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -360,8 +360,8 @@ fn random_up_server(cluster: &Cluster, rng: &mut SimRng) -> Option<ServerId> {
 ///
 /// Returns [`SimError::Config`] when the specs are inconsistent: bad policy
 /// or info-model parameters, a bursty/MMPP arrival spec that cannot attain
-/// the configured load, or loss injection on an info model without an
-/// update channel.
+/// the configured load, or loss, partition or corruption faults on an info
+/// model without a board report path.
 pub fn run_simulation(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
@@ -385,23 +385,21 @@ fn run_inner(
     info.validate().map_err(ConfigError::new)?;
     policy.validate().map_err(ConfigError::new)?;
     cfg.faults.validate()?;
-    if cfg.faults.loss.is_some() && !info.supports_loss() {
+    // Loss, partitions and corruption act on a board's report path; the
+    // first one configured names the error.
+    let board_fault = [
+        (cfg.faults.loss.is_some(), "loss injection needs"),
+        (cfg.faults.partition.is_some(), "view partitions need"),
+        (
+            cfg.faults.corrupt.is_some_and(|c| !c.is_noop()),
+            "report corruption needs",
+        ),
+    ]
+    .into_iter()
+    .find_map(|(on, what)| on.then_some(what));
+    if let Some(what) = board_fault.filter(|_| !info.supports_loss()) {
         return Err(ConfigError::new(format!(
-            "loss injection needs a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
-    if cfg.faults.partition.is_some() && !info.supports_loss() {
-        return Err(ConfigError::new(format!(
-            "view partitions need a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
-    if cfg.faults.corrupt.is_some_and(|c| !c.is_noop()) && !info.supports_loss() {
-        return Err(ConfigError::new(format!(
-            "report corruption needs a bulletin-board info model (periodic or individual), got {}",
+            "{what} a bulletin-board info model (periodic or individual), got {}",
             info.label()
         ))
         .into());
@@ -465,23 +463,10 @@ fn run_inner(
         cluster.enable_history(window);
     }
 
-    let clients = arrivals.clients();
-    let mut model = match cfg.faults.loss {
-        Some(loss) => InfoDispatch::from_spec_lossy(info, n, loss, fault_rng.fork())
-            .ok_or_else(|| {
-                ConfigError::new(format!(
-                    "loss injection needs a bulletin-board info model (periodic or individual), got {}",
-                    info.label()
-                ))
-            })?,
-        None => InfoDispatch::from_spec(info, n, clients),
-    };
-    if let Some(corrupt) = cfg.faults.corrupt.filter(|c| !c.is_noop()) {
-        // The fork happens only when corruption is live, so honest runs
-        // stay bit-identical (same discipline as the loss channel above).
-        let attached = model.attach_corruptor(corrupt, fault_rng.fork());
-        debug_assert!(attached, "supports_loss() was checked above");
-    }
+    let mut model = InfoDispatch::from_spec(info, n, arrivals.clients());
+    // Forks the fault stream only for a configured loss channel and live
+    // corruption, so fault-free and honest runs stay bit-identical.
+    model.degrade(cfg.faults.loss, cfg.faults.corrupt, &mut fault_rng);
     let mut policy = DispatchPolicy::from_spec(policy);
     // Churn is crash-with-eviction: a departing server's queue is drained
     // and re-dispatched (re-execution semantics) and it rejoins cold, so

@@ -161,10 +161,6 @@ impl InfoModel for ContinuousView {
     }
 
     fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        Some(self.delay.history_window())
-    }
 }
 
 #[cfg(test)]

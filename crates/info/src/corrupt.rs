@@ -3,10 +3,11 @@
 //! The paper assumes every load report that reaches the board is honest.
 //! Real telemetry planes emit garbage: a crashed exporter reports zero, a
 //! wedged agent repeats its last value, a wrapped counter comes back
-//! scaled. This module describes that corruption so the board models
-//! ([`crate::PeriodicBoard`], [`crate::IndividualBoard`]) can apply it per
-//! report: each refresh is independently garbled with probability
-//! `fraction`, choosing uniformly between the three failure shapes.
+//! scaled. This module describes that corruption, which sits on the
+//! report path both boards share ([`crate::InfoDispatch::degrade`]
+//! attaches it) ahead of the loss channel: each report is independently
+//! garbled with probability `fraction`, choosing uniformly between the
+//! three failure shapes.
 
 use serde::{Deserialize, Serialize};
 use staleload_sim::SimRng;
@@ -19,9 +20,9 @@ const SCALE_FACTOR: u32 = 8;
 /// Describes a report-corruption fault: a fraction of load reports are
 /// garbled in flight (zeroed, stuck at the previous value, or scaled up).
 ///
-/// `CorruptSpec::default()` (fraction 0) is the honest channel; boards
-/// with an attached zero-fraction corruptor still draw from its RNG fork,
-/// so the engine must only attach one when `fraction > 0`.
+/// `CorruptSpec::default()` (fraction 0) is the honest channel; a
+/// zero-fraction corruptor would still draw from its RNG fork, so
+/// [`crate::InfoDispatch::degrade`] attaches one only when `fraction > 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CorruptSpec {
     /// Probability in `[0, 1]` that a single load report is garbled.

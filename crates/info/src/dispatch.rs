@@ -5,8 +5,8 @@
 //! would sit directly on the hot path. The model set is closed — the
 //! variants below — so [`InfoDispatch`] is the one way to build a model
 //! from an [`InfoSpec`] and gives the engine a concrete type to
-//! monomorphize against. Lossy update channels don't change the variant:
-//! a lossy periodic board is still a [`PeriodicBoard`].
+//! monomorphize against. Neither an estimate nor a fault changes the
+//! variant: an EWMA board or a lossy board is still a [`PeriodicBoard`].
 //!
 //! Each variant forwards to its model unchanged, so it is bit-identical
 //! to the concrete model built directly.
@@ -17,15 +17,15 @@ use staleload_cluster::Cluster;
 use staleload_policies::LoadView;
 
 use crate::{
-    ContinuousView, CorruptSpec, EwmaBoard, FreshView, IndividualBoard, InfoModel, InfoSpec,
-    LossSpec, MultiHorizonBoard, PeriodicBoard, UpdateOnAccess,
+    ContinuousView, CorruptSpec, FreshView, IndividualBoard, InfoModel, InfoSpec, LossSpec,
+    PeriodicBoard, UpdateOnAccess,
 };
 
 /// An [`InfoModel`] with enum (static) dispatch over the closed set of
 /// information models.
 ///
-/// Build one with [`InfoDispatch::from_spec`] or
-/// [`InfoDispatch::from_spec_lossy`].
+/// Build one with [`InfoDispatch::from_spec`]; route a board's reports
+/// through faults with [`InfoDispatch::degrade`].
 #[allow(missing_docs)] // variants mirror InfoSpec, documented there
 pub enum InfoDispatch {
     Periodic(PeriodicBoard),
@@ -33,8 +33,6 @@ pub enum InfoDispatch {
     UpdateOnAccess(UpdateOnAccess),
     Individual(IndividualBoard),
     Fresh(FreshView),
-    Ewma(EwmaBoard),
-    MultiHorizon(MultiHorizonBoard),
 }
 
 impl InfoDispatch {
@@ -51,64 +49,44 @@ impl InfoDispatch {
                 Self::Individual(IndividualBoard::new(servers, period))
             }
             InfoSpec::Fresh => Self::Fresh(FreshView),
-            InfoSpec::Ewma { period, alpha } => Self::Ewma(EwmaBoard::new(servers, period, alpha)),
+            InfoSpec::Ewma { period, alpha } => {
+                Self::Periodic(PeriodicBoard::ewma(servers, period, alpha))
+            }
             InfoSpec::MultiHorizon { period, windows } => {
-                Self::MultiHorizon(MultiHorizonBoard::new(servers, period, windows))
+                Self::Periodic(PeriodicBoard::multi_horizon(servers, period, windows))
             }
         }
     }
 
-    /// Instantiates the model with its board refreshes routed through a
-    /// lossy/delayed update channel (fault injection).
+    /// Routes a bulletin board's reports through a lossy/delayed channel
+    /// for `loss`, then a corruptor for a `corrupt` fraction above 0.
+    /// Each fault's stream is forked from `fault_rng` (the engine's fault
+    /// stream) in that order, and only when the fault is configured, so
+    /// fault-free and honest runs stay bit-identical.
     ///
-    /// Only the bulletin-board models have an update channel to disturb;
-    /// returns `None` for the others (see [`InfoSpec::supports_loss`]; the
-    /// caller should surface that as a configuration error). `rng` should
-    /// be forked from the engine's fault stream so the channel's draws
-    /// stay off the fault-free streams.
-    pub fn from_spec_lossy(
-        spec: &InfoSpec,
-        servers: usize,
-        loss: LossSpec,
-        rng: SimRng,
-    ) -> Option<Self> {
-        match *spec {
-            InfoSpec::Periodic { period } => Some(Self::Periodic(PeriodicBoard::with_loss(
-                servers, period, loss, rng,
-            ))),
-            InfoSpec::Individual { period } => Some(Self::Individual(IndividualBoard::with_loss(
-                servers, period, loss, rng,
-            ))),
-            _ => None,
-        }
-    }
-
-    /// Routes the model's board refreshes through a report corruptor.
-    ///
-    /// Returns `false` for models without a report channel to corrupt
-    /// (same contract as [`InfoSpec::supports_loss`] — the caller should
-    /// surface that as a configuration error). `rng` should be forked
-    /// from the engine's fault stream, and only when `spec` is not a
-    /// noop, so honest configurations stay bit-identical.
-    pub fn attach_corruptor(&mut self, spec: CorruptSpec, rng: SimRng) -> bool {
+    /// Only the boards have a report path: the caller must reject these
+    /// faults on a model whose spec does not [`InfoSpec::supports_loss`].
+    pub fn degrade(
+        &mut self,
+        loss: Option<LossSpec>,
+        corrupt: Option<CorruptSpec>,
+        fault_rng: &mut SimRng,
+    ) {
         match self {
-            Self::Periodic(board) => {
-                board.attach_corruptor(spec, rng);
-                true
-            }
-            Self::Individual(board) => {
-                board.attach_corruptor(spec, rng);
-                true
-            }
-            _ => false,
+            Self::Periodic(board) => board.entries.degrade(loss, corrupt, fault_rng),
+            Self::Individual(board) => board.entries.degrade(loss, corrupt, fault_rng),
+            _ => debug_assert!(
+                loss.is_none() && corrupt.is_none_or(|c| c.is_noop()),
+                "only a bulletin board has a report path to degrade"
+            ),
         }
     }
 
-    /// Number of reports garbled by an attached corruptor so far.
+    /// Number of reports garbled by the board's corruptor so far.
     pub fn corrupted_reports(&self) -> u64 {
         match self {
-            Self::Periodic(board) => board.corrupted_reports(),
-            Self::Individual(board) => board.corrupted_reports(),
+            Self::Periodic(board) => board.entries.corrupted_reports(),
+            Self::Individual(board) => board.entries.corrupted_reports(),
             _ => 0,
         }
     }
@@ -122,8 +100,6 @@ macro_rules! for_each_variant {
             InfoDispatch::UpdateOnAccess($m) => $body,
             InfoDispatch::Individual($m) => $body,
             InfoDispatch::Fresh($m) => $body,
-            InfoDispatch::Ewma($m) => $body,
-            InfoDispatch::MultiHorizon($m) => $body,
         }
     };
 }
@@ -153,11 +129,6 @@ impl InfoModel for InfoDispatch {
     #[inline]
     fn after_placement(&mut self, now: f64, client: usize, cluster: &Cluster) {
         for_each_variant!(self, m => m.after_placement(now, client, cluster))
-    }
-
-    #[inline]
-    fn required_history_window(&self) -> Option<f64> {
-        for_each_variant!(self, m => m.required_history_window())
     }
 }
 
@@ -245,37 +216,45 @@ mod tests {
                 period: 2.0,
                 alpha: 0.4,
             },
-            EwmaBoard::new(4, 2.0, 0.4),
+            PeriodicBoard::ewma(4, 2.0, 0.4),
         );
         assert_replays(
             InfoSpec::MultiHorizon {
                 period: 2.0,
                 windows,
             },
-            MultiHorizonBoard::new(4, 2.0, windows),
+            PeriodicBoard::multi_horizon(4, 2.0, windows),
         );
     }
 
+    /// `degrade` gives the boards a lossy channel, and forks the fault
+    /// stream only for a configured fault.
     #[test]
     fn lossy_dispatch_builds_only_for_boards() {
-        let loss = LossSpec::drop(0.5);
-        assert!(InfoDispatch::from_spec_lossy(
-            &InfoSpec::Periodic { period: 5.0 },
-            4,
-            loss,
-            SimRng::from_seed(1)
-        )
-        .is_some());
-        assert!(InfoDispatch::from_spec_lossy(
-            &InfoSpec::Individual { period: 5.0 },
-            4,
-            loss,
-            SimRng::from_seed(1)
-        )
-        .is_some());
-        assert!(
-            InfoDispatch::from_spec_lossy(&InfoSpec::Fresh, 4, loss, SimRng::from_seed(1))
-                .is_none()
-        );
+        let mut cluster = Cluster::new(4);
+        cluster.enqueue(0, Job::new(0, 0.1, 100.0), 0.1);
+        for spec in [
+            InfoSpec::Periodic { period: 5.0 },
+            InfoSpec::Individual { period: 5.0 },
+        ] {
+            let mut model = InfoDispatch::from_spec(&spec, 4, 1);
+            model.degrade(Some(LossSpec::drop(1.0)), None, &mut SimRng::from_seed(1));
+            for _ in 0..8 {
+                let t = model.next_event().unwrap();
+                model.on_event(t, &cluster);
+            }
+            let view = model.view(20.0, 0, &mut cluster, &mut SimRng::from_seed(2));
+            assert_eq!(
+                view.loads,
+                &[0; 4],
+                "{}: every report dropped",
+                spec.label()
+            );
+        }
+        let mut fault_rng = SimRng::from_seed(3);
+        let mut model = InfoDispatch::from_spec(&InfoSpec::Periodic { period: 5.0 }, 4, 1);
+        model.degrade(None, Some(CorruptSpec::new(0.0)), &mut fault_rng);
+        assert_eq!(model.corrupted_reports(), 0);
+        assert_eq!(fault_rng.next_u64(), SimRng::from_seed(3).next_u64());
     }
 }

@@ -1,185 +1,71 @@
-//! Smoothing load estimators over the periodic bulletin board (ISSUE 8).
+//! What a periodic board entry publishes: the raw sample or a smoothed
+//! load estimate (the tail-latency extension).
 //!
-//! The paper's periodic board publishes the raw phase-start snapshot;
-//! these boards publish a *filtered* load signal instead, on the same
-//! refresh schedule:
+//! The paper's board publishes the raw phase-start snapshot. A
+//! [`crate::PeriodicBoard`] can instead publish, on the same refresh
+//! schedule,
 //!
-//! * [`EwmaBoard`] — each entry is an exponentially weighted moving
-//!   average of that server's sampled loads:
-//!   `est ← α·sample + (1−α)·est` (the first sample initializes).
-//! * [`MultiHorizonBoard`] — each entry is the equal-weight blend of the
-//!   sample means over three look-back horizons (Unix load-average
-//!   style, e.g. 1/5/15 periods), so transient spikes are discounted
-//!   against the longer-term trend.
+//! * an exponentially weighted moving average of each server's sampled
+//!   loads: `est ← α·sample + (1−α)·est` (the first sample initializes);
+//! * the equal-weight blend of the sample means over three look-back
+//!   horizons (Unix load-average style, e.g. 1/5/15 periods), so
+//!   transient spikes are discounted against the longer-term trend.
 //!
 //! Both are deterministic — no RNG, no wall clock — and publish rounded
-//! `u32` loads so policies see the same integer board shape as the
-//! snapshot models. A crashed or partitioned server contributes no
-//! sample and its estimator state freezes; the entry decays in place
-//! exactly like [`crate::PeriodicBoard`]'s, with its per-entry age
+//! `u32` loads so policies see the same integer board shape as the raw
+//! board. A crashed or partitioned server contributes no sample, so its
+//! estimator state freezes and its entry decays in place, its age
 //! growing until the server reports again.
 
 use std::collections::VecDeque;
 
-use staleload_cluster::Cluster;
-use staleload_policies::{EntryAges, InfoAge, LoadView};
-use staleload_sim::SimRng;
-
-use crate::InfoModel;
-
-/// Shared periodic-refresh scaffolding: board values, per-entry sample
-/// times, and the phase/epoch bookkeeping policies key their caches on.
+/// The value a periodic board entry publishes for a server's samples.
 #[derive(Debug, Clone)]
-struct BoardCore {
-    period: f64,
-    board: Vec<u32>,
-    entry_times: Vec<f64>,
-    phase_start: f64,
-    epoch: u64,
+pub(crate) enum Estimate {
+    /// The sample itself (the paper's board).
+    Raw,
+    /// An EWMA with weight `alpha` on the newest sample.
+    Ewma {
+        alpha: f64,
+        /// Current estimate per server; NaN until the first sample.
+        est: Vec<f64>,
+    },
+    /// The blend of the sample means over three horizons (in time
+    /// units, strictly increasing).
+    MultiHorizon {
+        windows: [f64; 3],
+        /// Per-server `(sample time, sample)` history, oldest first,
+        /// trimmed to the longest window each sample.
+        history: Vec<VecDeque<(f64, f64)>>,
+    },
 }
 
-impl BoardCore {
-    fn new(n: usize, period: f64) -> Self {
-        assert!(n > 0, "need at least one server");
-        assert!(
-            period.is_finite() && period > 0.0,
-            "period must be positive, got {period}"
-        );
-        Self {
-            period,
-            board: vec![0; n],
-            entry_times: vec![0.0; n],
-            phase_start: 0.0,
-            epoch: 0,
-        }
-    }
-
-    /// The view at `now`; no per-server work (ages are read lazily).
-    fn view(&self, now: f64) -> LoadView<'_> {
-        LoadView {
-            loads: &self.board,
-            info: InfoAge::Phase {
-                start: self.phase_start,
-                length: self.period,
-                now,
-                epoch: self.epoch,
-            },
-            ages: Some(EntryAges {
-                sampled: &self.entry_times,
-                now,
-            }),
-        }
-    }
-}
-
-/// A bulletin board that publishes per-server EWMA load estimates every
-/// `period` time units.
-#[derive(Debug, Clone)]
-pub struct EwmaBoard {
-    core: BoardCore,
-    alpha: f64,
-    /// Current estimate per server; NaN until the first sample lands.
-    est: Vec<f64>,
-}
-
-impl EwmaBoard {
-    /// Creates a board for `n` servers, sampling every `period` and
-    /// smoothing with weight `alpha` on the newest sample.
+impl Estimate {
+    /// An EWMA over `n` servers with weight `alpha` on the newest sample.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `period` is not positive and finite, or
-    /// `alpha` is outside `(0, 1]` (α = 1 degenerates to the raw
-    /// periodic snapshot, a useful identity check; α = 0 would never
-    /// observe anything).
-    pub fn new(n: usize, period: f64, alpha: f64) -> Self {
+    /// Panics if `alpha` is outside `(0, 1]` (α = 1 degenerates to the
+    /// raw board, a useful identity check; α = 0 would never observe
+    /// anything).
+    pub fn ewma(n: usize, alpha: f64) -> Self {
         assert!(
             alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
             "EWMA weight must be in (0, 1], got {alpha}"
         );
-        Self {
-            core: BoardCore::new(n, period),
+        Self::Ewma {
             alpha,
             est: vec![f64::NAN; n],
         }
     }
 
-    /// The smoothing weight α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The refresh period `T`.
-    pub fn period(&self) -> f64 {
-        self.core.period
-    }
-}
-
-impl InfoModel for EwmaBoard {
-    fn next_event(&self) -> Option<f64> {
-        Some(self.core.phase_start + self.core.period)
-    }
-
-    fn on_event(&mut self, now: f64, cluster: &Cluster) {
-        for server in 0..self.core.board.len() {
-            // A down or partitioned server sends no sample: its estimate
-            // freezes and the entry decays in place.
-            if !cluster.is_up(server) || !cluster.is_visible(server) {
-                continue;
-            }
-            let sample = f64::from(cluster.load(server));
-            let est = &mut self.est[server];
-            *est = if est.is_nan() {
-                sample
-            } else {
-                self.alpha * sample + (1.0 - self.alpha) * *est
-            };
-            // Round-half-up to the integer board shape policies expect.
-            self.core.board[server] = est.round() as u32;
-            self.core.entry_times[server] = now;
-        }
-        self.core.phase_start = now;
-        self.core.epoch += 1;
-    }
-
-    fn view<'a>(
-        &'a mut self,
-        now: f64,
-        _client: usize,
-        _cluster: &'a mut Cluster,
-        _rng: &mut SimRng,
-    ) -> LoadView<'a> {
-        self.core.view(now)
-    }
-
-    fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// A bulletin board that publishes, every `period`, the equal-weight
-/// blend of each server's mean sampled load over three look-back
-/// horizons (`windows`, in simulation time units, strictly increasing).
-#[derive(Debug, Clone)]
-pub struct MultiHorizonBoard {
-    core: BoardCore,
-    windows: [f64; 3],
-    /// Per-server `(sample time, sample)` history, oldest first, trimmed
-    /// to the longest window each refresh.
-    history: Vec<VecDeque<(f64, f64)>>,
-}
-
-impl MultiHorizonBoard {
-    /// Creates a board for `n` servers sampling every `period`, blending
-    /// moving averages over the three `windows`.
+    /// A blend over `n` servers of the moving averages over `windows`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `period` is not positive and finite, or
-    /// `windows` is not positive, finite, and strictly increasing.
-    pub fn new(n: usize, period: f64, windows: [f64; 3]) -> Self {
+    /// Panics if `windows` is not positive, finite, and strictly
+    /// increasing.
+    pub fn multi_horizon(n: usize, windows: [f64; 3]) -> Self {
         assert!(
             windows.iter().all(|w| w.is_finite() && *w > 0.0),
             "horizon windows must be positive and finite, got {windows:?}"
@@ -188,91 +74,69 @@ impl MultiHorizonBoard {
             windows[0] < windows[1] && windows[1] < windows[2],
             "horizon windows must be strictly increasing, got {windows:?}"
         );
-        Self {
-            core: BoardCore::new(n, period),
+        Self::MultiHorizon {
             windows,
             history: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
 
-    /// The look-back horizons, shortest first.
-    pub fn windows(&self) -> [f64; 3] {
-        self.windows
-    }
-
-    /// The refresh period `T`.
-    pub fn period(&self) -> f64 {
-        self.core.period
-    }
-}
-
-impl InfoModel for MultiHorizonBoard {
-    fn next_event(&self) -> Option<f64> {
-        Some(self.core.phase_start + self.core.period)
-    }
-
-    fn on_event(&mut self, now: f64, cluster: &Cluster) {
-        let longest = self.windows[2];
-        for server in 0..self.core.board.len() {
-            if !cluster.is_up(server) || !cluster.is_visible(server) {
-                continue;
+    /// Folds `sample`, taken from `server` at `now`, into the estimate
+    /// and returns the value the entry publishes.
+    pub fn publish(&mut self, server: usize, sample: u32, now: f64) -> u32 {
+        match self {
+            Self::Raw => sample,
+            Self::Ewma { alpha, est } => {
+                let sample = f64::from(sample);
+                let est = &mut est[server];
+                *est = if est.is_nan() {
+                    sample
+                } else {
+                    *alpha * sample + (1.0 - *alpha) * *est
+                };
+                // Round-half-up to the integer board shape policies expect.
+                est.round() as u32
             }
-            let history = &mut self.history[server];
-            history.push_back((now, f64::from(cluster.load(server))));
-            // A horizon `w` sees the half-open interval `(now − w, now]`:
-            // with period-aligned samples, a window of k periods covers
-            // exactly the k newest samples. Trim what the longest horizon
-            // can no longer see.
-            while history.front().is_some_and(|&(t, _)| t <= now - longest) {
-                history.pop_front();
-            }
-            // One pass, summing oldest→newest per horizon — a fixed
-            // association, so the blend is bit-deterministic.
-            let mut sums = [0.0f64; 3];
-            let mut counts = [0u64; 3];
-            for &(t, sample) in history.iter() {
-                for (k, &w) in self.windows.iter().enumerate() {
-                    if t > now - w {
-                        sums[k] += sample;
-                        counts[k] += 1;
+            Self::MultiHorizon { windows, history } => {
+                let history = &mut history[server];
+                history.push_back((now, f64::from(sample)));
+                // A horizon `w` sees the half-open interval `(now − w, now]`:
+                // with period-aligned samples, a window of k periods covers
+                // exactly the k newest samples. Trim what the longest horizon
+                // can no longer see.
+                while history.front().is_some_and(|&(t, _)| t <= now - windows[2]) {
+                    history.pop_front();
+                }
+                // One pass, summing oldest→newest per horizon — a fixed
+                // association, so the blend is bit-deterministic.
+                let mut sums = [0.0f64; 3];
+                let mut counts = [0u64; 3];
+                for &(t, sample) in history.iter() {
+                    for (k, &w) in windows.iter().enumerate() {
+                        if t > now - w {
+                            sums[k] += sample;
+                            counts[k] += 1;
+                        }
                     }
                 }
+                let mut blend = 0.0;
+                for k in 0..3 {
+                    // The newest sample is always inside every window, so
+                    // counts[k] ≥ 1 here.
+                    blend += sums[k] / counts[k] as f64;
+                }
+                blend /= 3.0;
+                blend.round() as u32
             }
-            let mut blend = 0.0;
-            for k in 0..3 {
-                // The newest sample is always inside every window, so
-                // counts[k] ≥ 1 here.
-                blend += sums[k] / counts[k] as f64;
-            }
-            blend /= 3.0;
-            self.core.board[server] = blend.round() as u32;
-            self.core.entry_times[server] = now;
         }
-        self.core.phase_start = now;
-        self.core.epoch += 1;
-    }
-
-    fn view<'a>(
-        &'a mut self,
-        now: f64,
-        _client: usize,
-        _cluster: &'a mut Cluster,
-        _rng: &mut SimRng,
-    ) -> LoadView<'a> {
-        self.core.view(now)
-    }
-
-    fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use staleload_cluster::Job;
+    use crate::{InfoModel, PeriodicBoard};
+    use staleload_cluster::{Cluster, Job};
+    use staleload_policies::InfoAge;
+    use staleload_sim::SimRng;
 
     fn loaded_cluster(n: usize, loads: &[usize]) -> Cluster {
         let mut cluster = Cluster::new(n);
@@ -290,7 +154,7 @@ mod tests {
     fn ewma_first_sample_initializes_then_smooths() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = loaded_cluster(2, &[4, 0]);
-        let mut board = EwmaBoard::new(2, 10.0, 0.5);
+        let mut board = PeriodicBoard::ewma(2, 10.0, 0.5);
         assert_eq!(board.next_event(), Some(10.0));
         board.on_event(10.0, &cluster);
         // First sample initializes: est = 4.
@@ -310,7 +174,7 @@ mod tests {
     fn ewma_alpha_one_matches_raw_snapshots() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = loaded_cluster(3, &[2, 5, 0]);
-        let mut board = EwmaBoard::new(3, 5.0, 1.0);
+        let mut board = PeriodicBoard::ewma(3, 5.0, 1.0);
         board.on_event(5.0, &cluster);
         assert_eq!(
             board.view(5.0, 0, &mut cluster, &mut rng).loads,
@@ -323,7 +187,7 @@ mod tests {
     fn ewma_down_server_entry_freezes_and_ages() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = loaded_cluster(2, &[3, 3]);
-        let mut board = EwmaBoard::new(2, 10.0, 0.5);
+        let mut board = PeriodicBoard::ewma(2, 10.0, 0.5);
         board.on_event(10.0, &cluster);
         cluster.crash(1, 12.0);
         board.on_event(20.0, &cluster);
@@ -338,7 +202,7 @@ mod tests {
     fn ewma_phase_metadata_matches_periodic_shape() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = loaded_cluster(2, &[0, 0]);
-        let mut board = EwmaBoard::new(2, 10.0, 0.3);
+        let mut board = PeriodicBoard::ewma(2, 10.0, 0.3);
         board.on_event(10.0, &cluster);
         match board.view(12.5, 0, &mut cluster, &mut rng).info {
             InfoAge::Phase {
@@ -362,7 +226,7 @@ mod tests {
         // Windows of 1/2/3 periods: after samples 6, 0, 0 (newest last)
         // the means are 0 (last 1), 0 (last 2), 2 (last 3) → blend 2/3 → 1.
         let mut cluster = loaded_cluster(1, &[6]);
-        let mut board = MultiHorizonBoard::new(1, 10.0, [10.0, 20.0, 30.0]);
+        let mut board = PeriodicBoard::multi_horizon(1, 10.0, [10.0, 20.0, 30.0]);
         board.on_event(10.0, &cluster);
         assert_eq!(board.view(10.0, 0, &mut cluster, &mut rng).loads, &[6]);
         for _ in 0..6 {
@@ -383,7 +247,7 @@ mod tests {
     fn multi_horizon_discounts_a_transient_spike() {
         let mut rng = SimRng::from_seed(1);
         let mut quiet = loaded_cluster(1, &[0]);
-        let mut board = MultiHorizonBoard::new(1, 1.0, [1.0, 5.0, 15.0]);
+        let mut board = PeriodicBoard::multi_horizon(1, 1.0, [1.0, 5.0, 15.0]);
         for t in 1..=10 {
             board.on_event(f64::from(t), &quiet);
         }
@@ -401,14 +265,18 @@ mod tests {
     #[test]
     fn estimators_are_deterministic() {
         let make = || {
-            let cluster = loaded_cluster(3, &[1, 4, 2]);
-            let mut e = EwmaBoard::new(3, 2.0, 0.25);
-            let mut m = MultiHorizonBoard::new(3, 2.0, [2.0, 4.0, 8.0]);
+            let mut rng = SimRng::from_seed(1);
+            let mut cluster = loaded_cluster(3, &[1, 4, 2]);
+            let mut e = PeriodicBoard::ewma(3, 2.0, 0.25);
+            let mut m = PeriodicBoard::multi_horizon(3, 2.0, [2.0, 4.0, 8.0]);
             for t in 1..=20 {
                 e.on_event(f64::from(t) * 2.0, &cluster);
                 m.on_event(f64::from(t) * 2.0, &cluster);
             }
-            (e.core.board.clone(), m.core.board.clone())
+            (
+                e.view(40.0, 0, &mut cluster, &mut rng).loads.to_vec(),
+                m.view(40.0, 0, &mut cluster, &mut rng).loads.to_vec(),
+            )
         };
         assert_eq!(make(), make());
     }
@@ -416,12 +284,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "EWMA weight")]
     fn ewma_rejects_zero_alpha() {
-        let _ = EwmaBoard::new(2, 1.0, 0.0);
+        let _ = PeriodicBoard::ewma(2, 1.0, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn multi_horizon_rejects_unsorted_windows() {
-        let _ = MultiHorizonBoard::new(2, 1.0, [5.0, 2.0, 8.0]);
+        let _ = PeriodicBoard::multi_horizon(2, 1.0, [5.0, 2.0, 8.0]);
     }
 }

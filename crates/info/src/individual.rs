@@ -5,12 +5,11 @@
 //! can be checked (see the `ext_individual` experiment).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{EntryAges, InfoAge, LoadView};
+use staleload_policies::{InfoAge, LoadView};
 use staleload_sim::{EventQueue, SimRng};
 
-use crate::corrupt::Corruptor;
-use crate::loss::LossChannel;
-use crate::{CorruptSpec, InfoModel, LossSpec};
+use crate::entries::Entries;
+use crate::InfoModel;
 
 /// Individual updates: every server refreshes *its own* bulletin-board
 /// entry once per `period`, on its own schedule, so entries have mixed
@@ -25,21 +24,16 @@ use crate::{CorruptSpec, InfoModel, LossSpec};
 /// [`LoadView::ages`] for age-aware policies, read from the entries'
 /// refresh times on demand, so a view does no per-server work.
 ///
-/// With a lossy channel ([`IndividualBoard::with_loss`]) each refresh is
+/// Reports take the same path as [`crate::PeriodicBoard`]'s: with a lossy
+/// channel ([`crate::InfoDispatch::degrade`]) each refresh is
 /// independently dropped or delayed, and a crashed server skips its
 /// refreshes entirely (the schedule keeps ticking so it resumes after
 /// recovery).
 #[derive(Debug, Clone)]
 pub struct IndividualBoard {
     period: f64,
-    board: Vec<u32>,
-    /// When each entry's current value was sampled from the cluster.
-    refreshed_at: Vec<f64>,
-    /// Invariant: `refresh_sum == refreshed_at.iter().sum()`.
-    refresh_sum: f64,
+    pub(crate) entries: Entries,
     pending: EventQueue<usize>,
-    channel: Option<LossChannel>,
-    corruptor: Option<Corruptor>,
 }
 
 impl IndividualBoard {
@@ -49,7 +43,6 @@ impl IndividualBoard {
     ///
     /// Panics if `n == 0` or `period` is not positive and finite.
     pub fn new(n: usize, period: f64) -> Self {
-        assert!(n > 0, "need at least one server");
         assert!(
             period.is_finite() && period > 0.0,
             "period must be positive, got {period}"
@@ -60,39 +53,9 @@ impl IndividualBoard {
         }
         Self {
             period,
-            board: vec![0; n],
-            refreshed_at: vec![0.0; n],
-            refresh_sum: 0.0,
+            entries: Entries::new(n),
             pending,
-            channel: None,
-            corruptor: None,
         }
-    }
-
-    /// Creates a board whose refreshes traverse a lossy/delayed channel
-    /// (see [`LossSpec`]); `rng` should be forked from the engine's fault
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `period` is not positive and finite.
-    pub fn with_loss(n: usize, period: f64, loss: LossSpec, rng: SimRng) -> Self {
-        let mut board = Self::new(n, period);
-        board.channel = Some(LossChannel::new(loss, rng));
-        board
-    }
-
-    /// Routes subsequent refreshes through a report corruptor (see
-    /// [`CorruptSpec`]); `rng` should be forked from the engine's fault
-    /// stream, and only when `spec` is not a noop, so honest boards stay
-    /// bit-identical.
-    pub fn attach_corruptor(&mut self, spec: CorruptSpec, rng: SimRng) {
-        self.corruptor = Some(Corruptor::new(spec, rng));
-    }
-
-    /// Number of reports garbled by the attached corruptor so far.
-    pub fn corrupted_reports(&self) -> u64 {
-        self.corruptor.as_ref().map_or(0, Corruptor::corrupted)
     }
 
     /// The per-server refresh period `T`.
@@ -102,17 +65,7 @@ impl IndividualBoard {
 
     /// Mean age of the board entries at time `now`.
     pub fn mean_age(&self, now: f64) -> f64 {
-        (now - self.refresh_sum / self.board.len() as f64).max(0.0)
-    }
-
-    fn land(&mut self, server: usize, value: u32, sampled: f64) {
-        // Deliveries can arrive out of order; a landing older than the
-        // entry's current value is obsolete and discarded.
-        if sampled >= self.refreshed_at[server] {
-            self.board[server] = value;
-            self.refresh_sum += sampled - self.refreshed_at[server];
-            self.refreshed_at[server] = sampled;
-        }
+        self.entries.mean_age(now)
     }
 
     fn next_refresh(&self) -> f64 {
@@ -124,23 +77,13 @@ impl IndividualBoard {
 
 impl InfoModel for IndividualBoard {
     fn next_event(&self) -> Option<f64> {
-        let refresh = self.next_refresh();
-        match self.channel.as_ref().and_then(LossChannel::next_delivery) {
-            Some(t) if t < refresh => Some(t),
-            _ => Some(refresh),
-        }
+        Some(self.entries.next_event(self.next_refresh()))
     }
 
     fn on_event(&mut self, now: f64, cluster: &Cluster) {
-        // Delayed deliveries fire between refreshes (refresh wins ties;
-        // the obsolete-landing check makes the order immaterial).
-        let next_refresh = self.next_refresh();
-        if let Some(channel) = &mut self.channel {
-            if channel.next_delivery().is_some_and(|t| t < next_refresh) {
-                let landing = channel.pop_delivery().expect("delivery was peeked");
-                self.land(landing.server, landing.value, landing.sampled);
-                return;
-            }
+        // Delayed deliveries fire between refreshes.
+        if self.entries.land_due(self.next_refresh()) {
+            return;
         }
         let (_, server) = self.pending.pop().expect("a refresh is always scheduled");
         self.pending.push(now + self.period, server);
@@ -149,18 +92,7 @@ impl InfoModel for IndividualBoard {
         if !cluster.is_up(server) || !cluster.is_visible(server) {
             return;
         }
-        let mut value = cluster.load(server);
-        if let Some(corruptor) = &mut self.corruptor {
-            value = corruptor.garble(value, self.board[server]);
-        }
-        match &mut self.channel {
-            None => self.land(server, value, now),
-            Some(channel) => {
-                if let Some(l) = channel.send(now, server, value) {
-                    self.land(l.server, l.value, l.sampled);
-                }
-            }
-        }
+        self.entries.report(now, server, cluster.load(server));
     }
 
     fn view<'a>(
@@ -170,28 +102,19 @@ impl InfoModel for IndividualBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        LoadView {
-            loads: &self.board,
-            info: InfoAge::Aged {
-                age: self.mean_age(now),
-            },
-            ages: Some(EntryAges {
-                sampled: &self.refreshed_at,
-                now,
-            }),
-        }
+        let info = InfoAge::Aged {
+            age: self.mean_age(now),
+        };
+        self.entries.view(now, info)
     }
 
     fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LossSpec;
     use staleload_cluster::Job;
 
     #[test]
@@ -271,8 +194,10 @@ mod tests {
     fn full_drop_channel_never_updates() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = Cluster::new(1);
-        let mut board =
-            IndividualBoard::with_loss(1, 5.0, LossSpec::drop(1.0), SimRng::from_seed(4));
+        let mut board = IndividualBoard::new(1, 5.0);
+        board
+            .entries
+            .degrade(Some(LossSpec::drop(1.0)), None, &mut SimRng::from_seed(4));
         cluster.enqueue(0, Job::new(0, 0.1, 100.0), 0.1);
         for t in [0.0, 5.0, 10.0] {
             board.on_event(t, &cluster);

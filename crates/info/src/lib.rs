@@ -6,7 +6,14 @@
 //! age:
 //!
 //! * [`PeriodicBoard`] — a bulletin board refreshed every `T` time units;
-//!   every arrival in a phase sees the phase-start snapshot (§3.1).
+//!   every arrival in a phase sees the phase-start snapshot (§3.1). An
+//!   entry publishes the raw sample or, as an extension for the
+//!   tail-latency program, a *filtered* estimate of it: an exponentially
+//!   weighted moving average, or a blend of moving averages over several
+//!   look-back horizons.
+//! * [`IndividualBoard`] — each server refreshes its own entry every `T`
+//!   on a staggered schedule (Mitzenmacher's individual-updates model,
+//!   which the paper omits as similar to periodic).
 //! * [`ContinuousView`] — each arrival sees the exact system state a random
 //!   delay `d` ago; the policy is told either the *mean* delay or the
 //!   realized per-request delay (§3.1, Figs. 6–7).
@@ -14,13 +21,14 @@
 //!   its *previous* request reached a server (§3.2).
 //! * [`FreshView`] — zero staleness (extension; the omniscient reference
 //!   used for validation).
-//! * [`EwmaBoard`] / [`MultiHorizonBoard`] — periodic boards that publish
-//!   *filtered* load estimates (an exponentially weighted moving average,
-//!   or a blend of moving averages over several look-back horizons)
-//!   instead of the raw snapshot (extension; the tail-latency program).
+//!
+//! The two boards share one report path: a server's report may be
+//! garbled ([`CorruptSpec`]) and dropped or delayed ([`LossSpec`]) before
+//! it lands on its entry ([`InfoDispatch::degrade`] attaches the faults).
 //!
 //! All models implement [`InfoModel`], the small interface the simulation
-//! driver in `staleload-core` consumes.
+//! driver in `staleload-core` consumes; [`InfoDispatch`] builds one from an
+//! [`InfoSpec`].
 //!
 //! # Example
 //!
@@ -53,6 +61,7 @@
 mod continuous;
 mod corrupt;
 mod dispatch;
+mod entries;
 mod estimator;
 mod individual;
 mod loss;
@@ -63,7 +72,6 @@ mod update_on_access;
 pub use continuous::{AgeKnowledge, ContinuousView, DelaySpec};
 pub use corrupt::CorruptSpec;
 pub use dispatch::InfoDispatch;
-pub use estimator::{EwmaBoard, MultiHorizonBoard};
 pub use individual::IndividualBoard;
 pub use loss::LossSpec;
 pub use periodic::PeriodicBoard;
@@ -77,10 +85,12 @@ use staleload_sim::SimRng;
 /// A model of how load information ages between servers and clients.
 ///
 /// The driver calls [`InfoModel::next_event`]/[`InfoModel::on_event`] to let
-/// the model refresh internal state (only the periodic board uses this),
-/// [`InfoModel::view`] to obtain the stale view an arriving request decides
-/// on, and [`InfoModel::after_placement`] once the job has been enqueued
-/// (only update-on-access uses this, to capture the reply snapshot).
+/// the model refresh internal state (the boards use this for refreshes and
+/// delayed deliveries), [`InfoModel::view`] to obtain the stale view an
+/// arriving request decides on, and [`InfoModel::after_placement`] once
+/// the job has been enqueued (only update-on-access uses this, to capture
+/// the reply snapshot). The load history a model needs from the cluster is
+/// a property of its spec ([`InfoSpec::history_window`]).
 pub trait InfoModel {
     /// Absolute time of the model's next internal event, if any.
     fn next_event(&self) -> Option<f64>;
@@ -102,10 +112,6 @@ pub trait InfoModel {
 
     /// Notifies the model that `client`'s job was placed at `now`.
     fn after_placement(&mut self, now: f64, client: usize, cluster: &Cluster);
-
-    /// History window the cluster must retain for this model
-    /// (`None` = no history needed).
-    fn required_history_window(&self) -> Option<f64>;
 }
 
 /// Zero-staleness information: every arrival sees the true current loads
@@ -138,10 +144,6 @@ impl InfoModel for FreshView {
     }
 
     fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -159,6 +161,5 @@ mod tests {
         assert_eq!(view.loads, &[0, 1]);
         assert_eq!(view.info, InfoAge::Aged { age: 0.0 });
         assert_eq!(model.next_event(), None);
-        assert_eq!(model.required_history_window(), None);
     }
 }

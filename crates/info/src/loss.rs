@@ -1,11 +1,12 @@
 //! Lossy/delayed update channels for bulletin-board information models.
 //!
 //! The paper assumes every load report reaches the board. Real update
-//! channels drop and delay messages; this module describes that channel so
-//! the board models ([`crate::PeriodicBoard`], [`crate::IndividualBoard`])
-//! can apply it per entry: each server's report is independently dropped
-//! with probability `drop_prob`, and surviving reports land after an
-//! exponentially distributed delay of mean `delay_mean`.
+//! channels drop and delay messages; this module describes that channel,
+//! which sits on the report path both boards share
+//! ([`crate::InfoDispatch::degrade`] attaches it): each server's report
+//! is independently dropped with probability `drop_prob`, and surviving
+//! reports land after an exponentially distributed delay of mean
+//! `delay_mean`.
 
 use serde::{Deserialize, Serialize};
 use staleload_sim::{EventQueue, SimRng};

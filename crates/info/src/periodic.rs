@@ -1,14 +1,14 @@
 //! The periodic-update ("bulletin board") model (§3.1).
 
 use staleload_cluster::Cluster;
-use staleload_policies::{EntryAges, InfoAge, LoadView};
+use staleload_policies::{InfoAge, LoadView};
 use staleload_sim::SimRng;
 
-use crate::corrupt::Corruptor;
-use crate::loss::LossChannel;
-use crate::{CorruptSpec, InfoModel, LossSpec};
+use crate::entries::Entries;
+use crate::estimator::Estimate;
+use crate::InfoModel;
 
-/// A bulletin board visible to all arrivals, refreshed with the true server
+/// A bulletin board visible to all arrivals, refreshed with the server
 /// loads every `period` time units.
 ///
 /// Load information is exact at the start of each phase and ages as the
@@ -18,81 +18,82 @@ use crate::{CorruptSpec, InfoModel, LossSpec};
 /// The board starts at time 0 showing an idle cluster (epoch 0) with the
 /// first refresh at `period` — i.e. time 0 is itself a phase boundary.
 ///
+/// An entry publishes the raw sample ([`PeriodicBoard::new`]) or a
+/// smoothed estimate of it ([`PeriodicBoard::ewma`],
+/// [`PeriodicBoard::multi_horizon`]).
+///
 /// # Fault injection
 ///
-/// With a lossy channel ([`PeriodicBoard::with_loss`]) each entry's refresh
-/// is independently dropped or delayed, so entries silently keep stale
-/// values past the phase boundary; a crashed server's entry is never
-/// refreshed while it is down, and neither is a server partitioned away
-/// from the board ([`Cluster::is_visible`]). With a corruptor attached
-/// ([`PeriodicBoard::attach_corruptor`]) a fraction of refreshes are
-/// garbled before they are sent. The view's per-entry [`LoadView::ages`]
-/// report the true staleness so an age-aware policy can discount what the
-/// phase metadata over-promises (a garbled entry, however, looks fresh —
-/// corruption is the one fault age-awareness cannot see).
+/// A crashed server's entry is never refreshed while it is down, and
+/// neither is a server partitioned away from the board
+/// ([`Cluster::is_visible`]). With a lossy channel
+/// ([`crate::InfoDispatch::degrade`]) each entry's refresh is
+/// independently dropped or delayed, so entries silently keep stale
+/// values past the phase boundary; with a corruptor a fraction of
+/// refreshes are garbled before they are sent. The view's per-entry
+/// [`LoadView::ages`] report the true staleness so an age-aware policy
+/// can discount what the phase metadata over-promises (a garbled entry,
+/// however, looks fresh — corruption is the one fault age-awareness
+/// cannot see).
 ///
 /// A view does no per-server work: it lends the board, the entries'
 /// sample times and the phase context, and an age is computed only when a
-/// policy reads it ([`EntryAges::get`]).
+/// policy reads it ([`staleload_policies::EntryAges::get`]).
 #[derive(Debug, Clone)]
 pub struct PeriodicBoard {
     period: f64,
-    board: Vec<u32>,
-    /// When each entry's current value was sampled from the cluster.
-    entry_times: Vec<f64>,
+    estimate: Estimate,
+    pub(crate) entries: Entries,
     phase_start: f64,
     epoch: u64,
-    channel: Option<LossChannel>,
-    corruptor: Option<Corruptor>,
 }
 
 impl PeriodicBoard {
-    /// Creates a board for `n` servers refreshed every `period`.
+    /// Creates a board for `n` servers refreshed every `period` with the
+    /// raw sampled loads.
     ///
     /// # Panics
     ///
     /// Panics if `period` is not positive and finite or `n == 0`.
     pub fn new(n: usize, period: f64) -> Self {
-        assert!(n > 0, "need at least one server");
+        Self::with_estimate(n, period, Estimate::Raw)
+    }
+
+    /// Creates a board publishing per-server EWMA load estimates with
+    /// weight `alpha` on the newest sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside `(0, 1]`, `period` is not positive
+    /// and finite, or `n == 0`.
+    pub fn ewma(n: usize, period: f64, alpha: f64) -> Self {
+        Self::with_estimate(n, period, Estimate::ewma(n, alpha))
+    }
+
+    /// Creates a board publishing the equal-weight blend of each
+    /// server's mean sampled load over three look-back horizons
+    /// (`windows`, in time units).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is not positive, finite, and strictly
+    /// increasing, `period` is not positive and finite, or `n == 0`.
+    pub fn multi_horizon(n: usize, period: f64, windows: [f64; 3]) -> Self {
+        Self::with_estimate(n, period, Estimate::multi_horizon(n, windows))
+    }
+
+    fn with_estimate(n: usize, period: f64, estimate: Estimate) -> Self {
         assert!(
             period.is_finite() && period > 0.0,
             "period must be positive, got {period}"
         );
         Self {
             period,
-            board: vec![0; n],
-            entry_times: vec![0.0; n],
+            estimate,
+            entries: Entries::new(n),
             phase_start: 0.0,
             epoch: 0,
-            channel: None,
-            corruptor: None,
         }
-    }
-
-    /// Creates a board whose refreshes traverse a lossy/delayed channel
-    /// (see [`LossSpec`]); `rng` should be forked from the engine's fault
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive and finite or `n == 0`.
-    pub fn with_loss(n: usize, period: f64, loss: LossSpec, rng: SimRng) -> Self {
-        let mut board = Self::new(n, period);
-        board.channel = Some(LossChannel::new(loss, rng));
-        board
-    }
-
-    /// Routes subsequent refreshes through a report corruptor (see
-    /// [`CorruptSpec`]); `rng` should be forked from the engine's fault
-    /// stream, and only when `spec` is not a noop, so honest boards stay
-    /// bit-identical.
-    pub fn attach_corruptor(&mut self, spec: CorruptSpec, rng: SimRng) {
-        self.corruptor = Some(Corruptor::new(spec, rng));
-    }
-
-    /// Number of reports garbled by the attached corruptor so far.
-    pub fn corrupted_reports(&self) -> u64 {
-        self.corruptor.as_ref().map_or(0, Corruptor::corrupted)
     }
 
     /// The refresh period `T`.
@@ -105,20 +106,6 @@ impl PeriodicBoard {
         self.epoch
     }
 
-    /// When each entry's current value was sampled.
-    pub fn entry_times(&self) -> &[f64] {
-        &self.entry_times
-    }
-
-    fn land(&mut self, server: usize, value: u32, sampled: f64) {
-        // Deliveries can arrive out of order; a landing older than the
-        // entry's current value is obsolete and discarded.
-        if sampled >= self.entry_times[server] {
-            self.board[server] = value;
-            self.entry_times[server] = sampled;
-        }
-    }
-
     fn next_refresh(&self) -> f64 {
         self.phase_start + self.period
     }
@@ -126,48 +113,26 @@ impl PeriodicBoard {
 
 impl InfoModel for PeriodicBoard {
     fn next_event(&self) -> Option<f64> {
-        let refresh = self.next_refresh();
-        match self.channel.as_ref().and_then(LossChannel::next_delivery) {
-            Some(t) if t < refresh => Some(t),
-            _ => Some(refresh),
-        }
+        Some(self.entries.next_event(self.next_refresh()))
     }
 
     fn on_event(&mut self, now: f64, cluster: &Cluster) {
-        // Delayed deliveries fire between refreshes (refresh wins ties;
-        // the obsolete-landing check makes the order immaterial).
-        let next_refresh = self.next_refresh();
-        if let Some(channel) = &mut self.channel {
-            if channel.next_delivery().is_some_and(|t| t < next_refresh) {
-                let landing = channel.pop_delivery().expect("delivery was peeked");
-                self.land(landing.server, landing.value, landing.sampled);
-                // Any board mutation starts a new cache epoch for the
-                // policies even though the phase itself continues.
-                self.epoch += 1;
-                return;
-            }
+        // Delayed deliveries fire between refreshes.
+        if self.entries.land_due(self.next_refresh()) {
+            // Any board mutation starts a new cache epoch for the
+            // policies even though the phase itself continues.
+            self.epoch += 1;
+            return;
         }
-        for server in 0..self.board.len() {
+        for server in 0..self.entries.len() {
             // A crashed server sends no refresh, and a partitioned one's
-            // refresh never reaches the board; the entry decays in place.
+            // refresh never reaches the board; the entry (and its
+            // estimate) decays in place.
             if !cluster.is_up(server) || !cluster.is_visible(server) {
                 continue;
             }
-            let mut value = cluster.load(server);
-            if let Some(corruptor) = &mut self.corruptor {
-                value = corruptor.garble(value, self.board[server]);
-            }
-            match &mut self.channel {
-                None => {
-                    self.board[server] = value;
-                    self.entry_times[server] = now;
-                }
-                Some(channel) => {
-                    if let Some(l) = channel.send(now, server, value) {
-                        self.land(l.server, l.value, l.sampled);
-                    }
-                }
-            }
+            let value = self.estimate.publish(server, cluster.load(server), now);
+            self.entries.report(now, server, value);
         }
         self.phase_start = now;
         self.epoch += 1;
@@ -180,32 +145,31 @@ impl InfoModel for PeriodicBoard {
         _cluster: &'a mut Cluster,
         _rng: &mut SimRng,
     ) -> LoadView<'a> {
-        LoadView {
-            loads: &self.board,
-            info: InfoAge::Phase {
-                start: self.phase_start,
-                length: self.period,
-                now,
-                epoch: self.epoch,
-            },
-            ages: Some(EntryAges {
-                sampled: &self.entry_times,
-                now,
-            }),
-        }
+        let info = InfoAge::Phase {
+            start: self.phase_start,
+            length: self.period,
+            now,
+            epoch: self.epoch,
+        };
+        self.entries.view(now, info)
     }
 
     fn after_placement(&mut self, _now: f64, _client: usize, _cluster: &Cluster) {}
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LossSpec;
     use staleload_cluster::Job;
+
+    fn lossy_board(n: usize, period: f64, loss: LossSpec) -> PeriodicBoard {
+        let mut board = PeriodicBoard::new(n, period);
+        board
+            .entries
+            .degrade(Some(loss), None, &mut SimRng::from_seed(7));
+        board
+    }
 
     #[test]
     fn board_is_stale_within_a_phase() {
@@ -285,8 +249,7 @@ mod tests {
     fn full_drop_channel_never_updates() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = Cluster::new(2);
-        let mut board =
-            PeriodicBoard::with_loss(2, 10.0, LossSpec::drop(1.0), SimRng::from_seed(7));
+        let mut board = lossy_board(2, 10.0, LossSpec::drop(1.0));
         cluster.enqueue(0, Job::new(0, 1.0, 100.0), 1.0);
         board.on_event(10.0, &cluster);
         board.on_event(20.0, &cluster);
@@ -301,7 +264,7 @@ mod tests {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = Cluster::new(3);
         let mut plain = PeriodicBoard::new(3, 5.0);
-        let mut lossy = PeriodicBoard::with_loss(3, 5.0, LossSpec::drop(0.0), SimRng::from_seed(9));
+        let mut lossy = lossy_board(3, 5.0, LossSpec::drop(0.0));
         cluster.enqueue(0, Job::new(0, 1.0, 100.0), 1.0);
         cluster.enqueue(2, Job::new(1, 1.5, 100.0), 1.5);
         for t in [5.0, 10.0] {
@@ -317,8 +280,7 @@ mod tests {
     fn delayed_refresh_lands_later_with_sample_age() {
         let mut rng = SimRng::from_seed(1);
         let mut cluster = Cluster::new(1);
-        let mut board =
-            PeriodicBoard::with_loss(1, 10.0, LossSpec::delay(2.0), SimRng::from_seed(3));
+        let mut board = lossy_board(1, 10.0, LossSpec::delay(2.0));
         cluster.enqueue(0, Job::new(0, 1.0, 100.0), 1.0);
         // The refresh at t=10 samples load 1 but is still in flight.
         board.on_event(10.0, &cluster);
@@ -335,7 +297,7 @@ mod tests {
         // The entry's age baseline is a refresh instant (a multiple of the
         // period — whichever in-flight sample landed first), never the
         // landing time itself.
-        let sampled = board.entry_times()[0];
+        let sampled = board.entries.sampled(0);
         assert!(
             sampled >= 10.0 && sampled % 10.0 == 0.0,
             "sample time {sampled}"

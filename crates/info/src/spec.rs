@@ -62,8 +62,9 @@ pub enum InfoSpec {
 }
 
 impl InfoSpec {
-    /// Whether [`crate::InfoDispatch::from_spec_lossy`] supports this
-    /// model: only the bulletin boards have an update channel to disturb.
+    /// Whether the model takes board faults (loss, partitions,
+    /// corruption; see [`crate::InfoDispatch::degrade`]): only the raw
+    /// bulletin boards have a report path to disturb.
     pub fn supports_loss(&self) -> bool {
         matches!(
             self,
@@ -89,9 +90,9 @@ impl InfoSpec {
             }
             InfoSpec::Continuous { delay, .. } => {
                 let mean = delay.mean();
-                if !(mean.is_finite() && mean >= 0.0) {
+                if !(mean.is_finite() && mean > 0.0) {
                     return Err(format!(
-                        "delay mean must be non-negative and finite, got {mean}"
+                        "delay mean must be positive and finite, got {mean}"
                     ));
                 }
             }
@@ -161,8 +162,7 @@ impl InfoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InfoDispatch, InfoModel, LossSpec};
-    use staleload_sim::SimRng;
+    use crate::{InfoDispatch, InfoModel};
 
     #[test]
     fn every_spec_builds() {
@@ -193,16 +193,15 @@ mod tests {
 
     #[test]
     fn lossy_builds_only_for_boards() {
-        let loss = LossSpec::drop(0.5);
         assert!(InfoSpec::Periodic { period: 5.0 }.supports_loss());
         assert!(InfoSpec::Individual { period: 5.0 }.supports_loss());
         assert!(!InfoSpec::Fresh.supports_loss());
         assert!(!InfoSpec::UpdateOnAccess.supports_loss());
-        let lossy = |spec: InfoSpec| {
-            InfoDispatch::from_spec_lossy(&spec, 4, loss, SimRng::from_seed(1)).is_some()
-        };
-        assert!(lossy(InfoSpec::Periodic { period: 5.0 }));
-        assert!(!lossy(InfoSpec::Fresh));
+        assert!(!InfoSpec::Continuous {
+            delay: DelaySpec::Exponential { mean: 2.0 },
+            knowledge: AgeKnowledge::Actual,
+        }
+        .supports_loss());
     }
 
     #[test]
@@ -213,6 +212,21 @@ mod tests {
             .validate()
             .is_err());
         assert!(InfoSpec::Fresh.validate().is_ok());
+    }
+
+    /// `validate` accepts exactly the delays `ContinuousView::new` does,
+    /// so a zero delay is a config error instead of a panic mid-run.
+    #[test]
+    fn validate_rejects_a_zero_delay() {
+        let continuous = |mean: f64| InfoSpec::Continuous {
+            delay: DelaySpec::Constant { mean },
+            knowledge: AgeKnowledge::MeanOnly,
+        };
+        assert!(continuous(0.5).validate().is_ok());
+        for mean in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let err = continuous(mean).validate().unwrap_err();
+            assert!(err.contains("delay mean"), "{err}");
+        }
     }
 
     #[test]
@@ -266,7 +280,6 @@ mod tests {
 
     #[test]
     fn estimators_do_not_support_loss() {
-        let loss = LossSpec::drop(0.5);
         for spec in [
             InfoSpec::Ewma {
                 period: 2.0,
@@ -278,7 +291,6 @@ mod tests {
             },
         ] {
             assert!(!spec.supports_loss());
-            assert!(InfoDispatch::from_spec_lossy(&spec, 4, loss, SimRng::from_seed(1)).is_none());
             assert!(spec.history_window().is_none());
         }
     }

@@ -78,10 +78,6 @@ impl InfoModel for UpdateOnAccess {
         dst.copy_from_slice(cluster.loads());
         self.taken_at[client] = now;
     }
-
-    fn required_history_window(&self) -> Option<f64> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -551,6 +551,132 @@ fn print_tail_golden_bits() {
     }
 }
 
+/// The board report-path matrix: the individual board and delayed
+/// channels (`delay_mean > 0`), which no other pin runs, plus corruption
+/// and partitions on both boards and crashes on the estimator boards.
+/// Each board and fault set runs under Basic LI, Greedy and k = 2.
+fn board_combos() -> Vec<(String, InfoSpec, PolicySpec, FaultSpec)> {
+    let individual = InfoSpec::Individual { period: 5.0 };
+    let periodic = InfoSpec::Periodic { period: 5.0 };
+    let ewma = InfoSpec::Ewma {
+        period: 5.0,
+        alpha: 0.3,
+    };
+    let multi_horizon = InfoSpec::MultiHorizon {
+        period: 5.0,
+        windows: [5.0, 15.0, 35.0],
+    };
+    let lossy = "drop:0.3,delay:2";
+    let corrupt = "drop:0.3,delay:2,corrupt:0.2";
+    let all = "drop:0.3,delay:2,corrupt:0.2,partition:40:20:0.25";
+    let boards = [
+        ("individual/lossy", individual, lossy),
+        ("individual/lossy+corrupt", individual, corrupt),
+        ("individual/lossy+corrupt+partition", individual, all),
+        ("individual/crash+drop", individual, "crash:250:25,drop:0.3"),
+        ("periodic/lossy", periodic, lossy),
+        ("periodic/lossy+corrupt+partition", periodic, all),
+        ("ewma/crash", ewma, "crash:250:25"),
+        ("multi-horizon/crash", multi_horizon, "crash:250:25"),
+    ];
+    let policies = [
+        ("basic-li", PolicySpec::BasicLi { lambda: 0.8 }),
+        ("greedy", PolicySpec::Greedy),
+        ("k2", PolicySpec::KSubset { k: 2 }),
+    ];
+    let mut combos = Vec::new();
+    for (board, info, faults) in boards {
+        let faults: FaultSpec = faults.parse().expect("valid fault clauses");
+        for (name, policy) in &policies {
+            combos.push((format!("{board}/{name}"), info, policy.clone(), faults));
+        }
+    }
+    combos
+}
+
+fn run_board(info: &InfoSpec, policy: &PolicySpec, faults: FaultSpec) -> RunResult {
+    let cfg = SimConfig::builder()
+        .servers(12)
+        .lambda(0.8)
+        .arrivals(40_000)
+        .seed(99)
+        .faults(faults)
+        .build();
+    run_simulation(&cfg, &ArrivalSpec::Poisson, info, policy).expect("valid config")
+}
+
+/// (mean_response bits, p99 bits, corrupted reports) for the board
+/// matrix, in `board_combos` order. Regenerate with the
+/// `print_board_golden_bits` capture helper after intentional changes.
+const BOARD_GOLDEN: [(u64, u64, u64); 24] = [
+    (0x400f0cb872f41802, 0x402de9fea9918545, 0), // individual/lossy/basic-li
+    (0x402ef3b08c63658e, 0x4050f7d73a691d8e, 0), // individual/lossy/greedy
+    (0x401107dba411f3ab, 0x403105c196281a15, 0), // individual/lossy/k2
+    (0x4012786db3763017, 0x40339120dd4931d1, 2003), // individual/lossy+corrupt/basic-li
+    (0x40302489186e39a7, 0x4051a837d497ebe5, 2012), // individual/lossy+corrupt/greedy
+    (0x4012c8216de8eb96, 0x4033c3383ba8a587, 2006), // individual/lossy+corrupt/k2
+    (0x4012d7c25efa9a49, 0x403428e8f427671b, 1835), // individual/lossy+corrupt+partition/basic-li
+    (0x40371c5c0f3a7e3b, 0x405ed370ed65ed7e, 1842), // individual/lossy+corrupt+partition/greedy
+    (0x4014a087089503d5, 0x4038994a7ba4fba3, 1835), // individual/lossy+corrupt+partition/k2
+    (0x4016f33c55f36aee, 0x403c4692d4c89814, 0), // individual/crash+drop/basic-li
+    (0x4031a5e2184d0e12, 0x40575485f8ccf6ba, 0), // individual/crash+drop/greedy
+    (0x40174a03c051011b, 0x403e50bb095f89ce, 0), // individual/crash+drop/k2
+    (0x400ff6ae0361c2ee, 0x402f70a125146d26, 0), // periodic/lossy/basic-li
+    (0x402e7d623fe9708e, 0x404e6af99671b5c3, 0), // periodic/lossy/greedy
+    (0x4010b6b7c01e96e4, 0x40308598612544ff, 0), // periodic/lossy/k2
+    (0x4017024a21991975, 0x403ae7411e5225e2, 1835), // periodic/lossy+corrupt+partition/basic-li
+    (0x4035433ef414d634, 0x405c779d0ce0bde0, 1842), // periodic/lossy+corrupt+partition/greedy
+    (0x4014eaf17d73bfb2, 0x40385af1085c6118, 1824), // periodic/lossy+corrupt+partition/k2
+    (0x401f44f9f115307e, 0x404a76613e0df5f4, 0), // ewma/crash/basic-li
+    (0x40364cc355ee5f3c, 0x4055c2ae2ac0b521, 0), // ewma/crash/greedy
+    (0x4017b358b5f921d4, 0x403b71b02cad7347, 0), // ewma/crash/k2
+    (0x4013b6a34327a923, 0x4034fa76af8587dc, 0), // multi-horizon/crash/basic-li
+    (0x4036155acd0dfc5e, 0x4056ded74d49ea9f, 0), // multi-horizon/crash/greedy
+    (0x40190e45a48746b0, 0x40430e40735bfaf4, 0), // multi-horizon/crash/k2
+];
+
+/// The board matrix replays its pinned bits and corruption counts.
+#[test]
+fn board_matrix_replays_pinned_bits() {
+    let combos = board_combos();
+    assert_eq!(combos.len(), BOARD_GOLDEN.len());
+    for ((label, info, policy, faults), &(mean_bits, p99_bits, corrupted)) in
+        combos.into_iter().zip(&BOARD_GOLDEN)
+    {
+        let r = run_board(&info, &policy, faults);
+        assert_eq!(
+            r.mean_response.to_bits(),
+            mean_bits,
+            "{label}: mean_response drifted from golden \
+             ({} vs bits {mean_bits:#018x})",
+            r.mean_response,
+        );
+        let p99 = r.detail.response_quantile(0.99);
+        assert_eq!(
+            p99.to_bits(),
+            p99_bits,
+            "{label}: p99 drifted from golden ({p99} vs bits {p99_bits:#018x})",
+        );
+        assert_eq!(r.resilience.corrupted_reports, corrupted, "{label}");
+    }
+}
+
+/// Capture helper (not a regression test): prints the BOARD_GOLDEN array
+/// body from the current engine.
+#[test]
+#[ignore = "capture helper; run with --ignored --nocapture to regenerate BOARD_GOLDEN"]
+fn print_board_golden_bits() {
+    for (label, info, policy, faults) in board_combos() {
+        let r = run_board(&info, &policy, faults);
+        println!(
+            "    ({:#018x}, {:#018x}, {}), // {label}",
+            r.mean_response.to_bits(),
+            r.detail.response_quantile(0.99).to_bits(),
+            r.resilience.corrupted_reports,
+        );
+    }
+}
+
 /// Capture helper (not a regression test): prints the CONTROL_GOLDEN array
 /// body from the current engine.
 #[test]
