@@ -31,8 +31,9 @@
 //! is quarantined and recomputed, never trusted), completed trials are
 //! journalled as they finish so a killed run resumes where it died just
 //! by re-running the same command, and a per-trial watchdog (budget
-//! from [`Scale::watchdog_budget`]; disarm with `--no-watchdog`)
-//! isolates hung trials instead of stalling the run.
+//! from [`Scale::watchdog_budget`]; disarm with `--no-watchdog`) stops
+//! a trial that outlives its budget and reports it as a failed trial
+//! instead of stalling the run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

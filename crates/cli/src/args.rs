@@ -1,6 +1,8 @@
 //! Hand-rolled argument parsing (the project's dependency policy allows no
 //! CLI crate, and the grammar is small).
 
+use std::time::Duration;
+
 use staleload_core::{
     clients_for_mean_age, ArrivalSpec, EngineMode, FaultSpec, RetrySpec, SimConfig,
 };
@@ -24,9 +26,9 @@ pub struct RunArgs {
     pub trials: usize,
     /// Print tail/fairness detail.
     pub detail: bool,
-    /// Per-trial wall-clock budget in seconds (`--watchdog`). `None`
+    /// Per-trial wall-clock budget (`--watchdog`), at least 1 ns. `None`
     /// runs trials unguarded, exactly as before the flag existed.
-    pub watchdog: Option<f64>,
+    pub watchdog: Option<Duration>,
     /// Extra percentile to report under `--detail` (`--tail-p`),
     /// strictly inside (0, 1). `None` prints the standard set only.
     pub tail_p: Option<f64>,
@@ -187,6 +189,11 @@ pub fn parse_uoa_age(s: &str) -> Result<Option<f64>, String> {
         return Ok(None);
     }
     let t: f64 = parse_field(parts.get(1).copied(), "uoa", "mean inter-request time")?;
+    if !(t.is_finite() && t > 0.0) {
+        return Err(format!(
+            "mean inter-request time for uoa must be positive and finite, got {t}"
+        ));
+    }
     Ok(Some(t))
 }
 
@@ -288,7 +295,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let mut guard: Option<(f64, f64)> = None;
     let mut engine = EngineMode::PerServer;
     let mut detail = false;
-    let mut watchdog: Option<f64> = None;
+    let mut watchdog: Option<Duration> = None;
     let mut sketch_cap: Option<usize> = None;
     let mut tail_p: Option<f64> = None;
 
@@ -413,15 +420,16 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
                 engine = take("--engine")?.parse::<EngineMode>()?;
             }
             "--watchdog" => {
-                let secs: f64 = take("--watchdog")?
+                let v = take("--watchdog")?;
+                // NaN, negatives, budgets past Duration::MAX and budgets
+                // that round to 0 ns (every trial would time out) are out.
+                let budget = v
                     .parse()
-                    .map_err(|e| format!("--watchdog: {e}"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(format!(
-                        "--watchdog needs a finite budget > 0 seconds, got {secs}"
-                    ));
-                }
-                watchdog = Some(secs);
+                    .ok()
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok());
+                watchdog = Some(budget.filter(|d| !d.is_zero()).ok_or_else(|| {
+                    format!("--watchdog needs a budget from 1 ns to under 2^64 seconds, got {v}")
+                })?);
             }
             "--sketch-cap" => {
                 sketch_cap = Some(
@@ -450,6 +458,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
 
     let info = parse_info(&info_spec)?;
     info.validate()?;
+    faults.check_report_path(&info).map_err(|e| e.to_string())?;
     let service = parse_service(&service_spec)?;
     // SITA-E derives its size cutoffs from the service distribution and
     // server count, so it is resolved here rather than in `parse_policy`.
@@ -505,7 +514,12 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     let arrivals_spec = match parse_uoa_age(&info_spec)? {
         Some(age) => {
             let clients = clients_for_mean_age(lambda, servers, age);
-            arrivals = arrivals.max(clients as u64 * 100);
+            // At least 100 requests per client, so every client's age
+            // process warms up.
+            let floor = (clients as u64).checked_mul(100).ok_or_else(|| {
+                format!("{info_spec} needs {clients} clients; 100 arrivals for each overflow a u64")
+            })?;
+            arrivals = arrivals.max(floor);
             match burst {
                 None => ArrivalSpec::PoissonClients { clients },
                 Some(b) => ArrivalSpec::BurstyClients { clients, burst: b },
@@ -713,6 +727,10 @@ mod tests {
             other => panic!("expected clients, got {other:?}"),
         }
         assert!(args.config.arrivals >= 72_000);
+        // The age is positive and finite, and 100 arrivals per client fit.
+        for bad in ["uoa:-5", "uoa:0", "uoa:nan", "uoa:inf", "uoa:1e30"] {
+            assert!(parse_run(&strings(&["--info", bad])).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -861,13 +879,25 @@ mod tests {
     #[test]
     fn watchdog_flag_parses_and_validates() {
         assert_eq!(parse_run(&[]).unwrap().watchdog, None);
-        let args = parse_run(&strings(&["--watchdog", "2.5"])).unwrap();
-        assert_eq!(args.watchdog, Some(2.5));
-        assert!(parse_run(&strings(&["--watchdog", "0"])).is_err());
-        assert!(parse_run(&strings(&["--watchdog", "-3"])).is_err());
-        assert!(parse_run(&strings(&["--watchdog", "inf"])).is_err());
-        assert!(parse_run(&strings(&["--watchdog", "NaN"])).is_err());
+        let budget = |v: &str| parse_run(&strings(&["--watchdog", v])).map(|a| a.watchdog);
+        assert_eq!(budget("2.5"), Ok(Some(Duration::from_millis(2_500))));
+        assert_eq!(budget("1e18"), Ok(Some(Duration::from_secs(10u64.pow(18)))));
+        // Out of Duration's range, or rounding to 0 ns: a usage error.
+        for bad in ["0", "-3", "inf", "NaN", "1e30", "1e-12"] {
+            assert!(budget(bad).unwrap_err().contains("--watchdog"), "{bad}");
+        }
         assert!(parse_run(&strings(&["--watchdog"])).is_err());
+    }
+
+    #[test]
+    fn board_faults_need_a_board_model_at_parse_time() {
+        let run = |info, faults| parse_run(&strings(&["--info", info, "--faults", faults]));
+        let err = run("ewma:0.3:5", "corrupt:0.2").unwrap_err();
+        assert!(err.contains("report corruption needs"), "{err}");
+        let err = run("fresh", "drop:0.3").unwrap_err();
+        assert!(err.contains("loss injection needs"), "{err}");
+        // No-op clauses act on nothing, so any model takes them.
+        assert!(run("fresh", "drop:0").is_ok() && run("fresh", "corrupt:0").is_ok());
     }
 
     #[test]

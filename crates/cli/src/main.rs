@@ -25,7 +25,6 @@
 mod args;
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use args::{parse_run, RunArgs};
 use staleload_core::Experiment;
@@ -109,9 +108,9 @@ fn print_help() {
          population (count-based mean-field fast path; exact in\n                     \
          distribution for random/k-subset/greedy/basic-li over\n                     \
          fresh or periodic info, scales to millions of servers)\n  \
-         --watchdog SECS    per-trial wall-clock budget; a trial whose every\n                     \
-         attempt (one retry after jittered backoff) exceeds it is\n                     \
-         reported as a failed trial instead of hanging the run\n  \
+         --watchdog SECS    per-trial wall-clock budget; a trial still running\n                     \
+         when it runs out stops and is reported as a failed\n                     \
+         trial instead of hanging the run\n  \
          --sketch-cap N     exact-mode capacity of the tail-quantile sketch before\n                     \
          it compacts onto the log grid (4096)\n  \
          --tail-p P         report one extra response-time percentile under\n                     \
@@ -130,18 +129,15 @@ fn print_help() {
 
 /// The runner behind `run` and `compare`: one worker per available
 /// core, no result cache, and the per-trial wall-clock watchdog armed
-/// only under `--watchdog`. A trial whose every attempt exceeds the
-/// budget is reported as a failed trial (surfaced by `report_anomalies`),
-/// never a hang; the aggregates then cover the surviving trials only.
-/// Results are bit-identical to `Experiment::try_run`, armed or not,
-/// whenever no trial times out.
+/// only under `--watchdog`. A trial that outlives the budget stops and is
+/// reported as a failed trial (surfaced by `report_anomalies`), never a
+/// hang; the aggregates then cover the surviving trials only. Results
+/// are bit-identical to `Experiment::try_run`, armed or not, whenever no
+/// trial times out.
 fn runner(args: &RunArgs) -> SweepRunner {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut runner = SweepRunner::new(WorkerPool::new(workers), ResultCache::disabled());
-    runner.set_watchdog(
-        args.watchdog
-            .map(|secs| WatchdogSpec::with_budget(Duration::from_secs_f64(secs))),
-    );
+    runner.set_watchdog(args.watchdog.map(WatchdogSpec::with_budget));
     runner
 }
 

@@ -14,6 +14,11 @@ fn staleload(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// [`staleload`] on one line of space-separated arguments.
+fn staleload_line(line: &str) -> (bool, String, String) {
+    staleload(&line.split(' ').collect::<Vec<_>>())
+}
+
 #[test]
 fn help_lists_commands() {
     let (ok, stdout, _) = staleload(&["help"]);
@@ -424,9 +429,14 @@ fn watchdog_armed_runs_print_the_unguarded_output() {
         "--info",
         "periodic:2",
     ];
-    for command in ["run", "compare"] {
+    // 1e19 s is past what the clock can add: those trials get no deadline.
+    for (command, budget) in [("run", "60"), ("compare", "60"), ("run", "1e19")] {
         let plain: Vec<&str> = [command].into_iter().chain(flags).collect();
-        let guarded: Vec<&str> = plain.iter().copied().chain(["--watchdog", "60"]).collect();
+        let guarded: Vec<&str> = plain
+            .iter()
+            .copied()
+            .chain(["--watchdog", budget])
+            .collect();
         let (ok_plain, out_plain, err_plain) = staleload(&plain);
         let (ok_guarded, out_guarded, err_guarded) = staleload(&guarded);
         assert!(ok_plain, "stderr: {err_plain}");
@@ -434,7 +444,39 @@ fn watchdog_armed_runs_print_the_unguarded_output() {
         assert!(out_plain.contains("mean response"), "{out_plain}");
         assert_eq!(
             out_plain, out_guarded,
-            "{command}: --watchdog changed the output"
+            "{command}: --watchdog {budget} changed the output"
         );
     }
+}
+
+#[test]
+fn out_of_range_values_fail_without_a_panic() {
+    for flags in [
+        "--watchdog 1e30",
+        "--watchdog 1e-12",
+        "--info uoa:0",
+        "--info uoa:1e30",
+    ] {
+        let (ok, _, stderr) = staleload_line(&format!("run --arrivals 1000 --trials 1 {flags}"));
+        assert!(!ok && stderr.starts_with("error: "), "{flags}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags}: {stderr}");
+    }
+}
+
+#[test]
+fn board_faults_without_a_board_fail_before_any_trial() {
+    let base = "run --servers 4 --arrivals 1000 --trials 2";
+    for flags in [
+        "--info ewma:0.3:5 --faults corrupt:0.2",
+        "--info fresh --faults drop:0.3",
+    ] {
+        let (ok, _, stderr) = staleload_line(&format!("{base} {flags}"));
+        assert!(!ok && stderr.contains("needs a bulletin-board"), "{stderr}");
+        assert!(!stderr.contains("trials failed"), "{stderr}");
+    }
+    // A no-op loss clause acts on nothing: the fault-free output.
+    let plain = staleload_line(&format!("{base} --info fresh"));
+    let noop = staleload_line(&format!("{base} --info fresh --faults drop:0"));
+    assert!(plain.0, "{}", plain.2);
+    assert_eq!(noop, plain);
 }

@@ -368,12 +368,54 @@ pub fn run_simulation(
     info: &InfoSpec,
     policy: &PolicySpec,
 ) -> Result<RunResult, SimError> {
+    run_simulation_until(cfg, arrivals, info, policy, || false)
+}
+
+/// [`run_simulation`] that the caller can stop: both engine loops poll
+/// `stop` once every 4096 steps (a step is an event or a board refresh)
+/// and end the run when it returns `true`. `stop` sees nothing of the
+/// run, so a run it never stops is bit-identical to [`run_simulation`]'s;
+/// a wall-clock deadline reads the clock inside `stop`.
+///
+/// # Errors
+///
+/// Returns [`SimError::Stopped`] when `stop` fired, and otherwise the
+/// errors of [`run_simulation`].
+pub fn run_simulation_until(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+    policy: &PolicySpec,
+    mut stop: impl FnMut() -> bool,
+) -> Result<RunResult, SimError> {
+    let steps = StepCounter(0, &mut stop);
     // The population fast path has no pending-event set at all: its
     // events are a three-clock race.
     if cfg.engine == crate::EngineMode::Population {
-        return crate::population::run_population(cfg, arrivals, info, policy);
+        return crate::population::run_population(cfg, arrivals, info, policy, steps);
     }
-    run_inner(cfg, arrivals, info, policy)
+    run_inner(cfg, arrivals, info, policy, steps)
+}
+
+/// Loop steps between two polls of a run's stop predicate: rare enough
+/// that a clock read per poll costs nothing measurable, often enough that
+/// a stop lands within about a millisecond.
+const STOP_POLL_STEPS: u32 = 4096;
+
+/// An engine's loop-step count and the stop predicate it polls.
+pub(crate) struct StepCounter<'a>(u32, &'a mut dyn FnMut() -> bool);
+
+impl StepCounter<'_> {
+    /// Counts one step, and on every [`STOP_POLL_STEPS`]-th polls the
+    /// predicate: [`SimError::Stopped`] when it fires.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Result<(), SimError> {
+        self.0 = self.0.wrapping_add(1);
+        if self.0.is_multiple_of(STOP_POLL_STEPS) && (self.1)() {
+            return Err(SimError::Stopped);
+        }
+        Ok(())
+    }
 }
 
 fn run_inner(
@@ -381,29 +423,12 @@ fn run_inner(
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
+    mut steps: StepCounter<'_>,
 ) -> Result<RunResult, SimError> {
     info.validate().map_err(ConfigError::new)?;
     policy.validate().map_err(ConfigError::new)?;
     cfg.faults.validate()?;
-    // Loss, partitions and corruption act on a board's report path; the
-    // first one configured names the error.
-    let board_fault = [
-        (cfg.faults.loss.is_some(), "loss injection needs"),
-        (cfg.faults.partition.is_some(), "view partitions need"),
-        (
-            cfg.faults.corrupt.is_some_and(|c| !c.is_noop()),
-            "report corruption needs",
-        ),
-    ]
-    .into_iter()
-    .find_map(|(on, what)| on.then_some(what));
-    if let Some(what) = board_fault.filter(|_| !info.supports_loss()) {
-        return Err(ConfigError::new(format!(
-            "{what} a bulletin-board info model (periodic or individual), got {}",
-            info.label()
-        ))
-        .into());
-    }
+    cfg.faults.check_report_path(info)?;
     // Hedging is engine machinery: strip the outermost wrapper (validate()
     // above already rejected h = 0 and nested hedging) and check the
     // factor fits the cluster and nothing else fights over job ownership.
@@ -553,6 +578,7 @@ fn run_inner(
     let mut end_time: f64 = 0.0;
 
     loop {
+        steps.step()?;
         // Discard departures a crash invalidated (their server's scheduled
         // slot was cleared or rescheduled) so peek_time sees a live event.
         while let Some((t, &server)) = departures.peek() {
@@ -617,10 +643,12 @@ fn run_inner(
 
         // Let the information model catch up first (ties: model before
         // system events, so a board refreshed "at" an arrival's instant is
-        // visible to that arrival).
+        // visible to that arrival). Each refresh counts as a step, so a
+        // storm of refreshes at one instant can still be stopped.
         while let Some(t) = model.next_event() {
             if t <= step_time {
                 model.on_event(t, &cluster);
+                steps.step()?;
             } else {
                 break;
             }
@@ -1087,28 +1115,35 @@ mod tests {
 
     #[test]
     fn loss_faults_need_a_board_model() {
-        let mut builder = SimConfig::builder();
-        let cfg = builder
-            .servers(10)
-            .lambda(0.5)
-            .arrivals(1_000)
-            .seed(1)
-            .faults(FaultSpec::drop(0.5))
-            .build();
-        let err = run_simulation(
-            &cfg,
-            &ArrivalSpec::Poisson,
-            &InfoSpec::Fresh,
-            &PolicySpec::Random,
-        );
-        assert!(matches!(err, Err(SimError::Config(_))), "{err:?}");
-        let ok = run_simulation(
-            &cfg,
-            &ArrivalSpec::Poisson,
-            &InfoSpec::Periodic { period: 5.0 },
-            &PolicySpec::Random,
-        );
-        assert!(ok.is_ok());
+        // A no-op loss clause acts on nothing, so any model takes it.
+        for (p, info, ok) in [
+            (0.5, InfoSpec::Fresh, false),
+            (0.5, InfoSpec::Periodic { period: 5.0 }, true),
+            (0.0, InfoSpec::Fresh, true),
+        ] {
+            let mut cfg = quick_cfg(1);
+            cfg.faults = FaultSpec::drop(p);
+            let r = run_simulation(&cfg, &ArrivalSpec::Poisson, &info, &PolicySpec::Random);
+            assert_eq!(r.is_ok(), ok, "drop:{p} on {info:?}: {r:?}");
+            assert!(matches!(r, Ok(_) | Err(SimError::Config(_))), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn a_stop_predicate_ends_both_engines_on_its_poll() {
+        // periodic:1e-300 is a refresh storm: the refresh time soon stops
+        // advancing, so the board refreshes at one instant forever.
+        use crate::EngineMode::{PerServer, Population};
+        for (engine, period) in [(PerServer, 2.0), (PerServer, 1e-300), (Population, 1e-300)] {
+            let mut cfg = quick_cfg(3);
+            cfg.engine = engine;
+            let (info, policy, mut polls) = (InfoSpec::Periodic { period }, PolicySpec::Random, 0);
+            let r = run_simulation_until(&cfg, &ArrivalSpec::Poisson, &info, &policy, || {
+                polls += 1;
+                polls == 3
+            });
+            assert!(matches!(r, Err(SimError::Stopped)) && polls == 3, "{r:?}");
+        }
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub enum SimError {
     /// malformed distribution or a numeric bug, caught at the scheduler
     /// boundary instead of panicking mid-trial.
     Scheduler(SchedError),
+    /// The caller's stop predicate fired (see
+    /// [`crate::run_simulation_until`]), so the run ended unfinished.
+    Stopped,
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +44,7 @@ impl fmt::Display for SimError {
                 write!(f, "all {trials} trials failed; first error: {first_error}")
             }
             SimError::Scheduler(e) => write!(f, "invalid event time: {e}"),
+            SimError::Stopped => write!(f, "stopped by the caller before the run finished"),
         }
     }
 }

@@ -8,7 +8,7 @@ use staleload_policies::PolicySpec;
 use staleload_stats::{Summary, TailSketch};
 
 use crate::{
-    run_simulation, ArrivalSpec, ConfigError, Diagnostic, SimConfig, SimError, TailSummary,
+    run_simulation_until, ArrivalSpec, ConfigError, Diagnostic, SimConfig, SimError, TailSummary,
     WorkerPool,
 };
 
@@ -236,14 +236,22 @@ impl Experiment {
     /// same outcome. Panics inside the simulation are caught and reported
     /// as [`TrialOutcome::Failed`].
     pub fn run_trial(&self, trial: usize) -> TrialOutcome {
+        self.run_trial_until(trial, || false)
+    }
+
+    /// [`Experiment::run_trial`] that the caller can stop: the trial runs
+    /// through [`run_simulation_until`] with `stop`, and a trial `stop`
+    /// ended is a [`TrialOutcome::Failed`] holding [`SimError::Stopped`]'s
+    /// message.
+    pub fn run_trial_until(&self, trial: usize, stop: impl FnMut() -> bool) -> TrialOutcome {
         let mut cfg = self.config.clone();
         cfg.seed = trial_seed(self.config.seed, trial);
         let seed = cfg.seed;
         // AssertUnwindSafe: everything captured is either owned by this
-        // trial (cfg) or read-only (&self), so no shared state can be
-        // observed half-mutated after an unwind.
+        // trial (cfg, stop) or read-only (&self), so no shared state can
+        // be observed half-mutated after an unwind.
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_simulation(&cfg, &self.arrivals, &self.info, &self.policy)
+            run_simulation_until(&cfg, &self.arrivals, &self.info, &self.policy, stop)
         }));
         match caught {
             Ok(Ok(r)) => TrialOutcome::Ok {

@@ -42,6 +42,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
+use staleload_info::InfoSpec;
 pub use staleload_info::{CorruptSpec, LossSpec};
 
 use crate::ConfigError;
@@ -252,6 +253,33 @@ impl FaultSpec {
             c.validate().map_err(ConfigError::new)?;
         }
         Ok(())
+    }
+
+    /// Checks the board faults (loss, partitions, corruption) have a
+    /// report path to act on, which only a bulletin board
+    /// ([`InfoSpec::supports_loss`]) has. A no-op loss or corruption
+    /// clause acts on nothing, so any model takes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] naming the first board fault configured.
+    pub fn check_report_path(&self, info: &InfoSpec) -> Result<(), ConfigError> {
+        let what = if self.loss.is_some_and(|l| !l.is_noop()) {
+            "loss injection needs"
+        } else if self.partition.is_some() {
+            "view partitions need"
+        } else if self.corrupt.is_some_and(|c| !c.is_noop()) {
+            "report corruption needs"
+        } else {
+            return Ok(());
+        };
+        if info.supports_loss() {
+            return Ok(());
+        }
+        Err(ConfigError::new(format!(
+            "{what} a bulletin-board info model (periodic or individual), got {}",
+            info.label()
+        )))
     }
 }
 

@@ -9,6 +9,8 @@
 //!
 //! * [`SimConfig`] — servers, load, job count, service distribution, seed.
 //! * [`run_simulation`] — one seeded run; returns a [`RunResult`].
+//!   [`run_simulation_until`] is the same run under a caller's stop
+//!   predicate.
 //! * [`Experiment`] — a (config, info model, policy) triple run over many
 //!   seeds, summarized with the paper's statistics (mean ± 90% CI,
 //!   quartiles).
@@ -51,7 +53,7 @@ mod pool;
 mod population;
 
 pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
-pub use engine::{run_simulation, Diagnostic, FaultStats, RunResult};
+pub use engine::{run_simulation, run_simulation_until, Diagnostic, FaultStats, RunResult};
 pub use error::SimError;
 pub use experiment::{
     clients_for_mean_age, trial_seed, Experiment, ExperimentResult, TrialFailure, TrialOutcome,

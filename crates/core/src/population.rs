@@ -73,7 +73,7 @@ use staleload_sim::{Dist, OnlineStats, SimRng};
 use staleload_workloads::AliasTable;
 
 use crate::config::ConfigError;
-use crate::engine::FaultStats;
+use crate::engine::{FaultStats, StepCounter};
 use crate::metrics::ServerTallies;
 use crate::{
     ArrivalSpec, OverloadStats, ResilienceStats, RunDetail, RunResult, SimConfig, SimError,
@@ -554,6 +554,7 @@ pub(crate) fn run_population(
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
+    mut steps: StepCounter<'_>,
 ) -> Result<RunResult, SimError> {
     let (pop_policy, pop_info, svc_mean) = validate(cfg, arrivals, info, policy)?;
 
@@ -619,6 +620,8 @@ pub(crate) fn run_population(
     let mut next_refresh = period;
 
     while generated < total || classes.jobs > 0 {
+        // Refreshes count as steps too, so a refresh storm can be stopped.
+        steps.step()?;
         // The departure race: with B busy servers the next completion is
         // Exp(E[S]/B); redrawing it after every event is exact by
         // memorylessness.
@@ -726,7 +729,7 @@ pub(crate) fn run_population(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimConfigBuilder;
+    use crate::{run_simulation, SimConfigBuilder};
     use staleload_policies::basic_li_probabilities;
 
     fn expand(boards: &[u32], sizes: &[u64]) -> Vec<u32> {
@@ -804,7 +807,7 @@ mod tests {
         // Random splitting of a Poisson stream makes every server M/M/1:
         // T = 1/(1−λ) = 5 at λ = 0.8.
         let cfg = pop_config(64, 0.8, 120_000, 11);
-        let r = run_population(
+        let r = run_simulation(
             &cfg,
             &ArrivalSpec::Poisson,
             &InfoSpec::Fresh,
@@ -827,7 +830,7 @@ mod tests {
         // not matter — a sharp internal consistency check for the phase
         // machinery (refreshes, frozen tables, member-length draws).
         let cfg = pop_config(64, 0.8, 120_000, 12);
-        let r = run_population(
+        let r = run_simulation(
             &cfg,
             &ArrivalSpec::Poisson,
             &InfoSpec::Periodic { period: 10.0 },
@@ -845,7 +848,7 @@ mod tests {
     fn fresh_greedy_beats_fresh_d2_beats_random() {
         let mk = |policy: PolicySpec, seed: u64| {
             let cfg = pop_config(128, 0.9, 150_000, seed);
-            run_population(&cfg, &ArrivalSpec::Poisson, &InfoSpec::Fresh, &policy)
+            run_simulation(&cfg, &ArrivalSpec::Poisson, &InfoSpec::Fresh, &policy)
                 .expect("population run")
                 .mean_response
         };
@@ -911,7 +914,7 @@ mod tests {
     fn population_runs_are_deterministic() {
         let cfg = pop_config(32, 0.85, 40_000, 77);
         let run = || {
-            run_population(
+            run_simulation(
                 &cfg,
                 &ArrivalSpec::Poisson,
                 &InfoSpec::Periodic { period: 8.0 },
@@ -929,7 +932,7 @@ mod tests {
     #[test]
     fn unsupported_specs_are_typed_errors() {
         let cfg = pop_config(16, 0.8, 1_000, 1);
-        let err = |arr: &ArrivalSpec, info: &InfoSpec, pol: &PolicySpec| match run_population(
+        let err = |arr: &ArrivalSpec, info: &InfoSpec, pol: &PolicySpec| match run_simulation(
             &cfg, arr, info, pol,
         ) {
             Err(SimError::Config(e)) => e.to_string(),
@@ -965,7 +968,7 @@ mod tests {
         hetero.engine = crate::EngineMode::Population;
         hetero.capacities = Some(vec![1.0; 16]);
         assert!(matches!(
-            run_population(
+            run_simulation(
                 &hetero,
                 &ArrivalSpec::Poisson,
                 &InfoSpec::Fresh,
@@ -978,7 +981,7 @@ mod tests {
     #[test]
     fn little_and_utilization_hold_in_population_mode() {
         let cfg = pop_config(64, 0.8, 150_000, 9);
-        let r = run_population(
+        let r = run_simulation(
             &cfg,
             &ArrivalSpec::Poisson,
             &InfoSpec::Periodic { period: 5.0 },
@@ -1004,7 +1007,7 @@ mod tests {
         // 200 jobs over 1000 servers: most servers complete none, yet each
         // one's expected share is the same, so the summary is fair.
         let cfg = pop_config(1_000, 0.5, 200, 3);
-        let r = run_population(
+        let r = run_simulation(
             &cfg,
             &ArrivalSpec::Poisson,
             &InfoSpec::Periodic { period: 2.0 },

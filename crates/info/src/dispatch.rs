@@ -76,7 +76,7 @@ impl InfoDispatch {
             Self::Periodic(board) => board.entries.degrade(loss, corrupt, fault_rng),
             Self::Individual(board) => board.entries.degrade(loss, corrupt, fault_rng),
             _ => debug_assert!(
-                loss.is_none() && corrupt.is_none_or(|c| c.is_noop()),
+                loss.is_none_or(|l| l.is_noop()) && corrupt.is_none_or(|c| c.is_noop()),
                 "only a bulletin board has a report path to degrade"
             ),
         }

@@ -1,7 +1,7 @@
 //! Rule `crate-hardening`: every crate root forbids `unsafe`.
 //!
 //! The workspace's concurrency story (the trial executor's scoped
-//! threads and atomic claim counter, the watchdog's guard threads) is
+//! threads and atomic claim counter, the only threads it starts) is
 //! documented as safe Rust, and the cheapest way to keep that claim
 //! honest is `#![forbid(unsafe_code)]` at every crate root — `forbid`
 //! cannot be overridden by an inner `allow`, so the attribute is a

@@ -291,10 +291,10 @@ mod tests {
     use staleload_core::Diagnostic;
 
     fn temp_dir(tag: &str) -> PathBuf {
+        // Tags are unique per test, so the process id separates runs.
         let dir = std::env::temp_dir().join(format!(
-            "staleload-journal-test-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
+            "staleload-journal-test-{tag}-{}",
+            std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir

@@ -31,9 +31,10 @@
 //! * [`SweepJournal`] records each completed (point × trial) outcome
 //!   so an interrupted sweep resumes exactly where it died, with output
 //!   bit-identical to an uninterrupted run.
-//! * [`WatchdogSpec`] — a per-trial wall-clock deadline with bounded,
-//!   jittered retries, so a hung trial is isolated as a `TrialFailure`
-//!   instead of stalling the pool.
+//! * [`WatchdogSpec`] — a per-trial wall-clock deadline that the trial's
+//!   own engine loop checks, so a hung trial stops and is reported as a
+//!   `TrialFailure` instead of stalling the pool. This crate starts no
+//!   thread of its own.
 //!
 //! Determinism is the design constraint throughout: batch output is
 //! bit-identical to sequential `Experiment::try_run` for every worker

@@ -20,26 +20,21 @@
 //! The golden test `tests/golden_batch.rs` pins all three claims.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use staleload_core::{
-    trial_seed, Diagnostic, Experiment, ExperimentResult, SimError, TrialFailure, TrialOutcome,
-    WorkerPool,
+    Diagnostic, Experiment, ExperimentResult, SimError, TrialOutcome, WorkerPool,
 };
 
 use crate::cache::{CacheAccounting, ResultCache};
 use crate::hash::experiment_key;
 use crate::journal::{JournalAccounting, SweepJournal};
-use crate::watchdog::{run_guarded, WatchdogSpec};
+use crate::watchdog::{self, WatchdogSpec};
 
 /// Diagnostic code attached to points where at least one trial blew the
 /// watchdog budget. Such points are never cached (a wall-clock verdict
 /// must not poison the durable stores).
 pub const WATCHDOG_DIAGNOSTIC: &str = "watchdog-timeout";
-
-/// Prefix of the `TrialFailure::error` text for watchdog timeouts.
-const WATCHDOG_ERROR_PREFIX: &str = "watchdog:";
 
 /// A progress snapshot, emitted each time a point completes (and once
 /// up front for the points the cache served instantly).
@@ -67,45 +62,6 @@ impl PointProgress {
 }
 
 type ProgressFn = dyn Fn(PointProgress) + Send + Sync;
-
-/// Whether a trial outcome is a watchdog timeout (as opposed to a real
-/// simulation error or panic).
-fn is_watchdog_failure(outcome: &TrialOutcome) -> bool {
-    matches!(outcome, TrialOutcome::Failed(f) if f.error.starts_with(WATCHDOG_ERROR_PREFIX))
-}
-
-/// Runs one trial, under the watchdog when one is armed. A trial whose
-/// every attempt blows the budget becomes a `TrialFailure` whose error
-/// text starts with `"watchdog:"`. The guard thread may outlive the
-/// batch when the watchdog abandons it, so it holds the experiment by
-/// `Arc`.
-fn run_trial_guarded(
-    exp: &Arc<Experiment>,
-    trial: usize,
-    watchdog: Option<WatchdogSpec>,
-) -> TrialOutcome {
-    let Some(spec) = watchdog else {
-        return exp.run_trial(trial);
-    };
-    let seed = trial_seed(exp.config.seed, trial);
-    let body_exp = Arc::clone(exp);
-    // The jitter stream must not correlate with the trial's own RNG:
-    // perturb the seed with a fixed tweak before handing it over.
-    let guarded = run_guarded(&spec, seed ^ 0x57A7_C4D0_6B0D_6E55, move || {
-        body_exp.run_trial(trial)
-    });
-    match guarded.outcome {
-        Some(outcome) => outcome,
-        None => TrialOutcome::Failed(TrialFailure {
-            trial,
-            seed,
-            error: format!(
-                "watchdog: exceeded the {:?} per-attempt budget ({} attempts, {} timeouts)",
-                spec.budget, guarded.attempts, guarded.timeouts
-            ),
-        }),
-    }
-}
 
 /// Executes batches of experiment points on a worker pool, consulting
 /// (and filling) a content-addressed result cache.
@@ -270,10 +226,6 @@ impl SweepRunner {
             });
         }
 
-        let shared: Vec<Arc<Experiment>> = uncached
-            .iter()
-            .map(|&(i, _)| Arc::new(experiments[i].clone()))
-            .collect();
         let done = AtomicUsize::new(done_upfront);
         let (journal, watchdog, progress) =
             (&self.journal, self.watchdog, self.progress.as_deref());
@@ -281,10 +233,10 @@ impl SweepRunner {
             .pool
             .map(tasks.len(), |j| {
                 let (u, trial) = tasks[j];
-                let outcome = run_trial_guarded(&shared[u], trial, watchdog);
+                let outcome = watchdog::run_trial(&experiments[uncached[u].0], trial, watchdog);
                 // Watchdog timeouts are wall-clock verdicts — never
                 // journalled, so a faster resume re-attempts them.
-                if !is_watchdog_failure(&outcome) {
+                if !matches!(&outcome, TrialOutcome::Failed(f) if watchdog::timed_out(f)) {
                     journal.record(uncached[u].1, trial, &outcome);
                 }
                 if remaining[u].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -313,11 +265,7 @@ impl SweepRunner {
                 .collect();
             let mut result = experiments[i].aggregate(outcomes);
             if let Ok(r) = &mut result {
-                let timed_out = r
-                    .failures
-                    .iter()
-                    .filter(|f| f.error.starts_with(WATCHDOG_ERROR_PREFIX))
-                    .count();
+                let timed_out = r.failures.iter().filter(|f| watchdog::timed_out(f)).count();
                 if timed_out > 0 {
                     // Tag the point and keep it out of the cache: a slow
                     // machine's timeout must not become a durable fact.

@@ -11,6 +11,7 @@
 //! production paths must survive.
 
 use std::path::PathBuf;
+use std::time::Duration;
 
 use staleload_core::{ArrivalSpec, Experiment, ExperimentResult, SimConfig, SimError};
 use staleload_info::InfoSpec;
@@ -52,6 +53,15 @@ fn experiments() -> Vec<Experiment> {
             2,
         ),
     ]
+}
+
+/// A point far too long to finish in the watchdog tests' 5 ms budget.
+fn huge(trials: usize) -> Experiment {
+    let mut cfg = SimConfig::builder();
+    cfg.servers(64).lambda(0.9).arrivals(4_000_000).seed(7);
+    let info = InfoSpec::Periodic { period: 4.0 };
+    let li = PolicySpec::BasicLi { lambda: 0.9 };
+    Experiment::new(cfg.build(), ArrivalSpec::Poisson, info, li, trials)
 }
 
 /// Bit-exact rendering (floats via `to_bits`); equal iff bit-identical.
@@ -341,28 +351,12 @@ fn torn_journal_tail_resumes_by_recomputing_only_the_torn_trial() {
 
 #[test]
 fn hung_trial_times_out_and_the_sweep_completes_with_a_diagnostic() {
-    // A point far too large to finish in 5 ms: the watchdog must fire.
-    let huge = Experiment::new(
-        SimConfig::builder()
-            .servers(64)
-            .lambda(0.9)
-            .arrivals(4_000_000)
-            .seed(7)
-            .build(),
-        ArrivalSpec::Poisson,
-        InfoSpec::Periodic { period: 4.0 },
-        PolicySpec::BasicLi { lambda: 0.9 },
-        1,
-    );
+    let huge = huge(1);
     let quick = experiments().remove(2);
     let reference = fingerprint(&quick.try_run().expect("sequential reference"));
 
     let mut runner = SweepRunner::new(WorkerPool::new(2), ResultCache::disabled());
-    let mut spec = WatchdogSpec::with_budget(std::time::Duration::from_millis(5));
-    spec.retry.max_attempts = 2;
-    spec.retry.base = 0.01;
-    spec.retry.cap = 0.02;
-    runner.set_watchdog(Some(spec));
+    runner.set_watchdog(Some(WatchdogSpec::with_budget(Duration::from_millis(5))));
 
     let results = runner.run_batch(&[huge.clone(), quick.clone()]);
     // The hung point fails every trial with a watchdog error…
@@ -392,18 +386,7 @@ fn watchdog_tags_partial_timeouts_and_keeps_them_out_of_the_cache() {
     // Trial 0 is journalled upfront so it replays instantly; the huge
     // remaining trial times out. Aggregation then has one success and
     // one watchdog failure: the point is tagged and left uncached.
-    let huge = Experiment::new(
-        SimConfig::builder()
-            .servers(64)
-            .lambda(0.9)
-            .arrivals(4_000_000)
-            .seed(7)
-            .build(),
-        ArrivalSpec::Poisson,
-        InfoSpec::Periodic { period: 4.0 },
-        PolicySpec::BasicLi { lambda: 0.9 },
-        2,
-    );
+    let huge = huge(2);
     let dir = temp_dir("watchdog-uncached");
     {
         let journal = SweepJournal::open(&dir).expect("open journal");
@@ -425,11 +408,7 @@ fn watchdog_tags_partial_timeouts_and_keeps_them_out_of_the_cache() {
         ResultCache::open(&dir).expect("open cache"),
     );
     runner.set_journal(SweepJournal::open(&dir).expect("reopen journal"));
-    let mut spec = WatchdogSpec::with_budget(std::time::Duration::from_millis(5));
-    spec.retry.max_attempts = 2;
-    spec.retry.base = 0.01;
-    spec.retry.cap = 0.02;
-    runner.set_watchdog(Some(spec));
+    runner.set_watchdog(Some(WatchdogSpec::with_budget(Duration::from_millis(5))));
 
     let results = runner.run_batch(std::slice::from_ref(&huge));
     let r = results[0].as_ref().expect("one good trial aggregates");

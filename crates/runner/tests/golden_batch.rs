@@ -272,7 +272,7 @@ fn batch_is_bit_identical_to_sequential_for_all_workers_and_cache_states() {
         );
 
         // Watchdog armed, as the bench binaries and perfbench run their
-        // trials: each trial runs on a guard thread spawned for it alone.
+        // trials: each trial's engine loop checks a deadline it never hits.
         // The budget is far above one trial, so it never fires.
         let mut runner = SweepRunner::new(WorkerPool::new(workers), ResultCache::disabled());
         runner.set_watchdog(Some(WatchdogSpec::with_budget(Duration::from_secs(600))));
