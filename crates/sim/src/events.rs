@@ -3,9 +3,17 @@
 //! The simulation engine keeps its departures, renege deadlines and retry
 //! orbit in [`EventQueue`]s: binary heaps ordered by time with **FIFO
 //! tie-breaking** (events pushed earlier pop earlier when their times are
-//! bit-identical), O(log n) per operation. [`EventScheduler`] states that
-//! contract as a trait; `tests/event_queue_equiv.rs` checks the heap
-//! against a sorted-`Vec` model of it.
+//! equal), O(log n) per operation. [`EventScheduler`] states that
+//! contract as a trait; `crates/sim/tests/event_queue_equiv.rs` checks the
+//! heap against a sorted-`Vec` model of it.
+//!
+//! The heap orders its entries by one integer key,
+//! `(time + 0.0).to_bits() << 64 | seq`. Pushes reject NaN and negative
+//! times, and the bit patterns of the remaining times (`+0.0` up to `+∞`)
+//! sort as their values do; adding `+0.0` folds `-0.0` onto `+0.0`, the
+//! time it equals, so a tie between the two zeros still pops in push order.
+//! One `u128` comparison then does the work of a float comparison and a
+//! sequence tie-break.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -150,14 +158,25 @@ pub struct EventQueue<E> {
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
+    /// The time's bits above the push sequence number (see the module
+    /// docs): entries compare by this key alone.
+    key: u128,
     time: f64,
-    seq: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    /// An entry for a time that passed [`check_time`].
+    #[inline]
+    fn new(time: f64, seq: u64, event: E) -> Self {
+        let key = u128::from((time + 0.0).to_bits()) << 64 | u128::from(seq);
+        Self { key, time, event }
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -170,14 +189,11 @@ impl<E> PartialOrd for Entry<E> {
 }
 
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want earliest
-        // first. NaN is rejected at push, so partial_cmp cannot fail here.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event time must not be NaN")
-            .then_with(|| other.seq.cmp(&self.seq))
+        // first.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -222,7 +238,7 @@ impl<E> EventQueue<E> {
         check_time(time)?;
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        self.heap.push(Entry::new(time, seq, event));
         Ok(())
     }
 

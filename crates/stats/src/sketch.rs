@@ -36,6 +36,8 @@
 //! Nothing here reads wall clocks or OS entropy; two processes that feed
 //! the same multisets hold the same bits.
 
+use std::sync::OnceLock;
+
 /// Relative bucket width of the compacted grid: bucket boundaries are
 /// `FLOOR·(1+EPS)^i`. Outside tests it only appears through the pinned
 /// literals below (the hot path must not call libm).
@@ -61,7 +63,7 @@ const INTERIOR: usize = 2315;
 const LN_1P_EPS: f64 = 0.009_950_330_853_168_083;
 
 /// `1 / LN_1P_EPS` and `1 / FLOOR` as literals (pinned by tests):
-/// [`bucket_index`] multiplies by these instead of dividing, which is
+/// [`grid_bucket`] multiplies by these instead of dividing, which is
 /// measurably cheaper per record. The grid is *defined* by that
 /// function, so the (sub-ulp) rounding difference versus division just
 /// places a handful of boundary values one bucket over — every
@@ -72,6 +74,7 @@ const INV_FLOOR: f64 = 1e4;
 
 /// Total buckets: underflow + interior + overflow.
 const NBUCKETS: usize = INTERIOR + 2;
+const _: () = assert!(NBUCKETS <= u16::MAX as usize);
 
 /// The sketch body: the exact multiset until the pinned compaction
 /// fires, the canonical grid afterwards.
@@ -502,7 +505,9 @@ fn sorted(values: &[f64]) -> Vec<f64> {
 }
 
 /// The grid bucket holding `x`: 0 is underflow, `NBUCKETS-1` overflow.
-fn bucket_index(x: f64) -> usize {
+/// This formula defines the grid; [`bucket_index`] reads its answers from
+/// [`BucketTable`].
+fn grid_bucket(x: f64) -> usize {
     if x <= FLOOR {
         return 0;
     }
@@ -511,6 +516,83 @@ fn bucket_index(x: f64) -> usize {
     }
     let i = ((x * INV_FLOOR).ln() * INV_LN_1P_EPS).floor() as usize + 1;
     i.min(NBUCKETS - 2)
+}
+
+/// [`grid_bucket`] without libm: two table loads and one comparison
+/// inside the grid.
+#[inline]
+fn bucket_index(x: f64) -> usize {
+    if x <= FLOOR {
+        return 0;
+    }
+    if x >= CEIL {
+        return NBUCKETS - 1;
+    }
+    let table = BUCKET_TABLE.get_or_init(BucketTable::build);
+    let i = usize::from(table.start[sub_range(x)]);
+    i + usize::from(x >= table.bounds[i + 1])
+}
+
+/// A positive `f64`'s bits shifted right by this leave its exponent and
+/// the top 7 bits of its mantissa: a sub-range at most `2^-7` (0.78%) wide
+/// relative to its values, narrower than a grid bucket (`ln(1+EPS)`,
+/// 0.995%), so no sub-range holds two bucket boundaries.
+const SUB_RANGE_SHIFT: u32 = 45;
+
+/// The sub-range holding [`FLOOR`]; the table starts there.
+const FIRST_SUB_RANGE: usize = (FLOOR.to_bits() >> SUB_RANGE_SHIFT) as usize;
+
+/// Sub-ranges from the one holding [`FLOOR`] to the one holding [`CEIL`].
+const SUB_RANGES: usize = (CEIL.to_bits() >> SUB_RANGE_SHIFT) as usize - FIRST_SUB_RANGE + 1;
+
+/// The table index of the sub-range holding `x` (`FLOOR < x < CEIL`).
+#[inline]
+fn sub_range(x: f64) -> usize {
+    (x.to_bits() >> SUB_RANGE_SHIFT) as usize - FIRST_SUB_RANGE
+}
+
+/// [`grid_bucket`] tabulated: built once per process from the formula
+/// itself, immutable afterwards.
+static BUCKET_TABLE: OnceLock<BucketTable> = OnceLock::new();
+
+/// Every bucket boundary of the grid, and where each sub-range starts.
+struct BucketTable {
+    /// `bounds[i]`: the smallest `f64` whose bucket is at least `i`
+    /// (`-∞` for bucket 0); `NBUCKETS` entries.
+    bounds: Vec<f64>,
+    /// `start[s]`: the bucket of sub-range `s`'s lowest value above
+    /// [`FLOOR`]; its other values are in that bucket or the next.
+    /// `SUB_RANGES` entries.
+    start: Vec<u16>,
+}
+
+impl BucketTable {
+    /// Finds each boundary by starting at its value, `FLOOR·(1+EPS)^(i−1)`,
+    /// and stepping one `f64` at a time to where [`grid_bucket`] reaches
+    /// `i` (at most 49 steps), then each sub-range's start bucket from the
+    /// boundaries.
+    fn build() -> Self {
+        let mut bounds = vec![f64::NEG_INFINITY; NBUCKETS];
+        for (i, bound) in bounds.iter_mut().enumerate().skip(1) {
+            let mut b = (FLOOR * ((i - 1) as f64 * LN_1P_EPS).exp()).clamp(FLOOR, CEIL);
+            while b > FLOOR && grid_bucket(b) >= i {
+                b = b.next_down();
+            }
+            while grid_bucket(b) < i {
+                b = b.next_up();
+            }
+            *bound = b;
+        }
+        let start = (FIRST_SUB_RANGE..FIRST_SUB_RANGE + SUB_RANGES)
+            .map(|s| {
+                let lowest = f64::from_bits((s as u64) << SUB_RANGE_SHIFT);
+                let lowest = lowest.max(FLOOR.next_up());
+                // NBUCKETS fits a u16 (asserted where it is defined).
+                (bounds.partition_point(|&b| b <= lowest) - 1) as u16
+            })
+            .collect();
+        Self { bounds, start }
+    }
 }
 
 /// The reported value for bucket `i`: the geometric midpoint of its
@@ -539,6 +621,67 @@ mod tests {
         assert_eq!(LN_1P_EPS.to_bits(), EPS.ln_1p().to_bits());
         assert_eq!(INV_LN_1P_EPS.to_bits(), (1.0 / LN_1P_EPS).to_bits());
         assert_eq!(INV_FLOOR.to_bits(), (1.0 / FLOOR).to_bits());
+    }
+
+    /// The table answers what the formula does: at every boundary and
+    /// 2 048 ulps either side of it, at pseudo-random bit patterns across
+    /// the grid, and past both of its ends.
+    #[test]
+    fn bucket_table_matches_the_formula() {
+        let table = BUCKET_TABLE.get_or_init(BucketTable::build);
+        assert_eq!(SUB_RANGES, 4260);
+        assert!(table.bounds.windows(2).all(|w| w[0] < w[1]));
+        for s in 0..SUB_RANGES {
+            let end = ((FIRST_SUB_RANGE + s + 1) as u64) << SUB_RANGE_SHIFT;
+            let highest = f64::from_bits(end - 1).min(CEIL.next_down());
+            let i = usize::from(table.start[s]);
+            assert!(
+                i + 2 >= NBUCKETS || table.bounds[i + 2] > highest,
+                "sub-range {s} holds two boundaries"
+            );
+        }
+        let agrees = |x: f64| {
+            assert_eq!(
+                bucket_index(x),
+                grid_bucket(x),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        };
+        for &bound in &table.bounds[1..] {
+            let bits = bound.to_bits();
+            for b in bits - 2048..=bits + 2048 {
+                agrees(f64::from_bits(b));
+            }
+        }
+        let (lo, hi) = (FLOOR.to_bits(), CEIL.to_bits());
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..2_000_000 {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            agrees(f64::from_bits(lo + z % (hi - lo + 1)));
+        }
+        for x in [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            FLOOR.next_down(),
+            FLOOR,
+            FLOOR.next_up(),
+            CEIL.next_down(),
+            CEIL,
+            CEIL.next_up(),
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            agrees(x);
+        }
     }
 
     fn filled(cap: usize, values: &[f64]) -> TailSketch {
