@@ -1,6 +1,8 @@
 //! End-to-end tests that spawn the real `staleload` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn staleload(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_staleload"))
@@ -479,4 +481,45 @@ fn board_faults_without_a_board_fail_before_any_trial() {
     let noop = staleload_line(&format!("{base} --info fresh --faults drop:0"));
     assert!(plain.0, "{}", plain.2);
     assert_eq!(noop, plain);
+}
+
+/// A refresh period too small to advance the board clock and an
+/// update-on-access age whose snapshots pass the cap are config errors
+/// naming `--info`, within a second: no hang, no abort, on both engines.
+#[test]
+fn unrunnable_info_specs_fail_within_a_second() {
+    let base = "run --servers 4 --arrivals 2000 --trials 1";
+    for flags in [
+        "--info periodic:1e-300",
+        "--info individual:1e-300",
+        "--info ewma:0.3:1e-300",
+        "--info ma:2,10,30:1e-300",
+        "--info periodic:1e-300 --engine population --policy random",
+        "--info uoa:1e15",
+    ] {
+        let line = format!("{base} {flags}");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_staleload"))
+            .args(line.split(' '))
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let started = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("child status") {
+                break status;
+            }
+            if started.elapsed() > Duration::from_secs(1) {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{flags}: still running after a second");
+            }
+            thread::sleep(Duration::from_millis(5));
+        };
+        let output = child.wait_with_output().expect("child output");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!status.success(), "{flags}: {stderr}");
+        assert!(stderr.starts_with("error: --info "), "{flags}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags}: {stderr}");
+    }
 }

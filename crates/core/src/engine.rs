@@ -388,6 +388,7 @@ pub fn run_simulation_until(
     policy: &PolicySpec,
     mut stop: impl FnMut() -> bool,
 ) -> Result<RunResult, SimError> {
+    check_run_bounds(cfg, arrivals, info)?;
     let steps = StepCounter(0, &mut stop);
     // The population fast path has no pending-event set at all: its
     // events are a three-clock race.
@@ -395,6 +396,55 @@ pub fn run_simulation_until(
         return crate::population::run_population(cfg, arrivals, info, policy, steps);
     }
     run_inner(cfg, arrivals, info, policy, steps)
+}
+
+/// Most snapshot entries (`clients × servers`) an update-on-access run
+/// may hold: 2^26, 256 MiB of loads. perfbench's largest case holds
+/// 1 440 × 100, and Figs. 8–9's longest age 5 760 × 100.
+pub(crate) const MAX_UOA_SNAPSHOT_ENTRIES: usize = 1 << 26;
+
+/// Checks that a run of `info` can be stepped through and held in memory,
+/// before anything is allocated. Both engines call it first, and
+/// [`crate::Experiment::try_run`] before any trial.
+///
+/// - A board's refresh period must advance its clock over the time the
+///   run's arrivals span, `arrivals / total rate`. A smaller one leaves
+///   `next + period == next`, so the board refreshes at one instant for
+///   ever.
+/// - An update-on-access run keeps a snapshot of every server per client:
+///   at most 2^26 of them (256 MiB).
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] naming the period, or the client and server
+/// counts and the cap.
+pub fn check_run_bounds(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+) -> Result<(), ConfigError> {
+    if let Some(period) = info.refresh_period() {
+        // A period that is not positive is `InfoSpec::validate`'s to report.
+        let span = cfg.arrivals as f64 / cfg.total_rate();
+        if period > 0.0 && span + period == span {
+            return Err(ConfigError::new(format!(
+                "refresh period {period:e} is too small to advance the board clock over the \
+                 {span:.4} time units the run's arrivals span"
+            )));
+        }
+    }
+    if matches!(info, InfoSpec::UpdateOnAccess) {
+        let clients = arrivals.clients();
+        let entries = clients.checked_mul(cfg.servers);
+        if entries.is_none_or(|e| e > MAX_UOA_SNAPSHOT_ENTRIES) {
+            return Err(ConfigError::new(format!(
+                "update-on-access with {clients} clients and {} servers needs a snapshot of \
+                 every server per client, over the cap of {MAX_UOA_SNAPSHOT_ENTRIES} entries",
+                cfg.servers
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Loop steps between two polls of a run's stop predicate: rare enough
@@ -1131,10 +1181,10 @@ mod tests {
 
     #[test]
     fn a_stop_predicate_ends_both_engines_on_its_poll() {
-        // periodic:1e-300 is a refresh storm: the refresh time soon stops
-        // advancing, so the board refreshes at one instant forever.
+        // periodic:1e-9 is a refresh storm: ~6·10^12 refreshes over the
+        // 6 000 time units the run's arrivals span.
         use crate::EngineMode::{PerServer, Population};
-        for (engine, period) in [(PerServer, 2.0), (PerServer, 1e-300), (Population, 1e-300)] {
+        for (engine, period) in [(PerServer, 2.0), (PerServer, 1e-9), (Population, 1e-9)] {
             let mut cfg = quick_cfg(3);
             cfg.engine = engine;
             let (info, policy, mut polls) = (InfoSpec::Periodic { period }, PolicySpec::Random, 0);

@@ -8,8 +8,8 @@ use staleload_policies::PolicySpec;
 use staleload_stats::{Summary, TailSketch};
 
 use crate::{
-    run_simulation_until, ArrivalSpec, ConfigError, Diagnostic, SimConfig, SimError, TailSummary,
-    WorkerPool,
+    check_run_bounds, run_simulation_until, ArrivalSpec, ConfigError, Diagnostic, SimConfig,
+    SimError, TailSummary, WorkerPool,
 };
 
 /// Derives the seed of trial `trial` from a master seed (SplitMix-style
@@ -146,12 +146,14 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoSuccessfulTrials`] when *every* trial failed
-    /// (there is nothing to aggregate).
+    /// Returns [`SimError::Config`] for zero trials or a run
+    /// [`check_run_bounds`] rejects, and [`SimError::NoSuccessfulTrials`]
+    /// when *every* trial failed (there is nothing to aggregate).
     pub fn try_run(&self) -> Result<ExperimentResult, SimError> {
         if self.trials == 0 {
             return Err(ConfigError::new("need at least one trial").into());
         }
+        check_run_bounds(&self.config, &self.arrivals, &self.info)?;
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let outcomes = WorkerPool::new(threads).map(self.trials, |t| self.run_trial(t));
         self.aggregate(outcomes)
@@ -284,7 +286,8 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultSpec;
+    use crate::engine::MAX_UOA_SNAPSHOT_ENTRIES;
+    use crate::{run_simulation, EngineMode, FaultSpec};
 
     fn quick_experiment(policy: PolicySpec, trials: usize) -> Experiment {
         let cfg = SimConfig::builder()
@@ -316,6 +319,84 @@ mod tests {
         let a = e.run();
         let b = e.run();
         assert_eq!(a.trial_means, b.trial_means);
+    }
+
+    /// A refresh period that cannot advance the board clock over the run
+    /// is a config error before any trial, not a run that refreshes at one
+    /// instant until something stops it: on every board and both engines.
+    #[test]
+    fn a_period_too_small_to_advance_the_clock_is_a_config_error() {
+        let boards = [
+            (EngineMode::PerServer, InfoSpec::Periodic { period: 1e-300 }),
+            (
+                EngineMode::PerServer,
+                InfoSpec::Individual { period: 1e-300 },
+            ),
+            (
+                EngineMode::PerServer,
+                InfoSpec::Ewma {
+                    period: 1e-300,
+                    alpha: 0.3,
+                },
+            ),
+            (
+                EngineMode::Population,
+                InfoSpec::Periodic { period: 1e-300 },
+            ),
+        ];
+        for (engine, info) in boards {
+            let mut e = quick_experiment(PolicySpec::Random, 2);
+            e.config.engine = engine;
+            e.info = info;
+            match e.try_run() {
+                Err(SimError::Config(err)) => {
+                    assert!(err.to_string().contains("refresh period 1e-300"), "{err}");
+                }
+                other => panic!("{engine} {info:?}: expected a config error, got {other:?}"),
+            }
+            let direct = run_simulation_until(&e.config, &e.arrivals, &e.info, &e.policy, || false);
+            assert!(matches!(direct, Err(SimError::Config(_))), "{direct:?}");
+        }
+        // The smallest period that still advances the clock runs as before.
+        let e = quick_experiment(PolicySpec::Random, 1);
+        let span = e.config.arrivals as f64 / e.config.total_rate();
+        let mut ok = e.clone();
+        ok.info = InfoSpec::Periodic { period: 2.0 };
+        assert!(check_run_bounds(&ok.config, &ok.arrivals, &ok.info).is_ok());
+        ok.info = InfoSpec::Periodic {
+            period: span * f64::EPSILON,
+        };
+        assert!(check_run_bounds(&ok.config, &ok.arrivals, &ok.info).is_ok());
+    }
+
+    /// Update-on-access snapshots past the cap are a config error before
+    /// anything is allocated; perfbench's largest case stays accepted.
+    #[test]
+    fn uoa_snapshots_past_the_cap_are_a_config_error() {
+        let cfg = SimConfig::builder().servers(100).build();
+        let uoa = |clients| {
+            Experiment::new(
+                cfg.clone(),
+                ArrivalSpec::PoissonClients { clients },
+                InfoSpec::UpdateOnAccess,
+                PolicySpec::Random,
+                1,
+            )
+        };
+        let largest = uoa(1440);
+        assert!(check_run_bounds(&largest.config, &largest.arrivals, &largest.info).is_ok());
+        for clients in [MAX_UOA_SNAPSHOT_ENTRIES / 100 + 1, usize::MAX] {
+            match uoa(clients).try_run() {
+                Err(SimError::Config(err)) => {
+                    let msg = err.to_string();
+                    assert!(msg.contains(&MAX_UOA_SNAPSHOT_ENTRIES.to_string()), "{msg}");
+                }
+                other => panic!("{clients} clients: expected a config error, got {other:?}"),
+            }
+        }
+        let over = uoa(MAX_UOA_SNAPSHOT_ENTRIES / 100 + 1);
+        let direct = run_simulation(&over.config, &over.arrivals, &over.info, &over.policy);
+        assert!(matches!(direct, Err(SimError::Config(_))), "{direct:?}");
     }
 
     #[test]

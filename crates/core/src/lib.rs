@@ -53,7 +53,9 @@ mod pool;
 mod population;
 
 pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
-pub use engine::{run_simulation, run_simulation_until, Diagnostic, FaultStats, RunResult};
+pub use engine::{
+    check_run_bounds, run_simulation, run_simulation_until, Diagnostic, FaultStats, RunResult,
+};
 pub use error::SimError;
 pub use experiment::{
     clients_for_mean_age, trial_seed, Experiment, ExperimentResult, TrialFailure, TrialOutcome,

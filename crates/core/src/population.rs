@@ -730,7 +730,7 @@ pub(crate) fn run_population(
 mod tests {
     use super::*;
     use crate::{run_simulation, SimConfigBuilder};
-    use staleload_policies::basic_li_probabilities;
+    use staleload_policies::{basic_li_probabilities, LoadCounts};
 
     fn expand(boards: &[u32], sizes: &[u64]) -> Vec<u32> {
         let mut loads = Vec::new();
@@ -753,7 +753,7 @@ mod tests {
             (&[2, 9], &[7, 3], 0.0),
         ];
         let mut probs = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch = LoadCounts::default();
         for &(boards, sizes, r) in cases {
             let loads = expand(boards, sizes);
             basic_li_probabilities(&loads, r, &mut probs, &mut scratch);

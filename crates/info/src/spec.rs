@@ -128,6 +128,17 @@ impl InfoSpec {
         Ok(())
     }
 
+    /// The board's refresh period, for the models that refresh one.
+    pub fn refresh_period(&self) -> Option<f64> {
+        match *self {
+            InfoSpec::Periodic { period }
+            | InfoSpec::Individual { period }
+            | InfoSpec::Ewma { period, .. }
+            | InfoSpec::MultiHorizon { period, .. } => Some(period),
+            InfoSpec::Continuous { .. } | InfoSpec::UpdateOnAccess | InfoSpec::Fresh => None,
+        }
+    }
+
     /// History window the cluster must retain for this model.
     pub fn history_window(&self) -> Option<f64> {
         match self {

@@ -4,6 +4,8 @@
 //! and an expected-arrival count `R = λ·n·T`, factored out of the policy
 //! objects so they can be unit- and property-tested in isolation.
 
+use std::ops::ControlFlow;
+
 use staleload_sim::SimRng;
 
 use crate::Load;
@@ -13,7 +15,7 @@ use crate::Load;
 pub(crate) const MIN_EXPECTED_ARRIVALS: f64 = 1e-9;
 
 /// Fewest load values one histogram window spans; a window spans
-/// `max(n, MIN_WINDOW)` values (see [`Levels`]).
+/// `max(n, MIN_WINDOW)` values (see [`LoadCounts`]).
 const MIN_WINDOW: usize = 256;
 
 /// Relative slack on the aged Aggressive LI reach bound `λ̂·n·age`, far
@@ -40,18 +42,18 @@ const REACH_MARGIN: f64 = 1e-6;
 /// This is water-filling: the bracketed term is the common *level* the `c`
 /// receiving queues reach when the expected arrivals are poured in.
 ///
-/// The order in step 1 comes from a histogram of load values rather than a
-/// sort (see *Sort-free water line* in `ALGORITHMS.md`): a load more than
-/// `⌊R⌋` above the minimum can never receive, and the histogram covers at
-/// most `max(n, 256)` values at a time, so memory is `O(n)` for any `R` and
-/// any spread of the loads, and the time `O(n + span)`.
+/// The order in step 1 comes from counting the servers at each load value
+/// rather than a sort (see *Sort-free water line* in `ALGORITHMS.md`): a
+/// load more than `⌊R⌋` above the minimum can never receive, and the
+/// counts cover at most `max(n, 256)` values at a time, so memory is `O(n)`
+/// for any `R` and any spread of the loads, and the time `O(n + span)`.
 ///
 /// When `R` is (numerically) zero the epoch is too short for probabilistic
 /// leveling; the function returns the least-loaded indicator distribution
 /// (uniform over the minimum-load servers), the natural fresh-information
 /// limit.
 ///
-/// `counts` is a reusable histogram buffer; contents are overwritten.
+/// `counts` is reusable scratch for the load counts.
 ///
 /// # Panics
 ///
@@ -60,10 +62,10 @@ const REACH_MARGIN: f64 = 1e-6;
 /// # Example
 ///
 /// ```
-/// use staleload_policies::basic_li_probabilities;
+/// use staleload_policies::{basic_li_probabilities, LoadCounts};
 ///
 /// let mut probs = Vec::new();
-/// let mut counts = Vec::new();
+/// let mut counts = LoadCounts::default();
 /// // Two servers, queue lengths 0 and 4, expecting R = 8 arrivals:
 /// // target level = (0 + 4 + 8)/2 = 6, so send 6/8 to the first, 2/8 to the second.
 /// basic_li_probabilities(&[0, 4], 8.0, &mut probs, &mut counts);
@@ -74,9 +76,9 @@ pub fn basic_li_probabilities(
     loads: &[Load],
     expected_arrivals: f64,
     probs: &mut Vec<f64>,
-    counts: &mut Vec<u32>,
+    counts: &mut LoadCounts,
 ) {
-    let (line, _) = WaterLine::of_view(loads, expected_arrivals, counts);
+    let line = WaterLine::of_view(loads, expected_arrivals, counts);
     probs.clear();
     probs.extend(loads.iter().map(|&q| line.prob(q)));
 }
@@ -84,9 +86,9 @@ pub fn basic_li_probabilities(
 /// Basic LI's water line for one view: which load values receive and with
 /// what probability (see [`basic_li_probabilities`]).
 ///
-/// Both engines find it with [`WaterLine::new`]: the per-server policies
-/// over a histogram of their view's loads, the population engine over its
-/// board classes.
+/// The per-server policies find it from the counts of their view's loads,
+/// the population engine with [`WaterLine::new`] over its board classes;
+/// both pour the same levels through the same float operations.
 #[derive(Debug, Clone, Copy)]
 pub struct WaterLine {
     /// Lowest reported load.
@@ -105,6 +107,82 @@ enum Share {
     Level { level: f64, r: f64 },
 }
 
+/// The water line's scan (Eqs. 3–4), poured one load value at a time in
+/// increasing order.
+///
+/// `cost(q) = C(q)·q − S(q)`, over the `C(q)` servers with load ≤ q and
+/// their load sum `S(q)`, is non-decreasing in `q` and 0 at the minimum,
+/// so the scan stops at the first value `R` cannot reach. Every count, sum
+/// and cost is an exact integer in f64, and cost is constant across a tie
+/// group, so this finds the same `c` as scanning sorted servers one by
+/// one, and the receiving set never splits a tie group.
+struct Pour {
+    r: f64,
+    /// Servers at or below `top`, and the sum of their loads.
+    receivers: u64,
+    prefix: f64,
+    /// The highest load poured so far that the water reaches.
+    top: Load,
+    /// Servers at or below the last value poured, and their load sum.
+    seen: u64,
+    run: f64,
+}
+
+impl Pour {
+    /// # Panics
+    ///
+    /// Panics if `expected_arrivals` is negative or not finite.
+    fn new(expected_arrivals: f64) -> Self {
+        assert!(
+            expected_arrivals.is_finite() && expected_arrivals >= 0.0,
+            "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
+        );
+        Self {
+            r: expected_arrivals,
+            receivers: 0,
+            prefix: 0.0,
+            top: 0,
+            seen: 0,
+            run: 0.0,
+        }
+    }
+
+    /// Pours the water up to load value `q`, reported by `k` servers:
+    /// `false`, leaving the line as it was, when `R` cannot raise every
+    /// server below `q` to it. Values must come in increasing order.
+    #[inline]
+    fn reaches(&mut self, q: Load, k: u64) -> bool {
+        self.seen += k;
+        self.run += k as f64 * f64::from(q);
+        if self.seen as f64 * f64::from(q) - self.run > self.r {
+            return false;
+        }
+        self.receivers = self.seen;
+        self.prefix = self.run;
+        self.top = q;
+        true
+    }
+
+    /// The line once the scan has stopped; `min` is the lowest load poured.
+    fn line(&self, min: Load) -> WaterLine {
+        // When R is numerically zero the scan stopped one value above the
+        // minimum, so only the minimum's ties receive.
+        let share = if self.r <= MIN_EXPECTED_ARRIVALS {
+            Share::Even(1.0 / self.receivers as f64)
+        } else {
+            Share::Level {
+                level: (self.prefix + self.r) / self.receivers as f64,
+                r: self.r,
+            }
+        };
+        WaterLine {
+            min,
+            top: self.top,
+            share,
+        }
+    }
+}
+
 impl WaterLine {
     /// Finds the water line (Eqs. 3–4) for `expected_arrivals` (`R`) over
     /// `levels`: the distinct reported loads in increasing order, each with
@@ -115,65 +193,38 @@ impl WaterLine {
     ///
     /// Panics if `levels` is empty or `expected_arrivals` is negative/NaN.
     pub fn new(levels: impl IntoIterator<Item = (Load, u64)>, expected_arrivals: f64) -> Self {
-        assert!(
-            expected_arrivals.is_finite() && expected_arrivals >= 0.0,
-            "expected arrivals must be a non-negative finite number, got {expected_arrivals}"
-        );
-        let r = expected_arrivals;
+        let mut pour = Pour::new(expected_arrivals);
         let mut levels = levels.into_iter();
         let (min, ties) = levels.next().expect("levels must be non-empty");
-        // cost(q) = C(q)·q − S(q), over the C(q) servers with load ≤ q and
-        // their load sum S(q), is non-decreasing in q and 0 at the minimum,
-        // so the scan stops at the first load value R cannot reach. Every
-        // count, sum and cost is an exact integer in f64, and cost is
-        // constant across a tie group, so this finds the same c as scanning
-        // sorted servers one by one and the receiving set never splits a tie
-        // group. When R is numerically zero the scan stops after the
-        // minimum's ties.
-        let mut receivers = ties; // servers at or below `top`
-        let mut prefix = ties as f64 * f64::from(min); // Σ of their loads
-        let mut top = min; // highest receiving load
-        let (mut seen, mut run) = (receivers, prefix);
+        // The minimum costs nothing, so the water always reaches it.
+        pour.reaches(min, ties);
         for (q, k) in levels {
-            seen += k;
-            run += k as f64 * f64::from(q);
-            if seen as f64 * f64::from(q) - run > r {
+            if !pour.reaches(q, k) {
                 break;
             }
-            receivers = seen;
-            prefix = run;
-            top = q;
         }
-        let share = if r <= MIN_EXPECTED_ARRIVALS {
-            Share::Even(1.0 / receivers as f64)
-        } else {
-            Share::Level {
-                level: (prefix + r) / receivers as f64,
-                r,
-            }
-        };
-        Self { min, top, share }
+        pour.line(min)
     }
 
-    /// The water line of a per-server view, from a histogram of `loads`
-    /// (`counts` is its scratch), and the view's largest load. Raising the
-    /// minimum server to `q` alone costs `q − min`, so no load above
-    /// `min + ⌊R⌋` can receive and the histogram stops there (the
+    /// The water line of a per-server view, from the counts of its
+    /// `loads`. Raising the minimum server to `q` alone costs `q − min`, so
+    /// no load above `min + ⌊R⌋` can receive and the walk stops there (the
     /// float-to-int cast floors and saturates).
     ///
     /// # Panics
     ///
     /// Panics if `loads` is empty or `expected_arrivals` is negative/NaN.
-    pub(crate) fn of_view(
-        loads: &[Load],
-        expected_arrivals: f64,
-        counts: &mut Vec<u32>,
-    ) -> (Self, Load) {
-        assert!(!loads.is_empty(), "loads must be non-empty");
-        let levels = Levels::new(loads, expected_arrivals as Load, counts);
-        let max = levels.max;
-        let line = Self::new(levels.map(|(q, k)| (q, u64::from(k))), expected_arrivals);
-        (line, max)
+    pub(crate) fn of_view(loads: &[Load], expected_arrivals: f64, counts: &mut LoadCounts) -> Self {
+        let mut pour = Pour::new(expected_arrivals);
+        let min = counts.walk(loads, expected_arrivals as Load, |first, window| {
+            for (i, &k) in window.iter().enumerate() {
+                if k != 0 && !pour.reaches(first + i as Load, u64::from(k)) {
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        pour.line(min)
     }
 
     /// The send probability of a server reporting load `q` of this view.
@@ -189,30 +240,34 @@ impl WaterLine {
         }
     }
 
-    /// Overwrites `table` with [`WaterLine::prob`] of every load value from
-    /// the minimum up, `table[q − min]`, over at most one histogram window
-    /// of values for a view of `n` servers: up to the view's largest load
-    /// `max` (zeros above the top receiving load) when that span fits the
-    /// window, so every load of the view has an entry, and up to the top
-    /// receiving load otherwise.
-    pub(crate) fn tabulate(&self, max: Load, n: usize, table: &mut Vec<f64>) {
-        let width = window(n);
-        let last = if max - self.min < width {
-            max
+    /// Overwrites `cdf` with the running sums of [`WaterLine::prob`] over
+    /// `loads` in server order: the same additions of the same numbers as
+    /// a prefix sum over [`basic_li_probabilities`], so the same bits.
+    ///
+    /// A receiver's probability depends only on its load, so it is
+    /// computed once per load value into `table`, `table[q − min]` from the
+    /// minimum up to one value past `top`, whose 0 every load above `top`
+    /// reads: one indexed read per server. Receivers spanning more than a
+    /// histogram window (`max(n, 256)` values, so only under a huge `R`)
+    /// are priced one by one instead, which keeps the table `O(n)` long.
+    pub(crate) fn fill_cdf(&self, loads: &[Load], table: &mut Vec<f64>, cdf: &mut Vec<f64>) {
+        cdf.resize(loads.len(), 0.0);
+        let mut acc = 0.0;
+        if self.top - self.min < window(loads.len()) {
+            // Saturating: with no load above a `top` of `Load::MAX` there is
+            // nothing for the extra entry to price.
+            let cap = self.top.saturating_add(1);
+            table.clear();
+            table.extend((self.min..=cap).map(|q| self.prob(q)));
+            for (c, &q) in cdf.iter_mut().zip(loads) {
+                acc += table[(q.min(cap) - self.min) as usize];
+                *c = acc;
+            }
         } else {
-            self.top.min(self.min.saturating_add(width - 1))
-        };
-        table.clear();
-        table.extend((self.min..=last).map(|q| self.prob(q)));
-    }
-
-    /// [`WaterLine::prob`] of a load of this view, read from `table` (from
-    /// [`WaterLine::tabulate`]) where it reaches.
-    #[inline]
-    pub(crate) fn lookup(&self, table: &[f64], q: Load) -> f64 {
-        match table.get((q - self.min) as usize) {
-            Some(&p) => p,
-            None => self.prob(q),
+            for (c, &q) in cdf.iter_mut().zip(loads) {
+                acc += self.prob(q);
+                *c = acc;
+            }
         }
     }
 }
@@ -303,7 +358,9 @@ impl AggressiveSchedule {
     /// spanning fewer than 256 values take a single pass over `max − min + 1`
     /// buckets; a staleness gate's `Load::MAX` masks take four.
     fn order_by_load(&mut self, loads: &[Load]) {
-        let (min, max) = load_range(loads);
+        let (min, max) = loads.iter().fold((Load::MAX, Load::MIN), |(lo, hi), &q| {
+            (lo.min(q), hi.max(q))
+        });
         self.order.clear();
         self.order.extend(0..loads.len());
         let mut shift = 0;
@@ -386,7 +443,7 @@ fn reached(end: f64, elapsed: f64) -> bool {
 /// Aggressive LI on an aged view (§4.2), without ordering the servers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AgedAggressive {
-    counts: Vec<u32>,
+    counts: LoadCounts,
     /// The load values the walk reached, each with the number of servers
     /// at or below it.
     levels: Vec<(Load, u32)>,
@@ -416,7 +473,6 @@ impl AgedAggressive {
         age: f64,
         rng: &mut SimRng,
     ) -> usize {
-        assert!(!loads.is_empty(), "loads must be non-empty");
         let reach = total_rate * age * (1.0 + REACH_MARGIN);
         // 0·∞ (no arrivals for ever, or infinite arrivals at once) bounds
         // nothing; the cast floors, saturates and takes a negative to 0.
@@ -427,26 +483,30 @@ impl AgedAggressive {
         };
         let levels = &mut self.levels;
         levels.clear();
-        let mut end = 0.0;
-        for (q, k) in Levels::new(loads, reach, &mut self.counts) {
-            let seen = match levels.last() {
-                None => k,
-                Some(&(below, seen)) => {
+        let (mut end, mut seen, mut below) = (0.0, 0, 0);
+        self.counts.walk(loads, reach, |first, window| {
+            for (i, &k) in window.iter().enumerate() {
+                if k == 0 {
+                    continue;
+                }
+                let q = first + i as Load;
+                // The first level opens at elapsed 0; each later one when
+                // the servers below it have climbed to it.
+                if seen > 0 {
                     end += subinterval(seen as usize, f64::from(q) - f64::from(below), total_rate);
                     if !reached(end, age) {
-                        break;
+                        return ControlFlow::Break(());
                     }
-                    seen + k
                 }
-            };
-            levels.push((q, seen));
-        }
+                seen += k;
+                below = q;
+                levels.push((q, seen));
+            }
+            ControlFlow::Continue(())
+        });
         // The minimum's ties open together at elapsed 0 (before it, only
         // the first of them is active).
-        let active = match levels.last() {
-            Some(&(_, seen)) if reached(0.0, age) => seen,
-            _ => 1,
-        };
+        let active = if reached(0.0, age) { seen } else { 1 };
         let pos = rng.index(active as usize) as u32;
         let at = levels.partition_point(|&(_, seen)| seen <= pos);
         let below = at.checked_sub(1).map_or(0, |i| levels[i].1);
@@ -462,87 +522,107 @@ impl AgedAggressive {
     }
 }
 
-/// The distinct values of `loads` in increasing order, each with the
-/// number of servers reporting it, from the minimum up to `min + reach`
-/// (saturating).
+/// Reusable scratch for counting a view's loads (see
+/// [`basic_li_probabilities`]).
 ///
-/// The counts come from a histogram over a window of at most
-/// `max(n, MIN_WINDOW)` consecutive values. Iterating past a window's last
-/// value goes on with a window starting at the next reported load, so
-/// memory stays `O(n)` however far the loads spread (a staleness gate's
-/// `Load::MAX` masks), and every window but the last spans at least as
-/// many values as there are servers, so the time stays
-/// `O(n + span visited)`.
-struct Levels<'a> {
-    loads: &'a [Load],
-    counts: &'a mut Vec<u32>,
-    /// The largest load.
-    max: Load,
-    /// The highest value to visit.
-    last: Load,
-    /// The current window's first value.
-    base: Load,
-    /// The offset in `counts` to read next.
-    next: usize,
+/// It counts the servers at each load value, one window of at most
+/// `max(n, 256)` consecutive values at a time, and is all zeros between
+/// views: every window's walk clears the slots it counted before it
+/// returns, so a view pays for the values it spans, never for the width
+/// of a window.
+#[derive(Debug, Clone, Default)]
+pub struct LoadCounts {
+    slots: Vec<u32>,
 }
 
-impl<'a> Levels<'a> {
-    fn new(loads: &'a [Load], reach: Load, counts: &'a mut Vec<u32>) -> Self {
-        let (min, max) = load_range(loads);
-        let mut levels = Levels {
-            loads,
-            counts,
-            max,
-            last: min.saturating_add(reach).min(max),
-            base: min,
-            next: 0,
-        };
-        levels.histogram();
-        levels
-    }
-
-    /// Counts the loads of the window starting at `base`.
-    fn histogram(&mut self) {
-        let width = window(self.loads.len());
-        let end = self.last.min(self.base.saturating_add(width - 1));
-        self.counts.clear();
-        self.counts.resize((end - self.base) as usize + 1, 0);
-        for &q in self.loads {
-            // Loads below `base` wrap past the window too.
-            if let Some(k) = self.counts.get_mut(q.wrapping_sub(self.base) as usize) {
+impl LoadCounts {
+    /// Walks the distinct values of `loads` in increasing order, from the
+    /// minimum to `min + reach` (saturating) at most, handing `visit` one
+    /// window at a time: `visit(first, counts)` sees `counts[i]` servers at
+    /// value `first + i` (`counts[0]` is positive; values no server reports
+    /// count 0). The walk ends when `visit` breaks or the values run out.
+    /// Returns the smallest load.
+    ///
+    /// The first window holds the values `0..w` (`w = max(n, 256)`),
+    /// counted in the same pass that finds the largest load, and the
+    /// minimum is its first occupied slot. A walk that runs past a window
+    /// goes on with a window starting at the next reported load, so memory
+    /// stays `O(n)` however far the loads spread (a staleness gate's
+    /// `Load::MAX` masks), and every window but the last spans at least as
+    /// many values as there are servers, so the time stays
+    /// `O(n + span visited)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loads` is empty.
+    fn walk(
+        &mut self,
+        loads: &[Load],
+        reach: Load,
+        mut visit: impl FnMut(Load, &[u32]) -> ControlFlow<()>,
+    ) -> Load {
+        assert!(!loads.is_empty(), "loads must be non-empty");
+        let width = window(loads.len());
+        let w = width as usize;
+        if self.slots.len() < w {
+            self.slots.resize(w, 0);
+        }
+        let slots = &mut self.slots[..w];
+        let mut max = 0;
+        for &q in loads {
+            max = max.max(q);
+            if let Some(k) = slots.get_mut(q as usize) {
                 *k += 1;
             }
         }
-        self.next = 0;
-    }
-}
-
-impl Iterator for Levels<'_> {
-    type Item = (Load, u32);
-
-    fn next(&mut self) -> Option<(Load, u32)> {
-        loop {
-            while let Some(&k) = self.counts.get(self.next) {
-                self.next += 1;
-                if k != 0 {
-                    return Some((self.base + (self.next - 1) as Load, k));
-                }
+        let (min, mut base) = match slots.iter().position(|&k| k != 0) {
+            Some(min) => (min as Load, 0),
+            None => {
+                // Every load lies past the first window: the next one
+                // starts at the minimum.
+                let min = loads.iter().fold(Load::MAX, |lo, &q| lo.min(q));
+                count(slots, loads, min, max);
+                (min, min)
             }
-            let end = self.base + (self.counts.len() - 1) as Load;
-            if end == self.last {
-                return None;
+        };
+        let last = min.saturating_add(reach).min(max);
+        let mut from = min - base;
+        loop {
+            // This window counted the values `base ..= base + len − 1`; its
+            // walk stops at `last`.
+            let len = (max - base).min(width - 1) as usize + 1;
+            let stop = (last - base).min(width - 1);
+            let flow = visit(base + from, &slots[from as usize..=stop as usize]);
+            slots[from as usize..len].fill(0);
+            let end = base + stop;
+            if flow.is_break() || end == last {
+                return min;
             }
             // The next window starts at the next reported load (one lies
             // above `end`: the maximum, at least `last`, does).
-            let next = self.loads.iter().fold(
+            let next = loads.iter().fold(
                 Load::MAX,
                 |next, &q| if q > end { next.min(q) } else { next },
             );
-            if next > self.last {
-                return None;
+            if next > last {
+                return min;
             }
-            self.base = next;
-            self.histogram();
+            base = next;
+            from = 0;
+            count(slots, loads, base, max);
+        }
+    }
+}
+
+/// Counts the loads of the window starting at `base` into the zeroed
+/// `slots`: the values from `base` up to `max`, as far as `slots` reaches.
+/// Loads below `base` wrap past the window, since it stops at `max`.
+fn count(slots: &mut [u32], loads: &[Load], base: Load, max: Load) {
+    let len = ((max - base) as usize).min(slots.len() - 1) + 1;
+    let window = &mut slots[..len];
+    for &q in loads {
+        if let Some(k) = window.get_mut(q.wrapping_sub(base) as usize) {
+            *k += 1;
         }
     }
 }
@@ -552,20 +632,13 @@ fn window(n: usize) -> Load {
     Load::try_from(n.max(MIN_WINDOW)).unwrap_or(Load::MAX)
 }
 
-/// The smallest and largest of non-empty `loads`.
-fn load_range(loads: &[Load]) -> (Load, Load) {
-    loads.iter().fold((Load::MAX, Load::MIN), |(lo, hi), &q| {
-        (lo.min(q), hi.max(q))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn basic(loads: &[Load], r: f64) -> Vec<f64> {
         let mut probs = Vec::new();
-        let mut counts = Vec::new();
+        let mut counts = LoadCounts::default();
         basic_li_probabilities(loads, r, &mut probs, &mut counts);
         probs
     }
@@ -602,33 +675,67 @@ mod tests {
         assert_eq!(probs, vec![1.0, 0.0]);
     }
 
-    #[test]
-    fn the_table_covers_every_load_whose_span_fits_a_window() {
-        let mut counts = Vec::new();
-        let mut table = Vec::new();
-        // Loads [0, 2, 10], R = 5: the top receiving load is 2, and the
-        // table runs on to 10 with zeros, so lookups never fall back.
-        let loads = [0, 2, 10];
-        let (line, max) = WaterLine::of_view(&loads, 5.0, &mut counts);
-        assert_eq!(max, 10);
-        line.tabulate(max, loads.len(), &mut table);
-        assert_eq!(table.len(), 11);
-        for q in 0..=10 {
-            assert_eq!(
-                table[q as usize].to_bits(),
-                line.prob(q).to_bits(),
-                "q = {q}"
-            );
+    /// The cdf from the per-value table equals the running sum of `prob`
+    /// bit for bit, whether the table prices every load or the receivers
+    /// span more than a window and are priced one by one.
+    fn check_cdf(loads: &[Load], r: f64, table_len: usize) {
+        let mut counts = LoadCounts::default();
+        let (mut table, mut cdf) = (Vec::new(), Vec::new());
+        let line = WaterLine::of_view(loads, r, &mut counts);
+        line.fill_cdf(loads, &mut table, &mut cdf);
+        let mut acc = 0.0;
+        for (&q, &c) in loads.iter().zip(&cdf) {
+            acc += line.prob(q);
+            assert_eq!(c.to_bits(), acc.to_bits(), "loads {loads:?} r {r}");
         }
-        assert_eq!(&table[3..], &[0.0; 8]);
-        // A span wider than one window stops at the top receiving load;
-        // `lookup` covers the loads past it.
-        let loads = [7, 8, 7 + MIN_WINDOW as Load];
-        let (line, max) = WaterLine::of_view(&loads, 3.0, &mut counts);
-        line.tabulate(max, loads.len(), &mut table);
-        assert_eq!(table.len(), 2);
-        for &q in &loads {
-            assert_eq!(line.lookup(&table, q).to_bits(), line.prob(q).to_bits());
+        assert_eq!(table.len(), table_len, "loads {loads:?} r {r}");
+    }
+
+    #[test]
+    fn the_table_stops_one_value_past_the_top_receiving_load() {
+        // Loads [0, 2, 10], R = 5: the receivers are the loads 0 and 2, so
+        // the table holds the values 0..=3 and the load 10 reads the 0 at
+        // value 3.
+        check_cdf(&[0, 2, 10], 5.0, 4);
+        check_cdf(&[10, 2, 0, 2], 5.0, 4);
+        // All at one load, or R numerically zero: the minimum and one zero.
+        check_cdf(&[4, 4, 4], 1e6, 2);
+        check_cdf(&[3, 1, 1], 0.0, 2);
+        // A gate's masks read the zero past the water line.
+        check_cdf(&[7, Load::MAX, 8], 3.0, 3);
+        // Every load masked: nothing lies above a top of `Load::MAX`.
+        check_cdf(&[Load::MAX; 3], 1.0, 1);
+        // Receivers spanning more than a window are priced one by one,
+        // with no table.
+        check_cdf(&[0, 300], 1000.0, 0);
+        check_cdf(&[0, 300, Load::MAX], 1e12, 0);
+    }
+
+    #[test]
+    fn counts_are_zero_after_every_view() {
+        let w = MIN_WINDOW as Load;
+        let views: [&[Load]; 7] = [
+            &[0, 2, 10],
+            &[5, 5, 5],
+            &[3, Load::MAX, 4],
+            &[w + 3, w + 1, 2 * w + 9],
+            &[0, w - 1, w, 2 * w, 3 * w + 1],
+            &[Load::MAX; 4],
+            &[w - 1, w + 1],
+        ];
+        let mut counts = LoadCounts::default();
+        let mut aged = AgedAggressive::default();
+        let mut rng = SimRng::from_seed(3);
+        for loads in views {
+            for r in [0.0, 2.0, 700.0, 1e12] {
+                let _ = WaterLine::of_view(loads, r, &mut counts);
+                assert!(counts.slots.iter().all(|&k| k == 0), "{loads:?} r {r}");
+                let _ = aged.pick(loads, 1.0, r, &mut rng);
+                assert!(
+                    aged.counts.slots.iter().all(|&k| k == 0),
+                    "{loads:?} age {r}"
+                );
+            }
         }
     }
 

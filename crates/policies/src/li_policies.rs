@@ -4,7 +4,7 @@
 
 use staleload_sim::SimRng;
 
-use crate::li::{AgedAggressive, AggressiveSchedule, WaterLine, MIN_EXPECTED_ARRIVALS};
+use crate::li::{AgedAggressive, AggressiveSchedule, LoadCounts, WaterLine, MIN_EXPECTED_ARRIVALS};
 use crate::{least_loaded, InfoAge, Load, LoadView, Policy};
 
 /// Validates an LI arrival-rate estimate at construction time.
@@ -21,10 +21,10 @@ fn check_lambda(lambda: f64) -> f64 {
 #[derive(Debug, Clone, Default)]
 struct ProbCache {
     epoch: Option<u64>,
-    /// Send probability per load value (see [`WaterLine::tabulate`]).
+    /// Send probability per load value (see [`WaterLine::fill_cdf`]).
     table: Vec<f64>,
     cdf: Vec<f64>,
-    counts: Vec<u32>,
+    counts: LoadCounts,
 }
 
 impl ProbCache {
@@ -34,16 +34,11 @@ impl ProbCache {
         if epoch.is_some() && epoch == self.epoch {
             return;
         }
-        let (line, max) = WaterLine::of_view(loads, r, &mut self.counts);
-        line.tabulate(max, loads.len(), &mut self.table);
-        // The same additions in the same server order as a prefix sum over
-        // `basic_li_probabilities`, so the same bits.
-        self.cdf.resize(loads.len(), 0.0);
-        let mut acc = 0.0;
-        for (c, &q) in self.cdf.iter_mut().zip(loads) {
-            acc += line.lookup(&self.table, q);
-            *c = acc;
-        }
+        WaterLine::of_view(loads, r, &mut self.counts).fill_cdf(
+            loads,
+            &mut self.table,
+            &mut self.cdf,
+        );
         self.epoch = epoch;
     }
 }

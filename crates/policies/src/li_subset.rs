@@ -2,7 +2,7 @@
 
 use staleload_sim::{SimRng, SubsetScratch};
 
-use crate::li::basic_li_probabilities;
+use crate::li::{basic_li_probabilities, LoadCounts};
 use crate::{LoadView, Policy};
 
 /// **LI-k** (paper §5.7): draw a fresh random `k`-subset of servers for each
@@ -34,7 +34,7 @@ pub struct LiSubset {
     subset_scratch: SubsetScratch,
     loads_scratch: Vec<u32>,
     probs: Vec<f64>,
-    counts: Vec<u32>,
+    counts: LoadCounts,
 }
 
 impl LiSubset {
@@ -56,7 +56,7 @@ impl LiSubset {
             subset_scratch: SubsetScratch::new(),
             loads_scratch: Vec::new(),
             probs: Vec::new(),
-            counts: Vec::new(),
+            counts: LoadCounts::default(),
         }
     }
 

@@ -67,7 +67,9 @@ pub use dispatch::DispatchPolicy;
 pub use guard::HerdGuard;
 pub use hetero::HeteroLi;
 pub use ksubset::{empirical_rank_frequencies, rank_distribution, Greedy, KSubset};
-pub use li::{aggressive_schedule, basic_li_probabilities, AggressiveSchedule, WaterLine};
+pub use li::{
+    aggressive_schedule, basic_li_probabilities, AggressiveSchedule, LoadCounts, WaterLine,
+};
 pub use li_policies::{AdaptiveLi, AggressiveLi, BasicLi, HybridLi};
 pub use li_subset::LiSubset;
 pub use quarantine::Quarantine;

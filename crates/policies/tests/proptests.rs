@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use staleload_policies::{
     aggressive_schedule, basic_li_probabilities, rank_distribution, AggressiveLi, BasicLi,
-    DispatchPolicy, EntryAges, Greedy, InfoAge, LoadView, Policy, PolicySpec,
+    DispatchPolicy, EntryAges, Greedy, InfoAge, LoadCounts, LoadView, Policy, PolicySpec,
 };
 use staleload_sim::SimRng;
 
@@ -26,7 +26,7 @@ fn arb_loads() -> impl Strategy<Value = Vec<u32>> {
 
 fn compute_basic(loads: &[u32], r: f64) -> Vec<f64> {
     let mut probs = Vec::new();
-    let mut counts = Vec::new();
+    let mut counts = LoadCounts::default();
     basic_li_probabilities(loads, r, &mut probs, &mut counts);
     probs
 }
@@ -75,6 +75,35 @@ fn arb_window_edge_loads() -> impl Strategy<Value = Vec<u32>> {
                 1 => loads = vec![top],
                 2 => loads[at] = u32::MAX,
                 _ => loads[at] = top,
+            }
+            loads
+        })
+}
+
+/// Views of 1 to 300 servers laid out around the end of LI's first
+/// counting window, which holds the values `0..w` (`w = max(n, 256)`):
+/// the minimum at `w − 2 … w + 2` or at `2w`, so the first window holds
+/// the view's lowest loads or none at all, or loads straddling `w`. Some
+/// views mask one entry to `u32::MAX` as a staleness gate does, some are
+/// all equal; the tests add one-server views.
+fn arb_window_origin_loads() -> impl Strategy<Value = Vec<u32>> {
+    (
+        prop::collection::vec(0u32..40, 1..301),
+        0usize..6,
+        0usize..300,
+        0u32..4,
+    )
+        .prop_map(|(offsets, origin, at, shape)| {
+            let n = offsets.len();
+            let w = n.max(256) as u32;
+            let min = [w - 2, w - 1, w, w + 1, w + 2, 2 * w][origin];
+            let at = at % n;
+            let mut loads: Vec<u32> = offsets.iter().map(|&d| min + d).collect();
+            match shape {
+                0 => loads[at] = min,
+                1 => loads = offsets.iter().map(|&d| w - 20 + d).collect(),
+                2 => loads[at] = u32::MAX,
+                _ => loads = vec![min; n],
             }
             loads
         })
@@ -337,6 +366,37 @@ proptest! {
         }
     }
 
+    /// Views whose minimum sits at or past the end of the first counting
+    /// window, or whose loads straddle it: Basic LI's probabilities and
+    /// sampled cdf are the sorted oracle's bits, and aged Aggressive LI
+    /// picks what the schedule picks at each of its breakpoints, on the
+    /// whole view and on its first server alone.
+    #[test]
+    fn li_walks_past_the_first_window_bit_for_bit(
+        view in arb_window_origin_loads(),
+        r in prop_oneof![0.0f64..1e-9, 0.0f64..50.0, 0.0f64..5000.0, 1e6f64..1e12],
+        lambda in prop_oneof![Just(0.0f64), 0.01f64..100.0],
+        age in prop_oneof![0.0f64..10.0, 1e6f64..1e10],
+        seed in any::<u64>(),
+    ) {
+        let mut basic = BasicLi::new(0.9);
+        let mut aggressive = AggressiveLi::new(lambda);
+        for view in [&view[..], &view[..1]] {
+            for r in [r, r.floor(), 0.0] {
+                check_water_fill(view, r)?;
+                check_cdf(&mut basic, view, r)?;
+            }
+            let total_rate = lambda * view.len() as f64;
+            let mut ages = breakpoint_ages(view, total_rate);
+            ages.push(age);
+            ages.sort_by(f64::total_cmp);
+            ages.dedup();
+            for at in ages {
+                check_aged_pick(&mut aggressive, view, lambda, at, seed)?;
+            }
+        }
+    }
+
     /// The counting-pass schedule gives the sorted builder's order and
     /// breakpoints, at positive and zero rates.
     #[test]
@@ -350,6 +410,65 @@ proptest! {
         for view in [&loads, &wide, &equal, &masked] {
             check_schedule(view, rate)?;
             check_schedule(&view[..1], rate)?;
+        }
+    }
+}
+
+/// One of the views [`li_policies_keep_no_state_between_views`] feeds:
+/// narrow, wide, gate-masked or around the first window's end.
+fn arb_any_view() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        arb_loads(),
+        arb_spread_loads(),
+        arb_wide_loads(),
+        arb_masked_loads(),
+        arb_window_origin_loads(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One LI policy object fed a random sequence of views (aged and
+    /// per-phase, each phase its own epoch, of any size, masked and wide)
+    /// samples the cdf and picks the server that a fresh object does on
+    /// each view, from the same draws: the standing count buffer never
+    /// carries a count from one view into the next.
+    #[test]
+    fn li_policies_keep_no_state_between_views(
+        views in prop::collection::vec((arb_any_view(), any::<bool>(), 0.0f64..40.0), 1..12),
+        seed in any::<u64>(),
+    ) {
+        let specs = [
+            PolicySpec::BasicLi { lambda: 0.9 },
+            PolicySpec::AggressiveLi { lambda: 0.9 },
+            PolicySpec::AdaptiveLi { alpha: 0.05, warmup: 10 },
+            PolicySpec::LiSubset { k: 3, lambda: 0.9 },
+        ];
+        let mut reused: Vec<DispatchPolicy> = specs.iter().map(DispatchPolicy::from_spec).collect();
+        let mut basic = BasicLi::new(0.9);
+        for (epoch, (loads, phase, age)) in views.iter().enumerate() {
+            let info = if *phase {
+                InfoAge::Phase { start: 0.0, length: age.max(0.1), now: age / 2.0, epoch: epoch as u64 }
+            } else {
+                InfoAge::Aged { age: *age }
+            };
+            let view = LoadView { loads, info, ages: None };
+            let got: Vec<u64> = basic.cdf(&view).iter().map(|c| c.to_bits()).collect();
+            let want: Vec<u64> = BasicLi::new(0.9).cdf(&view).iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(got, want, "view {} {:?}", epoch, loads);
+            for (policy, spec) in reused.iter_mut().zip(&specs) {
+                let mut fresh = DispatchPolicy::from_spec(spec);
+                let mut rng = SimRng::from_seed(seed ^ epoch as u64);
+                let mut oracle = SimRng::from_seed(seed ^ epoch as u64);
+                for _ in 0..4 {
+                    prop_assert_eq!(
+                        policy.select(&view, &mut rng),
+                        fresh.select(&view, &mut oracle),
+                        "{} on view {} {:?}", spec.label(), epoch, loads
+                    );
+                }
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Trial watchdogs: a wall-clock deadline per trial, which the trial's
 //! engine loop checks every few thousand steps (`run_trial_until`), so a
-//! hung trial (say, a board refreshed every 1e-300 time units) stops
+//! hung trial (say, a board refreshed every 1e-9 time units) stops
 //! instead of stalling its batch. The check reads the clock, never the
 //! trial's state or random streams, so trials that finish within budget
 //! are bit-identical armed or not. Timeouts are wall-clock verdicts: the

@@ -18,12 +18,13 @@ fn timed_out_trials_leave_no_thread_behind() {
     use EngineMode::{PerServer, Population};
     let li = PolicySpec::BasicLi { lambda: 0.9 };
     // The first point is seconds of honest work. The other two are
-    // refresh storms: the refresh time soon stops advancing, so their
+    // refresh storms: a board refreshed every 1e-9 time units over the
+    // ~556 units of 2 000 arrivals needs ~5.6·10^11 refreshes, so their
     // trials would never end on their own.
     let batch = [
         (64, 4_000_000, 4.0, PerServer, li.clone()),
-        (4, 2_000, 1e-300, PerServer, li),
-        (4, 2_000, 1e-300, Population, PolicySpec::Random),
+        (4, 2_000, 1e-9, PerServer, li),
+        (4, 2_000, 1e-9, Population, PolicySpec::Random),
     ]
     .map(|(servers, arrivals, period, engine, policy)| {
         let mut cfg = SimConfig::builder();
