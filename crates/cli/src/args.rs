@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use staleload_core::{
-    check_run_bounds, clients_for_mean_age, ArrivalSpec, EngineMode, FaultSpec, RetrySpec,
-    SimConfig,
+    check_fault_clock, check_run_bounds, clients_for_mean_age, ArrivalSpec, EngineMode, FaultSpec,
+    RetrySpec, SimConfig,
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
@@ -557,8 +557,10 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         builder.sketch_cap(cap);
     }
     let config = builder.try_build().map_err(|e| e.to_string())?;
-    // A board that cannot advance its clock, or more update-on-access
-    // snapshots than the cap: rejected before a trial allocates anything.
+    // A crash or churn process or a board that cannot advance its clock,
+    // or more update-on-access snapshots than the cap: rejected before a
+    // trial allocates anything.
+    check_fault_clock(&config).map_err(|e| format!("--faults: {e}"))?;
     check_run_bounds(&config, &arrivals_spec, &info)
         .map_err(|e| format!("--info {info_spec}: {e}"))?;
 

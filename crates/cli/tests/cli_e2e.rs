@@ -483,6 +483,34 @@ fn board_faults_without_a_board_fail_before_any_trial() {
     assert_eq!(noop, plain);
 }
 
+/// Runs `line`, which must fail within a second without a panic, and
+/// returns its stderr.
+fn fails_within_a_second(line: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_staleload"))
+        .args(line.split(' '))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(1) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{line}: still running after a second");
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
+    let output = child.wait_with_output().expect("child output");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(!status.success(), "{line}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+    stderr
+}
+
 /// A refresh period too small to advance the board clock and an
 /// update-on-access age whose snapshots pass the cap are config errors
 /// naming `--info`, within a second: no hang, no abort, on both engines.
@@ -497,29 +525,27 @@ fn unrunnable_info_specs_fail_within_a_second() {
         "--info periodic:1e-300 --engine population --policy random",
         "--info uoa:1e15",
     ] {
-        let line = format!("{base} {flags}");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_staleload"))
-            .args(line.split(' '))
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary runs");
-        let started = Instant::now();
-        let status = loop {
-            if let Some(status) = child.try_wait().expect("child status") {
-                break status;
-            }
-            if started.elapsed() > Duration::from_secs(1) {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("{flags}: still running after a second");
-            }
-            thread::sleep(Duration::from_millis(5));
-        };
-        let output = child.wait_with_output().expect("child output");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!status.success(), "{flags}: {stderr}");
+        let stderr = fails_within_a_second(&format!("{base} {flags}"));
         assert!(stderr.starts_with("error: --info "), "{flags}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{flags}: {stderr}");
+    }
+}
+
+/// A crash or churn MTBF too small to advance the fault clock is a config
+/// error naming `--faults`, within a second: without the check, a server
+/// that recovers crashes again at the same instant and the run never ends.
+#[test]
+fn unrunnable_fault_clocks_fail_within_a_second() {
+    let base = "run --servers 4 --arrivals 2000 --trials 1 --info periodic:10 --faults";
+    for faults in [
+        "crash:1e-300:1",
+        "crash:1e-300:1:redispatch",
+        "churn:1e-300:1e-301",
+    ] {
+        let stderr = fails_within_a_second(&format!("{base} {faults}"));
+        assert!(
+            stderr.starts_with("error: --faults: "),
+            "{faults}: {stderr}"
+        );
+        assert!(stderr.contains("MTBF 1e-300"), "{faults}: {stderr}");
     }
 }

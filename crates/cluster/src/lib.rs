@@ -459,6 +459,18 @@ impl Cluster {
         self.visible[server]
     }
 
+    /// Each server's load as a board refresh samples it, in server
+    /// order: `None` for a server whose report cannot reach the board
+    /// because it is down or partitioned away.
+    #[inline]
+    pub fn reports(&self) -> impl Iterator<Item = Option<u32>> + '_ {
+        self.loads
+            .iter()
+            .zip(&self.up)
+            .zip(&self.visible)
+            .map(|((&load, &up), &visible)| (up && visible).then_some(load))
+    }
+
     /// Marks `server` as (in)visible to the information plane (partition
     /// fault injection). Idempotent: partitioning an already-invisible
     /// server is a no-op.

@@ -411,21 +411,23 @@ pub(crate) const MAX_UOA_SNAPSHOT_ENTRIES: usize = 1 << 26;
 ///   run's arrivals span, `arrivals / total rate`. A smaller one leaves
 ///   `next + period == next`, so the board refreshes at one instant for
 ///   ever.
+/// - So must the crash or churn MTBF ([`check_fault_clock`]).
 /// - An update-on-access run keeps a snapshot of every server per client:
 ///   at most 2^26 of them (256 MiB).
 ///
 /// # Errors
 ///
-/// Returns a [`ConfigError`] naming the period, or the client and server
-/// counts and the cap.
+/// Returns a [`ConfigError`] naming the period or the MTBF, or the client
+/// and server counts and the cap.
 pub fn check_run_bounds(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
 ) -> Result<(), ConfigError> {
+    check_fault_clock(cfg)?;
     if let Some(period) = info.refresh_period() {
         // A period that is not positive is `InfoSpec::validate`'s to report.
-        let span = cfg.arrivals as f64 / cfg.total_rate();
+        let span = arrival_span(cfg);
         if period > 0.0 && span + period == span {
             return Err(ConfigError::new(format!(
                 "refresh period {period:e} is too small to advance the board clock over the \
@@ -445,6 +447,38 @@ pub fn check_run_bounds(
         }
     }
     Ok(())
+}
+
+/// Checks that the crash or churn process can advance its clock over the
+/// time the run's arrivals span. With an MTBF below that, a server that
+/// recovers at `t` crashes again at `t`: no job on it ever completes, and
+/// a run without a stop predicate never ends.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] naming the MTBF.
+pub fn check_fault_clock(cfg: &SimConfig) -> Result<(), ConfigError> {
+    let membership = cfg
+        .faults
+        .crash
+        .map(|c| ("crash", c.mtbf))
+        .or(cfg.faults.churn.map(|c| ("churn", c.mtbf)));
+    if let Some((fault, mtbf)) = membership {
+        // An MTBF that is not positive is `FaultSpec::validate`'s to report.
+        let span = arrival_span(cfg);
+        if mtbf > 0.0 && span + mtbf == span {
+            return Err(ConfigError::new(format!(
+                "{fault} MTBF {mtbf:e} is too small to advance the fault clock over the \
+                 {span:.4} time units the run's arrivals span"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The time the run's arrivals span at its configured rate.
+fn arrival_span(cfg: &SimConfig) -> f64 {
+    cfg.arrivals as f64 / cfg.total_rate()
 }
 
 /// Loop steps between two polls of a run's stop predicate: rare enough
@@ -600,6 +634,7 @@ fn run_inner(
     };
 
     let warmup = cfg.warmup_jobs();
+    let service = cfg.service.sampler();
     let mut departures: EventQueue<ServerId> = EventQueue::with_capacity(n);
     // The departure each server currently has in the queue. Crashes
     // invalidate scheduled departures; rather than remove them from the
@@ -779,8 +814,7 @@ fn run_inner(
             SystemEvent::Arrival => {
                 // lint: allow(panic-hygiene) — SystemEvent::Arrival is only chosen when next_arrival is Some
                 let (t, client) = next_arrival.take().expect("arrival is present");
-                let service = cfg.service.sample(&mut service_rng);
-                let job = Job::new(next_id, t, service);
+                let job = Job::new(next_id, t, service.sample(&mut service_rng));
                 next_id += 1;
                 if next_id < cfg.arrivals {
                     next_arrival = Some(process.next(&mut arrival_rng));
@@ -800,15 +834,18 @@ fn run_inner(
             }
             SystemEvent::Departure => {
                 // lint: allow(panic-hygiene) — SystemEvent::Departure is only chosen when a departure peeked Some
-                let (t, server) = departures.pop().expect("departure is present");
+                let (t, &server) = departures.peek().expect("departure is present");
                 scheduled[server] = None;
                 let (job, next) = cluster.complete(server, t);
                 match next {
                     Some(dep) => {
-                        departures.try_push(dep, server)?;
+                        // The server's next departure takes the head's
+                        // place: a pop and a push in one sift.
+                        departures.try_hold(dep, server)?;
                         scheduled[server] = Some(dep);
                     }
                     None => {
+                        departures.pop();
                         // Receiver-driven rebalancing (extension): a server
                         // going idle pulls a waiting job from the longest
                         // queue.

@@ -369,6 +369,41 @@ mod tests {
         assert!(check_run_bounds(&ok.config, &ok.arrivals, &ok.info).is_ok());
     }
 
+    /// A crash or churn MTBF that cannot advance the fault clock over the
+    /// run is a config error before any trial, not a run whose servers
+    /// crash again the instant they recover until something stops it.
+    #[test]
+    fn an_mtbf_too_small_to_advance_the_fault_clock_is_a_config_error() {
+        let mut redispatch = FaultSpec::crash(1e-300, 1.0);
+        if let Some(crash) = &mut redispatch.crash {
+            crash.redispatch = true;
+        }
+        for faults in [
+            FaultSpec::crash(1e-300, 1.0),
+            redispatch,
+            FaultSpec::churn(1e-300, 1e-301),
+        ] {
+            let mut e = quick_experiment(PolicySpec::Random, 2);
+            e.config.faults = faults;
+            match e.try_run() {
+                Err(SimError::Config(err)) => {
+                    assert!(err.to_string().contains("MTBF 1e-300"), "{err}");
+                }
+                other => panic!("{faults}: expected a config error, got {other:?}"),
+            }
+            let direct = run_simulation_until(&e.config, &e.arrivals, &e.info, &e.policy, || false);
+            assert!(matches!(direct, Err(SimError::Config(_))), "{direct:?}");
+        }
+        // The smallest MTBF that still advances the clock passes the check,
+        // and a tiny repair time (the clock advances at every crash) runs.
+        let mut ok = quick_experiment(PolicySpec::Random, 1);
+        let span = ok.config.arrivals as f64 / ok.config.total_rate();
+        ok.config.faults = FaultSpec::crash(span * f64::EPSILON, 1.0);
+        assert!(check_run_bounds(&ok.config, &ok.arrivals, &ok.info).is_ok());
+        ok.config.faults = FaultSpec::crash(1.0, 1e-300);
+        assert!(ok.try_run().is_ok());
+    }
+
     /// Update-on-access snapshots past the cap are a config error before
     /// anything is allocated; perfbench's largest case stays accepted.
     #[test]

@@ -54,7 +54,8 @@ mod population;
 
 pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
 pub use engine::{
-    check_run_bounds, run_simulation, run_simulation_until, Diagnostic, FaultStats, RunResult,
+    check_fault_clock, check_run_bounds, run_simulation, run_simulation_until, Diagnostic,
+    FaultStats, RunResult,
 };
 pub use error::SimError;
 pub use experiment::{

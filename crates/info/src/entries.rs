@@ -7,6 +7,7 @@
 //! [`crate::PeriodicBoard`] and [`crate::IndividualBoard`] differ only in
 //! *when* servers report and what a view says about age.
 
+use staleload_cluster::Cluster;
 use staleload_policies::{EntryAges, InfoAge, LoadView};
 use staleload_sim::SimRng;
 
@@ -43,11 +44,6 @@ impl Entries {
             channel: None,
             corruptor: None,
         }
-    }
-
-    /// Number of entries (servers).
-    pub fn len(&self) -> usize {
-        self.loads.len()
     }
 
     /// When `server`'s entry was sampled.
@@ -109,6 +105,43 @@ impl Entries {
         true
     }
 
+    /// One board refresh: reports, at `now`, what `publish` makes of the
+    /// load of every server that can reach the board
+    /// ([`Cluster::reports`]), in server order.
+    pub fn report_all(
+        &mut self,
+        now: f64,
+        cluster: &Cluster,
+        mut publish: impl FnMut(usize, u32) -> u32,
+    ) {
+        if self.corruptor.is_some() || self.channel.is_some() {
+            for (server, report) in cluster.reports().enumerate() {
+                if let Some(load) = report {
+                    let value = publish(server, load);
+                    self.report(now, server, value);
+                }
+            }
+            return;
+        }
+        // A direct channel lands every report as it is sent. This is
+        // `land` over the entry slices, with `sample_sum` kept in a
+        // register: the same additions in the same server order, so the
+        // same bits, in a loop with no call and no bounds check.
+        let mut sum = self.sample_sum;
+        let entries = self.loads.iter_mut().zip(&mut self.sampled);
+        for (server, ((entry, sampled), report)) in entries.zip(cluster.reports()).enumerate() {
+            if let Some(load) = report {
+                let value = publish(server, load);
+                if now >= *sampled {
+                    *entry = value;
+                    sum += now - *sampled;
+                    *sampled = now;
+                }
+            }
+        }
+        self.sample_sum = sum;
+    }
+
     /// Reports `load`, sampled from `server` at `now`: the corruptor may
     /// garble it, the channel may drop or delay it, and what gets through
     /// lands on the entry.
@@ -148,6 +181,46 @@ impl Entries {
             self.loads[server] = value;
             self.sample_sum += sampled - self.sampled[server];
             self.sampled[server] = sampled;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use staleload_cluster::Job;
+
+    /// A refresh lands the same entries, sample times and `sample_sum`
+    /// bits whether it goes straight to the board or through a lossless
+    /// channel, with crashed and partitioned servers skipping refreshes.
+    #[test]
+    fn direct_and_channel_refreshes_land_the_same_bits() {
+        let n = 6;
+        let mut cluster = Cluster::new(n);
+        for (id, server) in [0, 1, 1, 3, 4, 4, 4, 5].into_iter().enumerate() {
+            cluster.enqueue(server, Job::new(id as u64, 0.0, 1e9), 0.0);
+        }
+        let mut direct = Entries::new(n);
+        let mut channel = Entries::new(n);
+        channel.degrade(Some(LossSpec::drop(0.0)), None, &mut SimRng::from_seed(3));
+        assert!(channel.channel.is_some() && direct.channel.is_none());
+        for (step, now) in [0.3, 1.7, 2.9, 4.1, 5.3].into_iter().enumerate() {
+            // A different server is down and another hidden at each refresh.
+            let down = step % n;
+            let hidden = (step + 2) % n;
+            cluster.crash(down, now);
+            cluster.set_visible(hidden, false);
+            for entries in [&mut direct, &mut channel] {
+                entries.report_all(now, &cluster, |_, load| load);
+            }
+            cluster.recover(down, now, None);
+            cluster.set_visible(hidden, true);
+            assert_eq!(direct.loads, channel.loads, "refresh at {now}");
+            let bits = |e: &Entries| e.sampled.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&channel), "refresh at {now}");
+            assert_eq!(direct.sample_sum.to_bits(), channel.sample_sum.to_bits());
+            assert_eq!(direct.sampled[down], channel.sampled[down]);
+            assert!(direct.sampled[down] < now && direct.sampled[hidden] < now);
         }
     }
 }

@@ -85,8 +85,8 @@ impl InfoModel for IndividualBoard {
         if self.entries.land_due(self.next_refresh()) {
             return;
         }
-        let (_, server) = self.pending.pop().expect("a refresh is always scheduled");
-        self.pending.push(now + self.period, server);
+        let (_, &server) = self.pending.peek().expect("a refresh is always scheduled");
+        self.pending.hold(now + self.period, server);
         // A crashed server skips its refresh, and a partitioned one's
         // refresh never reaches the board; the entry decays in place.
         if !cluster.is_up(server) || !cluster.is_visible(server) {

@@ -124,15 +124,15 @@ impl InfoModel for PeriodicBoard {
             self.epoch += 1;
             return;
         }
-        for server in 0..self.entries.len() {
-            // A crashed server sends no refresh, and a partitioned one's
-            // refresh never reaches the board; the entry (and its
-            // estimate) decays in place.
-            if !cluster.is_up(server) || !cluster.is_visible(server) {
-                continue;
-            }
-            let value = self.estimate.publish(server, cluster.load(server), now);
-            self.entries.report(now, server, value);
+        // A crashed server sends no refresh, and a partitioned one's
+        // refresh never reaches the board; the entry (and its estimate)
+        // decays in place. The estimator is decided once per refresh, so
+        // a raw board lands its samples in a plain loop.
+        match &mut self.estimate {
+            Estimate::Raw => self.entries.report_all(now, cluster, |_, load| load),
+            estimate => self.entries.report_all(now, cluster, |server, load| {
+                estimate.publish(server, load, now)
+            }),
         }
         self.phase_start = now;
         self.epoch += 1;

@@ -74,6 +74,10 @@ fn check_time(time: f64) -> Result<(), SchedError> {
 ///   implementation detail: the golden trajectories depend on it.
 /// * [`try_push`](EventScheduler::try_push) rejects NaN and negative times
 ///   with a typed [`SchedError`].
+/// * [`try_hold`](EventScheduler::try_hold) is `pop` then `try_push`: it
+///   returns the same head, takes the sequence number the push would, and
+///   leaves the same later pops. A rejected time leaves the queue as it
+///   was.
 pub trait EventScheduler<E> {
     /// Creates an empty scheduler.
     fn new() -> Self
@@ -94,6 +98,17 @@ pub trait EventScheduler<E> {
 
     /// Removes and returns the earliest event, if any.
     fn pop(&mut self) -> Option<(f64, E)>;
+
+    /// Replaces the earliest event with `event` at `time` and returns the
+    /// one it replaced: [`pop`](EventScheduler::pop) then
+    /// [`try_push`](EventScheduler::try_push). On an empty scheduler it
+    /// only pushes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError`] if `time` is NaN or negative, before the
+    /// scheduler changes.
+    fn try_hold(&mut self, time: f64, event: E) -> Result<Option<(f64, E)>, SchedError>;
 
     /// The time of the earliest pending event, if any.
     fn peek_time(&self) -> Option<f64>;
@@ -247,6 +262,43 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
+    /// Replaces the earliest event with `event` at `time` and returns the
+    /// one it replaced, as [`EventQueue::try_hold`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is NaN or negative.
+    pub fn hold(&mut self, time: f64, event: E) -> Option<(f64, E)> {
+        match self.try_hold(time, event) {
+            Ok(head) => head,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Replaces the earliest event with `event` at `time` and returns the
+    /// one it replaced: the same head, sequence number and later pops as
+    /// [`EventQueue::pop`] then [`EventQueue::try_push`], in one sift down
+    /// from the top instead of a sift for each. Entry keys are unique, so
+    /// any heap holding the same entries pops them in the same order. On
+    /// an empty queue it only pushes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError`] if `time` is NaN or negative, before the
+    /// queue changes.
+    pub fn try_hold(&mut self, time: f64, event: E) -> Result<Option<(f64, E)>, SchedError> {
+        check_time(time)?;
+        let entry = Entry::new(time, self.seq, event);
+        self.seq += 1;
+        if let Some(mut head) = self.heap.peek_mut() {
+            // Dropping `head` sifts the new entry down to its place.
+            let old = std::mem::replace(&mut *head, entry);
+            return Ok(Some((old.time, old.event)));
+        }
+        self.heap.push(entry);
+        Ok(None)
+    }
+
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time)
@@ -296,6 +348,11 @@ impl<E> EventScheduler<E> for EventQueue<E> {
     #[inline]
     fn pop(&mut self) -> Option<(f64, E)> {
         EventQueue::pop(self)
+    }
+
+    #[inline]
+    fn try_hold(&mut self, time: f64, event: E) -> Result<Option<(f64, E)>, SchedError> {
+        EventQueue::try_hold(self, time, event)
     }
 
     #[inline]

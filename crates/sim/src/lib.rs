@@ -7,9 +7,11 @@
 //!   simulation component can own an independent stream derived from one
 //!   master seed.
 //! * [`Dist`] — the random variates used by the paper's workloads and delay
-//!   models (constant, uniform, exponential, and **Bounded Pareto**).
+//!   models (constant, uniform, exponential, and **Bounded Pareto**);
+//!   [`Sampler`] draws from one with its constants computed once.
 //! * [`EventQueue`] — the pending-event set: a binary heap ordered by time
-//!   with FIFO tie-break, the contract [`EventScheduler`] states.
+//!   with FIFO tie-break, the contract [`EventScheduler`] states, and a
+//!   hold that pops and pushes in one sift.
 //! * [`OnlineStats`] — streaming mean/variance/extrema (Welford) used for
 //!   response-time accounting.
 //!
@@ -46,7 +48,7 @@ mod rng;
 mod stats;
 mod timeavg;
 
-pub use dist::{Dist, DistError};
+pub use dist::{Dist, DistError, Sampler};
 pub use events::{EventQueue, EventScheduler, SchedError, SchedulerKind};
 pub use histogram::Histogram;
 pub use rng::{SimRng, SubsetScratch};

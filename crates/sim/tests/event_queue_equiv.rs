@@ -1,5 +1,6 @@
 //! Oracle property tests: the binary-heap [`EventQueue`] must match a
-//! trivially correct model (a sorted `Vec` popped from the front).
+//! trivially correct model (a sorted `Vec` popped from the front, whose
+//! hold is a pop then a push).
 //!
 //! The model keeps `(time, push-sequence)` pairs sorted ascending with a
 //! stable tie-break on sequence, which *is* the scheduler contract. Any
@@ -42,6 +43,13 @@ impl ModelQueue {
             Some((t, p))
         }
     }
+
+    /// The hold's contract: a pop, then a push.
+    fn hold(&mut self, time: f64, payload: u32) -> Option<(f64, u32)> {
+        let head = self.pop();
+        self.push(time, payload);
+        head
+    }
 }
 
 /// One step of a scheduler workload.
@@ -49,6 +57,7 @@ impl ModelQueue {
 enum Op {
     Push(f64),
     Pop,
+    Hold(f64),
 }
 
 /// The edge times: `-0.0` and `+0.0` (equal, with different bits), the
@@ -62,13 +71,14 @@ const EDGE_TIMES: [f64; 5] = [
     f64::INFINITY,
 ];
 
-/// Workloads that mix pushes and pops and *frequently* collide timestamps:
-/// times are drawn from a small grid (quantized to steps of 0.25 over a
-/// narrow range) or from [`EDGE_TIMES`], so FIFO tie-breaking is exercised
-/// constantly, bursts at the edge times included.
+/// Workloads that mix pushes, pops and holds and *frequently* collide
+/// timestamps: times are drawn from a small grid (quantized to steps of
+/// 0.25 over a narrow range) or from [`EDGE_TIMES`], so FIFO tie-breaking
+/// is exercised constantly, bursts at the edge times included.
 fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     // (The vendored prop_oneof! has no weighted arms; repeated arms give
-    // the 3:1:1:2 push-coarse/push-fine/push-edge/pop mix instead.)
+    // the 3:1:1:2:1:1 push-coarse/push-fine/push-edge/pop/hold-coarse/
+    // hold-edge mix instead.)
     prop::collection::vec(
         prop_oneof![
             (0u32..64).prop_map(|q| Op::Push(q as f64 * 0.25)),
@@ -78,6 +88,8 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
             (0..EDGE_TIMES.len()).prop_map(|i| Op::Push(EDGE_TIMES[i])),
             Just(Op::Pop),
             Just(Op::Pop),
+            (0u32..64).prop_map(|q| Op::Hold(q as f64 * 0.25)),
+            (0..EDGE_TIMES.len()).prop_map(|i| Op::Hold(EDGE_TIMES[i])),
         ],
         1..max_len,
     )
@@ -102,6 +114,16 @@ fn check_against_model(ops: &[Op]) -> Result<(), TestCaseError> {
                     h.map(|(t, p)| (t.to_bits(), p)),
                     m.map(|(t, p)| (t.to_bits(), p)),
                     "heap vs model diverged at op {}",
+                    i
+                );
+            }
+            Op::Hold(t) => {
+                let h = heap.try_hold(t, i as u32).unwrap();
+                let m = model.hold(t, i as u32);
+                prop_assert_eq!(
+                    h.map(|(t, p)| (t.to_bits(), p)),
+                    m.map(|(t, p)| (t.to_bits(), p)),
+                    "heap vs model diverged at hold {}",
                     i
                 );
             }
@@ -152,14 +174,37 @@ proptest! {
     }
 
     /// NaN and negative times are rejected with a typed error and leave
-    /// the queue untouched.
+    /// the queue untouched, by a push and by a hold alike.
     #[test]
     fn heap_rejects_bad_times_with_typed_errors(mag in 0.1f64..1e9) {
         let mut heap: EventQueue<u32> = EventScheduler::new();
         prop_assert_eq!(heap.try_push(f64::NAN, 0), Err(SchedError::NanTime));
         prop_assert_eq!(heap.try_push(-mag, 0), Err(SchedError::NegativeTime(-mag)));
+        prop_assert_eq!(heap.try_hold(f64::NAN, 0), Err(SchedError::NanTime));
+        prop_assert_eq!(heap.try_hold(-mag, 0), Err(SchedError::NegativeTime(-mag)));
         prop_assert!(heap.is_empty());
+        // A rejected hold pops nothing and pushes nothing: the queue pops
+        // as if it never happened.
+        heap.try_push(1.0, 1).unwrap();
+        heap.try_push(1.0, 2).unwrap();
+        prop_assert_eq!(heap.try_hold(-mag, 9), Err(SchedError::NegativeTime(-mag)));
+        prop_assert_eq!(heap.try_hold(f64::NAN, 9), Err(SchedError::NanTime));
+        heap.try_push(1.0, 3).unwrap();
+        let popped: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        prop_assert_eq!(popped, vec![(1.0, 1), (1.0, 2), (1.0, 3)]);
     }
+}
+
+/// A hold on an empty queue only pushes, and its entry ties FIFO with
+/// later pushes at the same time.
+#[test]
+fn hold_on_an_empty_queue_pushes() {
+    let mut heap: EventQueue<u32> = EventScheduler::new();
+    assert_eq!(heap.try_hold(2.0, 0), Ok(None));
+    heap.try_push(2.0, 1).unwrap();
+    assert_eq!(heap.try_hold(2.0, 2), Ok(Some((2.0, 0))));
+    let popped: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+    assert_eq!(popped, [(2.0, 1), (2.0, 2)]);
 }
 
 /// Deterministic regression: a pure FIFO burst (all timestamps equal),

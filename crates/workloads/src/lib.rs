@@ -398,7 +398,7 @@ impl ArrivalProcess {
                 pending,
                 states,
             } => {
-                let (t, client) = pending.pop().expect("bursty client set never drains");
+                let (t, &client) = pending.peek().expect("bursty client set never drains");
                 let state = &mut states[client];
                 state.remaining -= 1;
                 let gap = if state.remaining > 0 {
@@ -407,7 +407,8 @@ impl ArrivalProcess {
                     state.remaining = *burst_len;
                     rng.exp(*inter_gap_mean)
                 };
-                pending.push(t + gap, client);
+                // The client's next request takes its current one's place.
+                pending.hold(t + gap, client);
                 (t, client)
             }
             Kind::Mmpp {
