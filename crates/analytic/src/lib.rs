@@ -36,7 +36,7 @@ pub use fluid::{
     supermarket_equilibrium, supermarket_mean_response, try_supermarket_equilibrium,
     try_supermarket_mean_response, SupermarketFluid,
 };
-pub use ode::{rk4_integrate, JiqFluid};
+pub use ode::rk4_integrate;
 
 use staleload_sim::Dist;
 

@@ -1,12 +1,10 @@
-//! A shared classic fourth-order Runge–Kutta integrator and the
-//! Join-Idle-Queue fluid-limit system (ISSUE 9).
+//! A shared classic fourth-order Runge–Kutta integrator.
 //!
-//! [`rk4_integrate`] is the stepper behind every fluid model in this
-//! crate: [`crate::SupermarketFluid`] (the d-choice system the paper
-//! builds on) and [`JiqFluid`] (the distributed Join-Idle-Queue system
-//! from Mitzenmacher's fluid-limit paper, PAPERS.md). Both serve as
-//! analytic anchors for the population-mode engine: a count-vector
-//! simulation at n = 10^4…10^6 must land on these ODEs' equilibria.
+//! [`rk4_integrate`] is the stepper behind the fluid model in this crate,
+//! [`crate::SupermarketFluid`] (the d-choice system the paper builds on),
+//! an analytic anchor for the population-mode engine: a count-vector
+//! simulation at n = 10^4…10^6 must land on its equilibria. perfbench's
+//! windowed M/M/1 reference (`mm1_window_mean`) integrates with it too.
 
 use crate::AnalyticError;
 
@@ -69,189 +67,9 @@ where
     Ok(())
 }
 
-/// The distributed Join-Idle-Queue fluid limit.
-///
-/// `n` servers are fronted by `n/m` dispatchers; a server that goes idle
-/// enqueues itself at a uniformly random dispatcher, and an arrival at a
-/// dispatcher pops an idle server if its list is non-empty, else routes
-/// blind (uniformly random server). The large-system state is
-///
-/// * `s_k` — fraction of servers with queue length ≥ k (`k = 1..=L`);
-/// * `q_j` — fraction of dispatchers with exactly `j` enqueued idle
-///   servers (`j = 0..=J`).
-///
-/// With per-server load λ and `m` servers per dispatcher, the coupled
-/// system is (writing `Λ = λ·m` for a dispatcher's arrival rate and
-/// `β = m·(s_1 − s_2)` for its idle-join rate):
-///
-/// ```text
-/// ds_1/dt = λ(1 − q_0) + λ q_0 (1 − s_1) − (s_1 − s_2)
-/// ds_k/dt = λ q_0 (s_(k-1) − s_k) − (s_k − s_(k+1))      k ≥ 2
-/// dq_0/dt = Λ q_1 − β q_0
-/// dq_j/dt = β (q_(j-1) − q_j) + Λ (q_(j+1) − q_j)        1 ≤ j < J
-/// dq_J/dt = β q_(J-1) − Λ q_J
-/// ```
-///
-/// The dispatcher side is a birth–death chain fed by servers *becoming*
-/// idle (rate `s_1 − s_2` per server) and drained by arrivals. As in the
-/// source model, an idle-listed server is taken to still be idle when
-/// popped — blind traffic landing on listed servers is a vanishing
-/// correction in the fluid regime. Throughput conservation forces
-/// `s_1 = λ` at the fixed point, which the tests pin.
-#[derive(Debug, Clone)]
-pub struct JiqFluid {
-    lambda: f64,
-    servers_per_dispatcher: f64,
-    server_trunc: usize,
-    idle_trunc: usize,
-}
-
-impl JiqFluid {
-    /// Creates the model: per-server load `lambda ∈ (0, 1)`, `m ≥ 1`
-    /// servers per dispatcher, server-tail truncation `server_trunc`, and
-    /// idle-queue truncation `idle_trunc` (both ≥ 1; `idle_trunc` should
-    /// be on the order of `m` — a dispatcher can never hold more than its
-    /// share of idle servers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyticError`] if any parameter is out of range.
-    pub fn new(
-        lambda: f64,
-        servers_per_dispatcher: f64,
-        server_trunc: usize,
-        idle_trunc: usize,
-    ) -> Result<Self, AnalyticError> {
-        if !(lambda > 0.0 && lambda < 1.0) {
-            return Err(AnalyticError::new(format!(
-                "JIQ load must be in (0, 1), got {lambda}"
-            )));
-        }
-        if !(servers_per_dispatcher.is_finite() && servers_per_dispatcher >= 1.0) {
-            return Err(AnalyticError::new(format!(
-                "servers per dispatcher must be ≥ 1, got {servers_per_dispatcher}"
-            )));
-        }
-        if server_trunc == 0 || idle_trunc == 0 {
-            return Err(AnalyticError::new(
-                "JIQ truncation lengths must be positive",
-            ));
-        }
-        Ok(Self {
-            lambda,
-            servers_per_dispatcher,
-            server_trunc,
-            idle_trunc,
-        })
-    }
-
-    /// State length: `server_trunc` tail fractions then `idle_trunc + 1`
-    /// idle-queue probabilities.
-    pub fn state_len(&self) -> usize {
-        self.server_trunc + self.idle_trunc + 1
-    }
-
-    /// The empty-system initial state: no jobs anywhere, every
-    /// dispatcher's idle list empty (servers enqueue only on *becoming*
-    /// idle).
-    pub fn empty_state(&self) -> Vec<f64> {
-        let mut state = vec![0.0; self.state_len()];
-        state[self.server_trunc] = 1.0; // q_0 = 1
-        state
-    }
-
-    fn derivative(&self, state: &[f64], out: &mut [f64]) {
-        let l = self.server_trunc;
-        let j_max = self.idle_trunc;
-        let (s, q) = state.split_at(l);
-        let lambda = self.lambda;
-        let m = self.servers_per_dispatcher;
-        let q0 = q[0];
-        let beta = m * (s[0] - s.get(1).copied().unwrap_or(0.0)).max(0.0);
-        let big_lambda = lambda * m;
-        for k in 0..l {
-            let below = if k == 0 { 1.0 } else { s[k - 1] };
-            let above = if k + 1 < l { s[k + 1] } else { 0.0 };
-            let blind = lambda * q0 * (below - s[k]);
-            let listed = if k == 0 { lambda * (1.0 - q0) } else { 0.0 };
-            out[k] = listed + blind - (s[k] - above);
-        }
-        let dq = &mut out[l..];
-        for j in 0..=j_max {
-            let births = if j == 0 { 0.0 } else { beta * q[j - 1] };
-            let deaths_in = if j < j_max {
-                big_lambda * q[j + 1]
-            } else {
-                0.0
-            };
-            let out_rate =
-                (if j < j_max { beta } else { 0.0 }) + (if j > 0 { big_lambda } else { 0.0 });
-            dq[j] = births + deaths_in - out_rate * q[j];
-        }
-    }
-
-    /// Integrates from `state` for `t_end` with step `dt`, clamping both
-    /// blocks onto `[0, 1]` after each step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyticError`] on a state-length mismatch or a bad
-    /// step/horizon.
-    pub fn integrate(&self, state: &mut [f64], t_end: f64, dt: f64) -> Result<(), AnalyticError> {
-        if state.len() != self.state_len() {
-            return Err(AnalyticError::new(format!(
-                "JIQ state length {} must be server_trunc + idle_trunc + 1 = {}",
-                state.len(),
-                self.state_len()
-            )));
-        }
-        rk4_integrate(
-            |s, out| self.derivative(s, out),
-            state,
-            t_end,
-            dt,
-            |s| {
-                for x in s.iter_mut() {
-                    *x = x.clamp(0.0, 1.0);
-                }
-            },
-        )
-    }
-
-    /// Integrates the empty system long enough to reach equilibrium
-    /// (relaxation is O(1/(1−λ)²); the horizon scales accordingly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyticError`] if the horizon computation produces a bad
-    /// step (cannot happen for a validated model).
-    pub fn equilibrium(&self) -> Result<Vec<f64>, AnalyticError> {
-        let mut state = self.empty_state();
-        let horizon = 40.0 / (1.0 - self.lambda).powi(2);
-        self.integrate(&mut state, horizon, 0.02)?;
-        Ok(state)
-    }
-
-    /// Mean queue length of a state (Σ s_k over the server block).
-    pub fn mean_queue(&self, state: &[f64]) -> f64 {
-        state[..self.server_trunc.min(state.len())].iter().sum()
-    }
-
-    /// Mean response time of a state by Little's law (`Σ s_k / λ`).
-    pub fn mean_response(&self, state: &[f64]) -> f64 {
-        self.mean_queue(state) / self.lambda
-    }
-
-    /// The idle-queue block `q_0..=q_J` of a state.
-    pub fn idle_distribution<'a>(&self, state: &'a [f64]) -> &'a [f64] {
-        &state[self.server_trunc..]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mm1_response, supermarket_mean_response};
 
     #[test]
     fn rk4_matches_exponential_decay() {
@@ -268,57 +86,5 @@ mod tests {
         assert!(rk4_integrate(|_, out| out[0] = 0.0, &mut y, 1.0, 0.0, |_| {}).is_err());
         assert!(rk4_integrate(|_, out| out[0] = 0.0, &mut y, 1.0, -0.5, |_| {}).is_err());
         assert!(rk4_integrate(|_, out| out[0] = 0.0, &mut y, f64::NAN, 0.1, |_| {}).is_err());
-    }
-
-    #[test]
-    fn jiq_validates_parameters() {
-        assert!(JiqFluid::new(0.9, 10.0, 32, 16).is_ok());
-        assert!(JiqFluid::new(0.0, 10.0, 32, 16).is_err());
-        assert!(JiqFluid::new(1.0, 10.0, 32, 16).is_err());
-        assert!(JiqFluid::new(0.9, 0.5, 32, 16).is_err());
-        assert!(JiqFluid::new(0.9, 10.0, 0, 16).is_err());
-        assert!(JiqFluid::new(0.9, 10.0, 32, 0).is_err());
-    }
-
-    #[test]
-    fn jiq_fixed_point_conserves_throughput() {
-        // At equilibrium every accepted job is served: s_1 = λ.
-        let model = JiqFluid::new(0.9, 10.0, 48, 24).unwrap();
-        let eq = model.equilibrium().unwrap();
-        assert!((eq[0] - 0.9).abs() < 5e-3, "s_1 = {} should be λ", eq[0]);
-        // The idle-queue block stays a probability distribution.
-        let total: f64 = model.idle_distribution(&eq).iter().sum();
-        assert!((total - 1.0).abs() < 1e-6, "Σ q_j = {total}");
-    }
-
-    #[test]
-    fn jiq_beats_power_of_two_beats_random() {
-        // The canon ordering at λ = 0.9: JIQ ≈ 1.2 < d-choice 2.6 < M/M/1 10.
-        let model = JiqFluid::new(0.9, 10.0, 48, 24).unwrap();
-        let eq = model.equilibrium().unwrap();
-        let t_jiq = model.mean_response(&eq);
-        let t_d2 = supermarket_mean_response(2, 0.9);
-        let t_mm1 = mm1_response(0.9);
-        assert!(
-            t_jiq < t_d2 && t_d2 < t_mm1,
-            "JIQ {t_jiq} < d=2 {t_d2} < M/M/1 {t_mm1}"
-        );
-        assert!(t_jiq < 2.0, "JIQ routes most jobs to idle servers: {t_jiq}");
-    }
-
-    #[test]
-    fn jiq_low_load_is_nearly_ideal() {
-        // At λ = 0.3 idle servers abound; nearly every arrival finds one.
-        let model = JiqFluid::new(0.3, 10.0, 32, 16).unwrap();
-        let eq = model.equilibrium().unwrap();
-        let t = model.mean_response(&eq);
-        assert!(t < 1.2, "mean response {t} should approach 1.0");
-    }
-
-    #[test]
-    fn jiq_state_length_mismatch_is_an_error() {
-        let model = JiqFluid::new(0.5, 4.0, 8, 4).unwrap();
-        let mut wrong = vec![0.0; 5];
-        assert!(model.integrate(&mut wrong, 1.0, 0.1).is_err());
     }
 }

@@ -6,6 +6,8 @@ use serde::{Deserialize, Serialize};
 use staleload_sim::{Dist, SchedulerKind};
 use staleload_workloads::{BurstConfig, RetrySpec};
 
+use staleload_info::InfoSpec;
+
 use crate::FaultSpec;
 
 /// How jobs arrive at the system.
@@ -473,6 +475,89 @@ impl SimConfigBuilder {
         // lint: allow(panic-hygiene) — documented panicking convenience; try_build is the fallible form
         self.try_build().expect("invalid simulation configuration")
     }
+}
+
+/// Most snapshot entries (`clients × servers`) an update-on-access run
+/// may hold: 2^26, 256 MiB of loads. perfbench's largest case holds
+/// 1 440 × 100, and Figs. 8–9's longest age 5 760 × 100.
+pub(crate) const MAX_UOA_SNAPSHOT_ENTRIES: usize = 1 << 26;
+
+/// Checks that a run of `info` can be stepped through and held in memory,
+/// before anything is allocated. Both engines call it first, and
+/// [`crate::Experiment::try_run`] before any trial.
+///
+/// - A board's refresh period must advance its clock over the time the
+///   run's arrivals span, `arrivals / total rate`. A smaller one leaves
+///   `next + period == next`, so the board refreshes at one instant for
+///   ever.
+/// - So must the crash or churn MTBF ([`check_fault_clock`]).
+/// - An update-on-access run keeps a snapshot of every server per client:
+///   at most 2^26 of them (256 MiB).
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] naming the period or the MTBF, or the client
+/// and server counts and the cap.
+pub fn check_run_bounds(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+) -> Result<(), ConfigError> {
+    check_fault_clock(cfg)?;
+    if let Some(period) = info.refresh_period() {
+        // A period that is not positive is `InfoSpec::validate`'s to report.
+        let span = arrival_span(cfg);
+        if period > 0.0 && span + period == span {
+            return Err(ConfigError::new(format!(
+                "refresh period {period:e} is too small to advance the board clock over the \
+                 {span:.4} time units the run's arrivals span"
+            )));
+        }
+    }
+    if matches!(info, InfoSpec::UpdateOnAccess) {
+        let clients = arrivals.clients();
+        let entries = clients.checked_mul(cfg.servers);
+        if entries.is_none_or(|e| e > MAX_UOA_SNAPSHOT_ENTRIES) {
+            return Err(ConfigError::new(format!(
+                "update-on-access with {clients} clients and {} servers needs a snapshot of \
+                 every server per client, over the cap of {MAX_UOA_SNAPSHOT_ENTRIES} entries",
+                cfg.servers
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that the crash or churn process can advance its clock over the
+/// time the run's arrivals span. With an MTBF below that, a server that
+/// recovers at `t` crashes again at `t`: no job on it ever completes, and
+/// a run without a stop predicate never ends.
+///
+/// # Errors
+///
+/// Returns a [`ConfigError`] naming the MTBF.
+pub fn check_fault_clock(cfg: &SimConfig) -> Result<(), ConfigError> {
+    let membership = cfg
+        .faults
+        .crash
+        .map(|c| ("crash", c.mtbf))
+        .or(cfg.faults.churn.map(|c| ("churn", c.mtbf)));
+    if let Some((fault, mtbf)) = membership {
+        // An MTBF that is not positive is `FaultSpec::validate`'s to report.
+        let span = arrival_span(cfg);
+        if mtbf > 0.0 && span + mtbf == span {
+            return Err(ConfigError::new(format!(
+                "{fault} MTBF {mtbf:e} is too small to advance the fault clock over the \
+                 {span:.4} time units the run's arrivals span"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The time the run's arrivals span at its configured rate.
+fn arrival_span(cfg: &SimConfig) -> f64 {
+    cfg.arrivals as f64 / cfg.total_rate()
 }
 
 #[cfg(test)]

@@ -5,32 +5,15 @@ use std::collections::BTreeMap;
 use staleload_cluster::{Admission, Cluster, Job, ServerId};
 use staleload_info::{InfoDispatch, InfoModel, InfoSpec};
 use staleload_policies::{DispatchPolicy, Policy, PolicySpec};
-use staleload_sim::{EventQueue, OnlineStats, SchedError, SimRng};
+use staleload_sim::{EventQueue, OnlineStats, Sampler, SchedError, SimRng};
 use staleload_workloads::{ArrivalProcess, RetrySpec};
 
 use crate::config::ConfigError;
 use crate::metrics::ServerTallies;
 use crate::{
-    ArrivalSpec, CrashSpec, OverloadStats, PartitionSpec, ResilienceStats, RunDetail, SimConfig,
-    SimError,
+    check_run_bounds, ArrivalSpec, CrashSpec, FaultStats, OverloadStats, PartitionSpec,
+    ResilienceStats, RunDetail, SimConfig, SimError,
 };
-
-/// Counters for the fault process of one run (all zero when the run was
-/// fault-free).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultStats {
-    /// Server crashes injected.
-    pub crashes: u64,
-    /// Servers brought back up.
-    pub recoveries: u64,
-    /// Jobs moved off a crashed server's queue (re-dispatch mode only).
-    pub redispatched: u64,
-    /// Arrivals routed to a down server and redirected to an up one.
-    pub redirected: u64,
-    /// Summed server-down time (a server down for 2 time units counts 2,
-    /// whether or not others were down simultaneously).
-    pub downtime: f64,
-}
 
 /// A non-fatal data-quality warning attached to a [`RunResult`].
 ///
@@ -103,72 +86,323 @@ impl RunResult {
     }
 }
 
-/// A job waiting out its backoff before re-entering the arrival stream.
-#[derive(Debug, Clone, Copy)]
-struct OrbitEntry {
-    job: Job,
-    client: usize,
-    /// Admission attempts already made (and failed).
-    attempts: u32,
-    /// The backoff wait that produced this entry (decorrelated jitter
-    /// feeds it forward).
-    prev_backoff: f64,
-}
+/// An event queue operation's outcome (it rejects NaN and negative times).
+type Sched<T = ()> = Result<T, SchedError>;
 
-/// A scheduled deadline check for a waiting job.
-#[derive(Debug, Clone, Copy)]
-struct RenegeEntry {
-    /// Where the job was queued at admission. A job moved elsewhere by
-    /// work stealing or crash re-dispatch silently loses its deadline (a
-    /// deliberate simplification: migration restarts the job's placement).
-    server: ServerId,
-    job_id: u64,
-    client: usize,
-    attempts: u32,
-    prev_backoff: Option<f64>,
-}
+/// A completed departure: its time, server and job.
+type Done = (f64, ServerId, Job);
 
-/// Routes a bounced (rejected or reneged) job: into the retry orbit with a
-/// fresh backoff if attempts remain, otherwise it is abandoned. Draws only
-/// from the dedicated retry stream.
-#[allow(clippy::too_many_arguments)] // one slot per piece of bounce state
-fn bounce(
-    retry: Option<RetrySpec>,
-    job: Job,
-    client: usize,
-    attempts: u32,
-    prev_backoff: Option<f64>,
-    now: f64,
-    orbit: &mut EventQueue<OrbitEntry>,
-    retry_rng: &mut SimRng,
-    overload: &mut OverloadStats,
-) -> Result<(), SchedError> {
-    match retry {
-        Some(spec) if attempts < spec.max_attempts => {
-            let wait = spec.backoff(prev_backoff, retry_rng);
-            overload.retries += 1;
-            orbit.try_push(
-                now + wait,
-                OrbitEntry {
-                    job,
-                    client,
-                    attempts,
-                    prev_backoff: wait,
-                },
-            )?;
-        }
-        _ => overload.abandoned += 1,
-    }
-    Ok(())
-}
-
-/// Which system event fires next (fault events are handled separately).
-#[derive(Debug, Clone, Copy)]
-enum SystemEvent {
+/// The per-server engine's event sources, in tie order: of two events at
+/// one time, the one listed first fires first. The board catches up first,
+/// so a board refreshed "at" an arrival's instant is visible to that
+/// arrival. Arrivals go before departures (the historical convention),
+/// departures before deadline checks, so a job entering service "at" its
+/// deadline is served, then orbit re-arrivals. System events go before
+/// fault events, so a departure "at" the crash instant completes and an
+/// arrival still sees the old regime; crashes go before partitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Board,
     Arrival,
     Departure,
-    Renege,
+    Deadline,
     Orbit,
+    Crash,
+    Partition,
+}
+
+/// Picks the next event from each source's next time (`due`, indexed by
+/// [`Source`], `∞` for none): the least `(time, source)`, where the board
+/// only catches up to another pending event. `None` ends the run: no
+/// arrival, departure, deadline check or orbit re-arrival is pending, and
+/// the cluster is `drained` or no fault event is pending either. Jobs
+/// stranded on down servers keep the run going on fault events alone.
+fn next_event(due: [f64; 7], drained: bool) -> Option<(f64, Source)> {
+    use Source::*;
+    let [board, arrival, departure, deadline, orbit, crash, partition] = due;
+    let system = arrival.min(departure).min(deadline).min(orbit);
+    let fault = crash.min(partition);
+    if system == f64::INFINITY && (drained || fault == f64::INFINITY) {
+        return None;
+    }
+    Some(if board <= system.min(fault) {
+        (board, Board)
+    } else if fault < system {
+        (fault, if crash <= partition { Crash } else { Partition })
+    } else if arrival <= departure && arrival <= deadline && arrival <= orbit {
+        (arrival, Arrival)
+    } else if departure <= deadline && departure <= orbit {
+        (departure, Departure)
+    } else if deadline <= orbit {
+        (deadline, Deadline)
+    } else {
+        (orbit, Orbit)
+    })
+}
+
+/// One admission attempt of a job: its arrival, or a re-arrival from the
+/// retry orbit after `prev_backoff`, which decorrelated jitter feeds forward.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    job: Job,
+    client: usize,
+    /// Attempts made, this one included.
+    attempts: u32,
+    prev_backoff: Option<f64>,
+}
+
+/// The arrival source: the workload's pending arrival (`None` once every
+/// job has arrived), whose job's service time is drawn as it arrives.
+struct Arrivals<'a> {
+    process: ArrivalProcess,
+    next: Option<(f64, usize)>,
+    /// Jobs generated so far: the next job's id.
+    generated: u64,
+    limit: u64,
+    service: Sampler,
+    arrival_rng: &'a mut SimRng,
+    service_rng: &'a mut SimRng,
+}
+
+impl Arrivals<'_> {
+    /// Takes the pending arrival and draws the next one.
+    fn take(&mut self) -> Option<(f64, Attempt)> {
+        let (t, client) = self.next.take()?;
+        let job = Job::new(self.generated, t, self.service.sample(self.service_rng));
+        self.generated += 1;
+        if self.generated < self.limit {
+            self.next = Some(self.process.next(self.arrival_rng));
+        }
+        let attempt = Attempt {
+            job,
+            client,
+            attempts: 1,
+            prev_backoff: None,
+        };
+        Some((t, attempt))
+    }
+}
+
+/// The departure book: every server's scheduled departure.
+struct DepartureBook {
+    queue: EventQueue<ServerId>,
+    /// The departure each server has in the queue. Crashes and cancelled
+    /// hedge replicas invalidate departures in place; `due` drops a head
+    /// that no longer matches.
+    scheduled: Vec<Option<f64>>,
+    /// Wall-clock work the interrupted head job had left at crash time
+    /// (stall mode resumes it on recovery).
+    frozen: Vec<Option<f64>>,
+}
+
+impl DepartureBook {
+    /// The next live departure's time.
+    fn due(&mut self) -> f64 {
+        while let Some((t, &server)) = self.queue.peek() {
+            if self.scheduled[server] == Some(t) {
+                return t;
+            }
+            self.queue.pop();
+        }
+        f64::INFINITY
+    }
+
+    /// Books the departure a cluster call returned for `server`, if any.
+    fn book(&mut self, server: ServerId, departure: Option<f64>) -> Sched {
+        if let Some(t) = departure {
+            self.queue.try_push(t, server)?;
+            self.scheduled[server] = Some(t);
+        }
+        Ok(())
+    }
+
+    /// Completes the next departure. With work stealing, a server going
+    /// idle pulls a waiting job from the longest queue (receiver-driven
+    /// rebalancing, an extension).
+    fn complete(&mut self, cluster: &mut Cluster, steal: Option<u32>) -> Sched<Option<Done>> {
+        let Some((t, &server)) = self.queue.peek() else {
+            return Ok(None);
+        };
+        self.scheduled[server] = None;
+        let (job, next) = cluster.complete(server, t);
+        if let Some(dep) = next {
+            // The server's next departure takes the head's place: a pop
+            // and a push in one sift.
+            self.queue.try_hold(dep, server)?;
+            self.scheduled[server] = Some(dep);
+        } else {
+            self.queue.pop();
+            if let Some(min_victim) = steal {
+                self.book(server, cluster.steal_for_idle(server, t, min_victim))?;
+            }
+        }
+        Ok(Some((t, server, job)))
+    }
+
+    /// Drops `server`'s departure: its job in service was aborted.
+    fn cancel(&mut self, server: ServerId) {
+        self.scheduled[server] = None;
+    }
+
+    /// Drops `server`'s departure at a crash, keeping its job's work left.
+    fn interrupt(&mut self, server: ServerId, t: f64) {
+        if let Some(dep) = self.scheduled[server].take() {
+            self.frozen[server] = Some(dep - t);
+        }
+    }
+
+    /// Takes the work `server`'s interrupted job has left.
+    fn thaw(&mut self, server: ServerId) -> Option<f64> {
+        self.frozen[server].take()
+    }
+}
+
+/// The retry orbit: bounced jobs waiting out their backoff before they
+/// re-enter the arrival stream. Only the orbit draws the retry stream.
+struct RetryOrbit<'a> {
+    queue: EventQueue<Attempt>,
+    retry: Option<RetrySpec>,
+    retry_rng: &'a mut SimRng,
+}
+
+impl RetryOrbit<'_> {
+    /// Takes a bounced (rejected or reneged) attempt: into the orbit with a
+    /// fresh backoff if attempts remain, otherwise it is abandoned.
+    fn offer(&mut self, now: f64, bounced: Attempt, overload: &mut OverloadStats) -> Sched {
+        match self.retry {
+            Some(spec) if bounced.attempts < spec.max_attempts => {
+                let mut orbiting = bounced;
+                let wait = spec.backoff(bounced.prev_backoff, self.retry_rng);
+                orbiting.prev_backoff = Some(wait);
+                overload.retries += 1;
+                self.queue.try_push(now + wait, orbiting)?;
+            }
+            _ => overload.abandoned += 1,
+        }
+        Ok(())
+    }
+
+    /// Takes the next re-arrival: its job's next attempt.
+    fn reenter(&mut self) -> Option<(f64, Attempt)> {
+        let (t, mut attempt) = self.queue.pop()?;
+        attempt.attempts += 1;
+        Some((t, attempt))
+    }
+}
+
+/// The information model and the policy: between them they pick servers.
+struct Router<'a> {
+    model: InfoDispatch,
+    policy: DispatchPolicy,
+    model_rng: &'a mut SimRng,
+    policy_rng: &'a mut SimRng,
+}
+
+impl Router<'_> {
+    /// The policy's pick for a job of size `service` from `client`'s view.
+    fn pick(&mut self, t: f64, client: usize, service: f64, cluster: &mut Cluster) -> ServerId {
+        let view = self.model.view(t, client, cluster, self.model_rng);
+        self.policy.select_sized(&view, service, self.policy_rng)
+    }
+}
+
+/// The hedge book: where each hedged job's copies sit, primary first, until
+/// one completes (a `BTreeMap` keeps iteration deterministic).
+#[derive(Default)]
+struct HedgeBook {
+    /// Copies per job, `None` unless h > 1 (h = 1 is the unhedged path).
+    copies: Option<u32>,
+    replicas: BTreeMap<u64, Vec<ServerId>>,
+    /// The copies of the job being placed.
+    placing: Vec<ServerId>,
+    stats: ResilienceStats,
+}
+
+impl HedgeBook {
+    /// Places up to h − 1 replicas of `attempt`'s job, admitted to
+    /// `primary` at `t`, on distinct extra servers the router picks; a
+    /// duplicate or dead pick just means one fewer replica. Replicas go in
+    /// via requeue (no arrival count), so conservation stays 1 arrival + 1
+    /// departure per logical job.
+    fn place(
+        &mut self,
+        t: f64,
+        attempt: &Attempt,
+        primary: ServerId,
+        cluster: &mut Cluster,
+        departures: &mut DepartureBook,
+        router: &mut Router<'_>,
+    ) -> Sched {
+        let (Some(h), job) = (self.copies, attempt.job) else {
+            return Ok(());
+        };
+        self.placing.clear();
+        self.placing.push(primary);
+        for _ in 1..h {
+            let server = router.pick(t, attempt.client, job.service, cluster);
+            if self.placing.contains(&server) || !cluster.is_up(server) {
+                continue;
+            }
+            self.stats.hedges_issued += 1;
+            departures.book(server, cluster.requeue(server, job, t))?;
+            self.placing.push(server);
+        }
+        if self.placing.len() > 1 {
+            self.replicas.insert(job.id, self.placing.clone());
+        }
+        Ok(())
+    }
+
+    /// Follows a replica that churn moved off `from`, so that its
+    /// cancellation still finds it.
+    fn migrate(&mut self, job_id: u64, from: ServerId, to: ServerId) {
+        let mut replicas = self.replicas.get_mut(&job_id).into_iter().flatten();
+        if let Some(slot) = replicas.find(|s| **s == from) {
+            *slot = to;
+        }
+    }
+
+    /// First completion wins: cancels the other copies of the job `done`
+    /// completed.
+    fn cancel_losers(
+        &mut self,
+        done: Done,
+        cluster: &mut Cluster,
+        departures: &mut DepartureBook,
+    ) -> Sched {
+        let (t, winner, job) = done;
+        let Some(replicas) = self.replicas.remove(&job.id) else {
+            return Ok(());
+        };
+        self.stats.hedges_won += u64::from(replicas[0] != winner);
+        let mut winner_seen = false;
+        for &s in &replicas {
+            if s == winner && !winner_seen {
+                winner_seen = true;
+                continue;
+            }
+            let at_head = cluster.head_job_id(s) == Some(job.id);
+            let cancelled = if !cluster.is_up(s) {
+                // Defensive: churn re-dispatch drains a down server's
+                // queue, so replicas migrate off dead servers.
+                if at_head {
+                    departures.thaw(s);
+                }
+                cluster.cancel_waiting(s, job.id, t, false).is_some()
+            } else if at_head {
+                // The loser is in service: abort it, promote its successor
+                // and drop its departure.
+                departures.cancel(s);
+                departures.book(s, cluster.abort_in_service(s, t))?;
+                true
+            } else {
+                cluster.cancel_waiting(s, job.id, t, true).is_some()
+            };
+            debug_assert!(cancelled, "hedge book tracked a missing replica");
+            self.stats.hedges_cancelled += u64::from(cancelled);
+        }
+        Ok(())
+    }
 }
 
 /// The crash/recovery process: each server alternates between up and down
@@ -183,10 +417,11 @@ struct CrashProcess {
     /// Next up→down or down→up transition time per server.
     next: Vec<f64>,
     down_since: Vec<Option<f64>>,
-    /// Cached minimum of `next` (ties broken by lowest id). `next` only
-    /// changes through `schedule_*`, so refreshing there keeps `peek` —
-    /// called once per event-loop iteration — O(1) instead of an O(n)
-    /// scan, which was a ~3x slowdown at n = 256 on faulted runs.
+    /// The next transition (time, server): the minimum of `next`, ties
+    /// broken by lowest id. `next` only changes through `step`, so
+    /// refreshing there keeps this read — once per event-loop iteration —
+    /// O(1) instead of an O(n) scan, which was a ~3x slowdown at n = 256
+    /// on faulted runs.
     pending: (f64, ServerId),
 }
 
@@ -215,19 +450,53 @@ impl CrashProcess {
         self.pending = best;
     }
 
-    /// The next transition (time, server); ties broken by lowest id.
-    fn peek(&self) -> (f64, ServerId) {
-        self.pending
-    }
-
-    fn schedule_crash(&mut self, server: ServerId, now: f64, rng: &mut SimRng) {
-        self.next[server] = now + rng.exp(self.spec.mtbf);
+    /// Fires the pending transition. A crashing server's job in service
+    /// stalls with the work it has left, or, with re-dispatch, its whole
+    /// queue (head included: it restarts from scratch elsewhere —
+    /// re-execution semantics) moves to uniformly random up servers, and
+    /// the step says so. A recovering server resumes its stalled job.
+    fn step(
+        &mut self,
+        cluster: &mut Cluster,
+        departures: &mut DepartureBook,
+        hedges: &mut HedgeBook,
+        stats: &mut FaultStats,
+        rng: &mut SimRng,
+    ) -> Sched<bool> {
+        let (t, server) = self.pending;
+        let mut moved = false;
+        let mean = if cluster.is_up(server) {
+            stats.crashes += 1;
+            self.down_since[server] = Some(t);
+            cluster.crash(server, t);
+            departures.interrupt(server, t);
+            if self.spec.redispatch && cluster.up_count() > 0 {
+                departures.thaw(server);
+                for job in cluster.drain(server, t) {
+                    let target = random_up_server(cluster, rng)
+                        // lint: allow(panic-hygiene) — drain only runs when another server is up
+                        .expect("up_count() > 0 was checked");
+                    stats.redispatched += 1;
+                    departures.book(target, cluster.requeue(target, job, t))?;
+                    hedges.migrate(job.id, server, target);
+                }
+                moved = true;
+            }
+            self.spec.mttr
+        } else {
+            stats.recoveries += 1;
+            let since = self.down_since[server]
+                .take()
+                // lint: allow(panic-hygiene) — crash path always records down_since
+                .expect("a down server recorded when it went down");
+            stats.downtime += t - since;
+            let frozen = departures.thaw(server);
+            departures.book(server, cluster.recover(server, t, frozen))?;
+            self.spec.mtbf
+        };
+        self.next[server] = t + rng.exp(mean);
         self.refresh();
-    }
-
-    fn schedule_recovery(&mut self, server: ServerId, now: f64, rng: &mut SimRng) {
-        self.next[server] = now + rng.exp(self.spec.mttr);
-        self.refresh();
+        Ok(moved)
     }
 }
 
@@ -267,11 +536,6 @@ impl PartitionProcess {
             scratch: Vec::new(),
             seconds: 0.0,
         }
-    }
-
-    /// Time of the next start/heal transition.
-    fn peek(&self) -> f64 {
-        self.next
     }
 
     /// Fires the pending transition: hides a fresh subset of servers, or
@@ -329,17 +593,8 @@ fn random_up_server(cluster: &Cluster, rng: &mut SimRng) -> Option<ServerId> {
     if ups == 0 {
         return None;
     }
-    let mut k = rng.index(ups);
-    for s in 0..cluster.len() {
-        if cluster.is_up(s) {
-            if k == 0 {
-                return Some(s);
-            }
-            k -= 1;
-        }
-    }
-    // lint: allow(panic-hygiene) — the loop visits every up server and k < ups
-    unreachable!("up_count() counted the up servers")
+    let k = rng.index(ups);
+    (0..cluster.len()).filter(|&s| cluster.is_up(s)).nth(k)
 }
 
 /// Runs one simulation: `cfg.arrivals` jobs through `cfg.servers` FIFO
@@ -398,89 +653,6 @@ pub fn run_simulation_until(
     run_inner(cfg, arrivals, info, policy, steps)
 }
 
-/// Most snapshot entries (`clients × servers`) an update-on-access run
-/// may hold: 2^26, 256 MiB of loads. perfbench's largest case holds
-/// 1 440 × 100, and Figs. 8–9's longest age 5 760 × 100.
-pub(crate) const MAX_UOA_SNAPSHOT_ENTRIES: usize = 1 << 26;
-
-/// Checks that a run of `info` can be stepped through and held in memory,
-/// before anything is allocated. Both engines call it first, and
-/// [`crate::Experiment::try_run`] before any trial.
-///
-/// - A board's refresh period must advance its clock over the time the
-///   run's arrivals span, `arrivals / total rate`. A smaller one leaves
-///   `next + period == next`, so the board refreshes at one instant for
-///   ever.
-/// - So must the crash or churn MTBF ([`check_fault_clock`]).
-/// - An update-on-access run keeps a snapshot of every server per client:
-///   at most 2^26 of them (256 MiB).
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] naming the period or the MTBF, or the client
-/// and server counts and the cap.
-pub fn check_run_bounds(
-    cfg: &SimConfig,
-    arrivals: &ArrivalSpec,
-    info: &InfoSpec,
-) -> Result<(), ConfigError> {
-    check_fault_clock(cfg)?;
-    if let Some(period) = info.refresh_period() {
-        // A period that is not positive is `InfoSpec::validate`'s to report.
-        let span = arrival_span(cfg);
-        if period > 0.0 && span + period == span {
-            return Err(ConfigError::new(format!(
-                "refresh period {period:e} is too small to advance the board clock over the \
-                 {span:.4} time units the run's arrivals span"
-            )));
-        }
-    }
-    if matches!(info, InfoSpec::UpdateOnAccess) {
-        let clients = arrivals.clients();
-        let entries = clients.checked_mul(cfg.servers);
-        if entries.is_none_or(|e| e > MAX_UOA_SNAPSHOT_ENTRIES) {
-            return Err(ConfigError::new(format!(
-                "update-on-access with {clients} clients and {} servers needs a snapshot of \
-                 every server per client, over the cap of {MAX_UOA_SNAPSHOT_ENTRIES} entries",
-                cfg.servers
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Checks that the crash or churn process can advance its clock over the
-/// time the run's arrivals span. With an MTBF below that, a server that
-/// recovers at `t` crashes again at `t`: no job on it ever completes, and
-/// a run without a stop predicate never ends.
-///
-/// # Errors
-///
-/// Returns a [`ConfigError`] naming the MTBF.
-pub fn check_fault_clock(cfg: &SimConfig) -> Result<(), ConfigError> {
-    let membership = cfg
-        .faults
-        .crash
-        .map(|c| ("crash", c.mtbf))
-        .or(cfg.faults.churn.map(|c| ("churn", c.mtbf)));
-    if let Some((fault, mtbf)) = membership {
-        // An MTBF that is not positive is `FaultSpec::validate`'s to report.
-        let span = arrival_span(cfg);
-        if mtbf > 0.0 && span + mtbf == span {
-            return Err(ConfigError::new(format!(
-                "{fault} MTBF {mtbf:e} is too small to advance the fault clock over the \
-                 {span:.4} time units the run's arrivals span"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The time the run's arrivals span at its configured rate.
-fn arrival_span(cfg: &SimConfig) -> f64 {
-    cfg.arrivals as f64 / cfg.total_rate()
-}
-
 /// Loop steps between two polls of a run's stop predicate: rare enough
 /// that a clock read per poll costs nothing measurable, often enough that
 /// a stop lands within about a millisecond.
@@ -507,7 +679,7 @@ fn run_inner(
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
-    mut steps: StepCounter<'_>,
+    steps: StepCounter<'_>,
 ) -> Result<RunResult, SimError> {
     info.validate().map_err(ConfigError::new)?;
     policy.validate().map_err(ConfigError::new)?;
@@ -576,7 +748,6 @@ fn run_inner(
     // Forks the fault stream only for a configured loss channel and live
     // corruption, so fault-free and honest runs stay bit-identical.
     model.degrade(cfg.faults.loss, cfg.faults.corrupt, &mut fault_rng);
-    let mut policy = DispatchPolicy::from_spec(policy);
     // Churn is crash-with-eviction: a departing server's queue is drained
     // and re-dispatched (re-execution semantics) and it rejoins cold, so
     // the membership process reuses the crash machinery with redispatch
@@ -586,8 +757,8 @@ fn run_inner(
         mttr: c.downtime,
         redispatch: true,
     }));
-    let mut crash_process = membership.map(|spec| CrashProcess::new(spec, n, &mut fault_rng));
-    let mut partition_process = cfg
+    let crash = membership.map(|spec| CrashProcess::new(spec, n, &mut fault_rng));
+    let partition = cfg
         .faults
         .partition
         .map(|spec| PartitionProcess::new(spec, fault_rng.fork()));
@@ -633,438 +804,267 @@ fn run_inner(
         }
     };
 
-    let warmup = cfg.warmup_jobs();
-    let service = cfg.service.sampler();
-    let mut departures: EventQueue<ServerId> = EventQueue::with_capacity(n);
-    // The departure each server currently has in the queue. Crashes
-    // invalidate scheduled departures; rather than remove them from the
-    // queue we drop any popped/peeked entry that no longer matches.
-    let mut scheduled: Vec<Option<f64>> = vec![None; n];
-    // Wall-clock work the interrupted head job had left at crash time
-    // (stall mode resumes it on recovery).
-    let mut frozen: Vec<Option<f64>> = vec![None; n];
-    let mut stats = FaultStats::default();
-    let mut overload = OverloadStats::default();
-    let mut resilience = ResilienceStats::default();
-    // Hedged dispatch: replica locations per hedged job id, primary first
-    // (BTreeMap keeps any iteration deterministic). h = 1 dispatches a
-    // single copy, which is exactly the unhedged path.
-    let hedge_h = hedge.filter(|&h| h > 1);
-    let mut hedge_book: BTreeMap<u64, Vec<ServerId>> = BTreeMap::new();
-    let mut hedge_scratch: Vec<ServerId> = Vec::new();
-    // Deadline checks for waiting jobs and the retry orbit; both stay
-    // empty (and cost nothing) when the overload controls are off.
-    let mut reneges: EventQueue<RenegeEntry> = EventQueue::new();
-    let mut orbit: EventQueue<OrbitEntry> = EventQueue::new();
-    let mut response = OnlineStats::new();
-    let mut detail = RunDetail::new(cfg.sketch_cap);
-    let mut next_id: u64 = 0;
-    let mut next_arrival: Option<(f64, usize)> = Some(process.next(&mut arrival_rng));
-    let mut end_time: f64 = 0.0;
-
-    loop {
-        steps.step()?;
-        // Discard departures a crash invalidated (their server's scheduled
-        // slot was cleared or rescheduled) so peek_time sees a live event.
-        while let Some((t, &server)) = departures.peek() {
-            if scheduled[server] == Some(t) {
-                break;
-            }
-            departures.pop();
-        }
-
-        // Event times are always finite, so None maps to infinity safely.
-        let a = next_arrival.map_or(f64::INFINITY, |(t, _)| t);
-        let d = departures.peek_time().unwrap_or(f64::INFINITY);
-        let r = reneges.peek_time().unwrap_or(f64::INFINITY);
-        let o = orbit.peek_time().unwrap_or(f64::INFINITY);
-        let earliest = a.min(d).min(r).min(o);
-        let system_next = earliest.is_finite().then_some(earliest);
-        // Tie priority: arrivals first (the historical convention), then
-        // departures — so a job entering service "at" its deadline is
-        // served, not reneged — then deadline checks, then orbit
-        // re-arrivals.
-        let system_event = if a <= d && a <= r && a <= o {
-            SystemEvent::Arrival
-        } else if d <= r && d <= o {
-            SystemEvent::Departure
-        } else if r <= o {
-            SystemEvent::Renege
-        } else {
-            SystemEvent::Orbit
-        };
-        let fault_next = match (
-            crash_process.as_ref().map(|c| c.peek().0),
-            partition_process.as_ref().map(PartitionProcess::peek),
-        ) {
-            (None, None) => None,
-            (Some(c), None) => Some(c),
-            (None, Some(p)) => Some(p),
-            (Some(c), Some(p)) => Some(c.min(p)),
-        };
-
-        // Ties: system events before fault events, so a departure "at" the
-        // crash instant completes and an arrival still sees the old regime.
-        let (step_time, fault_step) = match (system_next, fault_next) {
-            (None, None) => break,
-            (None, Some(f)) => {
-                if next_arrival.is_none() && cluster.in_system() == 0 {
-                    // Fully drained: don't chase crash events forever.
-                    break;
-                }
-                // Jobs are stranded on down servers (stall mode); only
-                // fault events can advance the clock now.
-                (f, true)
-            }
-            (Some(s), None) => (s, false),
-            (Some(s), Some(f)) => {
-                if f < s {
-                    (f, true)
-                } else {
-                    (s, false)
-                }
-            }
-        };
-
-        // Let the information model catch up first (ties: model before
-        // system events, so a board refreshed "at" an arrival's instant is
-        // visible to that arrival). Each refresh counts as a step, so a
-        // storm of refreshes at one instant can still be stopped.
-        while let Some(t) = model.next_event() {
-            if t <= step_time {
-                model.on_event(t, &cluster);
-                steps.step()?;
-            } else {
-                break;
-            }
-        }
-
-        if fault_step {
-            // Ties: membership transitions before partition transitions.
-            let crash_due = crash_process
-                .as_ref()
-                .is_some_and(|c| c.peek().0 <= step_time);
-            if !crash_due {
-                let process = partition_process
-                    .as_mut()
-                    // lint: allow(panic-hygiene) — fault_step without a crash due implies a partition process
-                    .expect("fault_step without a crash due implies a partition");
-                process.step(&mut cluster, step_time);
-                continue;
-            }
-            let process = crash_process
-                .as_mut()
-                // lint: allow(panic-hygiene) — fault_step is only set when crash_process is Some
-                .expect("fault_step implies a crash process");
-            let (t, server) = process.peek();
-            if cluster.is_up(server) {
-                stats.crashes += 1;
-                process.down_since[server] = Some(t);
-                cluster.crash(server, t);
-                if let Some(dep) = scheduled[server].take() {
-                    // The in-service job is interrupted; remember its
-                    // remaining work so stall mode can resume it.
-                    frozen[server] = Some(dep - t);
-                }
-                if process.spec.redispatch && cluster.up_count() > 0 {
-                    // Move the whole queue (head included: it restarts from
-                    // scratch elsewhere — re-execution semantics) to
-                    // uniformly random up servers.
-                    frozen[server] = None;
-                    for job in cluster.drain(server, t) {
-                        let target = random_up_server(&cluster, &mut fault_rng)
-                            // lint: allow(panic-hygiene) — drain only runs when another server is up
-                            .expect("up_count() > 0 was checked");
-                        stats.redispatched += 1;
-                        if let Some(dep) = cluster.requeue(target, job, t) {
-                            departures.try_push(dep, target)?;
-                            scheduled[target] = Some(dep);
-                        }
-                        if let Some(replicas) = hedge_book.get_mut(&job.id) {
-                            // A migrated hedge replica must stay findable for
-                            // cancel-on-completion.
-                            if let Some(slot) = replicas.iter_mut().find(|s| **s == server) {
-                                *slot = target;
-                            }
-                        }
-                    }
-                    detail.jobs_in_system.update(t, cluster.in_system() as f64);
-                }
-                process.schedule_recovery(server, t, &mut fault_rng);
-            } else {
-                stats.recoveries += 1;
-                let since = process.down_since[server]
-                    .take()
-                    // lint: allow(panic-hygiene) — crash path always records down_since
-                    .expect("a down server recorded when it went down");
-                stats.downtime += t - since;
-                if let Some(dep) = cluster.recover(server, t, frozen[server].take()) {
-                    departures.try_push(dep, server)?;
-                    scheduled[server] = Some(dep);
-                }
-                process.schedule_crash(server, t, &mut fault_rng);
-            }
-            continue;
-        }
-
-        // Arrivals and orbit re-arrivals share the admission flow below;
-        // the tuple is (time, job, client, attempts made incl. this one,
-        // previous backoff).
-        let admission: Option<(f64, Job, usize, u32, Option<f64>)> = match system_event {
-            SystemEvent::Arrival => {
-                // lint: allow(panic-hygiene) — SystemEvent::Arrival is only chosen when next_arrival is Some
-                let (t, client) = next_arrival.take().expect("arrival is present");
-                let job = Job::new(next_id, t, service.sample(&mut service_rng));
-                next_id += 1;
-                if next_id < cfg.arrivals {
-                    next_arrival = Some(process.next(&mut arrival_rng));
-                }
-                Some((t, job, client, 1, None))
-            }
-            SystemEvent::Orbit => {
-                // lint: allow(panic-hygiene) — SystemEvent::Orbit is only chosen when the orbit peeked Some
-                let (t, entry) = orbit.pop().expect("orbit entry is present");
-                Some((
-                    t,
-                    entry.job,
-                    entry.client,
-                    entry.attempts + 1,
-                    Some(entry.prev_backoff),
-                ))
-            }
-            SystemEvent::Departure => {
-                // lint: allow(panic-hygiene) — SystemEvent::Departure is only chosen when a departure peeked Some
-                let (t, &server) = departures.peek().expect("departure is present");
-                scheduled[server] = None;
-                let (job, next) = cluster.complete(server, t);
-                match next {
-                    Some(dep) => {
-                        // The server's next departure takes the head's
-                        // place: a pop and a push in one sift.
-                        departures.try_hold(dep, server)?;
-                        scheduled[server] = Some(dep);
-                    }
-                    None => {
-                        departures.pop();
-                        // Receiver-driven rebalancing (extension): a server
-                        // going idle pulls a waiting job from the longest
-                        // queue.
-                        if let Some(min_victim) = cfg.work_stealing {
-                            if let Some(dep) = cluster.steal_for_idle(server, t, min_victim) {
-                                departures.try_push(dep, server)?;
-                                scheduled[server] = Some(dep);
-                            }
-                        }
-                    }
-                }
-                // First completion wins: cancel the losing replicas of a
-                // hedged job the instant any copy finishes.
-                if let Some(replicas) = hedge_book.remove(&job.id) {
-                    if replicas[0] != server {
-                        resilience.hedges_won += 1;
-                    }
-                    let mut winner_seen = false;
-                    for &s2 in &replicas {
-                        if s2 == server && !winner_seen {
-                            winner_seen = true;
-                            continue;
-                        }
-                        let cancelled = if cluster.is_up(s2) {
-                            if cluster.head_job_id(s2) == Some(job.id) {
-                                // The loser is in service: abort it and
-                                // promote its successor. Its stale departure
-                                // event is dropped by the scheduled[] filter.
-                                scheduled[s2] = None;
-                                if let Some(dep) = cluster.abort_in_service(s2, t) {
-                                    departures.try_push(dep, s2)?;
-                                    scheduled[s2] = Some(dep);
-                                }
-                                true
-                            } else {
-                                cluster.cancel_waiting(s2, job.id, t, true).is_some()
-                            }
-                        } else {
-                            // Down server (defensive: churn redispatch drains
-                            // queues, so replicas migrate off dead servers).
-                            if cluster.head_job_id(s2) == Some(job.id) {
-                                frozen[s2] = None;
-                            }
-                            cluster.cancel_waiting(s2, job.id, t, false).is_some()
-                        };
-                        debug_assert!(cancelled, "hedge book tracked a missing replica");
-                        if cancelled {
-                            resilience.hedges_cancelled += 1;
-                        }
-                    }
-                }
-                if job.id >= warmup {
-                    response.record(t - job.arrival);
-                    detail.response_sketch.record(t - job.arrival);
-                }
-                detail.jobs_in_system.update(t, cluster.in_system() as f64);
-                end_time = t;
-                None
-            }
-            SystemEvent::Renege => {
-                // lint: allow(panic-hygiene) — SystemEvent::Renege is only chosen when a renege peeked Some
-                let (t, entry) = reneges.pop().expect("renege entry is present");
-                // The head of an up, busy server is in service; on a down
-                // server only an interrupted (frozen) head has started.
-                let head_in_service = if cluster.is_up(entry.server) {
-                    cluster.load(entry.server) > 0
-                } else {
-                    frozen[entry.server].is_some()
-                };
-                if let Some(job) =
-                    cluster.renege_waiting(entry.server, entry.job_id, t, head_in_service)
-                {
-                    overload.reneged += 1;
-                    detail.jobs_in_system.update(t, cluster.in_system() as f64);
-                    bounce(
-                        cfg.retry,
-                        job,
-                        entry.client,
-                        entry.attempts,
-                        entry.prev_backoff,
-                        t,
-                        &mut orbit,
-                        &mut retry_rng,
-                        &mut overload,
-                    )?;
-                }
-                // A stale check (job already serving, completed, or
-                // migrated) is dropped silently: nothing happened.
-                None
-            }
-        };
-
-        if let Some((t, job, client, attempts, prev_backoff)) = admission {
-            policy.observe_arrival(t);
-            let mut server = {
-                let view = model.view(t, client, &mut cluster, &mut model_rng);
-                policy.select_sized(&view, job.service, &mut policy_rng)
-            };
-            if !cluster.is_up(server) {
-                // The policy picked a dead server (its board entry lives
-                // on). Fail the placement over to a random up server — the
-                // client's retry — or let the job wait out a full outage.
-                if let Some(alive) = random_up_server(&cluster, &mut fault_rng) {
-                    server = alive;
-                    stats.redirected += 1;
-                }
-            }
-            match cluster.admit(server, job, t) {
-                Admission::Rejected => {
-                    overload.rejected += 1;
-                    bounce(
-                        cfg.retry,
-                        job,
-                        client,
-                        attempts,
-                        prev_backoff,
-                        t,
-                        &mut orbit,
-                        &mut retry_rng,
-                        &mut overload,
-                    )?;
-                }
-                accepted => {
-                    if let Admission::InService(dep) = accepted {
-                        departures.try_push(dep, server)?;
-                        scheduled[server] = Some(dep);
-                    } else if let Some(deadline) = cfg.deadline {
-                        // Only a job that queued behind others can ever
-                        // renege; one already in service serves to
-                        // completion.
-                        reneges.try_push(
-                            t + deadline,
-                            RenegeEntry {
-                                server,
-                                job_id: job.id,
-                                client,
-                                attempts,
-                                prev_backoff,
-                            },
-                        )?;
-                    }
-                    model.after_placement(t, client, &cluster);
-                    if let Some(h) = hedge_h {
-                        // Place up to h − 1 hedge replicas on distinct extra
-                        // servers chosen by the inner policy. Replicas go in
-                        // via requeue (no arrival count), so conservation
-                        // stays 1 arrival + 1 departure per logical job.
-                        hedge_scratch.clear();
-                        hedge_scratch.push(server);
-                        for _ in 1..h {
-                            let pick = {
-                                let view = model.view(t, client, &mut cluster, &mut model_rng);
-                                policy.select_sized(&view, job.service, &mut policy_rng)
-                            };
-                            if hedge_scratch.contains(&pick) || !cluster.is_up(pick) {
-                                // Opportunistic hedging: a duplicate or dead
-                                // pick just means one fewer replica.
-                                continue;
-                            }
-                            resilience.hedges_issued += 1;
-                            if let Some(dep) = cluster.requeue(pick, job, t) {
-                                departures.try_push(dep, pick)?;
-                                scheduled[pick] = Some(dep);
-                            }
-                            hedge_scratch.push(pick);
-                        }
-                        if hedge_scratch.len() > 1 {
-                            hedge_book.insert(job.id, hedge_scratch.clone());
-                        }
-                    }
-                    detail.jobs_in_system.update(t, cluster.in_system() as f64);
-                }
-            }
-        }
-    }
-
-    debug_assert_eq!(cluster.in_system(), 0, "drain must empty the system");
-    if let Some(process) = &crash_process {
-        // Servers still down when the run ends contribute their partial
-        // outage.
-        for since in process.down_since.iter().flatten() {
-            stats.downtime += (end_time - since).max(0.0);
-        }
-    }
-    let mut diagnostics = Vec::new();
-    let history_misses = cluster.history_misses();
-    if history_misses > 0 {
-        diagnostics.push(Diagnostic {
-            code: "history-misses",
-            message: format!(
-                "{history_misses} delayed-view queries fell outside the retained load history; \
-                 increase the history window (results may understate staleness effects)"
-            ),
-        });
-    }
-    detail.tallies = ServerTallies::PerServer {
-        completed: (0..n).map(|s| cluster.completed(s)).collect(),
-        busy: (0..n).map(|s| cluster.busy_time(s)).collect(),
+    let mut engine = Engine {
+        cfg,
+        warmup: cfg.warmup_jobs(),
+        cluster,
+        router: Router {
+            model,
+            policy: DispatchPolicy::from_spec(policy),
+            model_rng: &mut model_rng,
+            policy_rng: &mut policy_rng,
+        },
+        arrivals: Arrivals {
+            next: Some(process.next(&mut arrival_rng)),
+            process,
+            generated: 0,
+            limit: cfg.arrivals,
+            service: cfg.service.sampler(),
+            arrival_rng: &mut arrival_rng,
+            service_rng: &mut service_rng,
+        },
+        departures: DepartureBook {
+            queue: EventQueue::with_capacity(n),
+            scheduled: vec![None; n],
+            frozen: vec![None; n],
+        },
+        deadlines: EventQueue::new(),
+        orbit: RetryOrbit {
+            queue: EventQueue::new(),
+            retry: cfg.retry,
+            retry_rng: &mut retry_rng,
+        },
+        hedges: HedgeBook {
+            copies: hedge.filter(|&h| h > 1),
+            ..HedgeBook::default()
+        },
+        crash,
+        partition,
+        fault_rng: &mut fault_rng,
+        faults: FaultStats::default(),
+        overload: OverloadStats::default(),
+        response: OnlineStats::new(),
+        detail: RunDetail::new(cfg.sketch_cap),
+        end_time: 0.0,
     };
-    if let Some(process) = &partition_process {
-        resilience.partition_seconds = process.total_seconds(end_time);
+    engine.run(steps)?;
+    Ok(engine.finish())
+}
+
+/// One per-server run: its event sources, each owning its state, and tallies.
+struct Engine<'a> {
+    cfg: &'a SimConfig,
+    warmup: u64,
+    cluster: Cluster,
+    router: Router<'a>,
+    arrivals: Arrivals<'a>,
+    departures: DepartureBook,
+    /// Deadline checks, with where each job was queued at admission: a job
+    /// moved elsewhere by work stealing or crash re-dispatch silently loses
+    /// its deadline (migration restarts the job's placement).
+    deadlines: EventQueue<(ServerId, Attempt)>,
+    orbit: RetryOrbit<'a>,
+    hedges: HedgeBook,
+    crash: Option<CrashProcess>,
+    partition: Option<PartitionProcess>,
+    /// The fault stream past the board's and the partitions' forks.
+    fault_rng: &'a mut SimRng,
+    faults: FaultStats,
+    overload: OverloadStats,
+    response: OnlineStats,
+    detail: RunDetail,
+    /// Simulated time of the last departure.
+    end_time: f64,
+}
+
+impl Engine<'_> {
+    /// The event loop: each step picks the next event and hands it to its
+    /// source. A board refresh is a step too, so a storm of them is stopped.
+    fn run(&mut self, mut steps: StepCounter<'_>) -> Result<(), SimError> {
+        loop {
+            steps.step()?;
+            let due = [
+                self.router.model.next_event().unwrap_or(f64::INFINITY),
+                self.arrivals.next.map_or(f64::INFINITY, |(t, _)| t),
+                self.departures.due(),
+                self.deadlines.peek_time().unwrap_or(f64::INFINITY),
+                self.orbit.queue.peek_time().unwrap_or(f64::INFINITY),
+                self.crash.as_ref().map_or(f64::INFINITY, |c| c.pending.0),
+                self.partition.as_ref().map_or(f64::INFINITY, |p| p.next),
+            ];
+            let Some((t, source)) = next_event(due, self.cluster.in_system() == 0) else {
+                return Ok(());
+            };
+            match source {
+                Source::Board => self.router.model.on_event(t, &self.cluster),
+                Source::Arrival | Source::Orbit => self.admit(source)?,
+                Source::Departure => self.depart()?,
+                Source::Deadline => self.renege()?,
+                Source::Crash => self.step_membership(t)?,
+                Source::Partition => {
+                    if let Some(process) = &mut self.partition {
+                        process.step(&mut self.cluster, t);
+                    }
+                }
+            }
+        }
     }
-    let telemetry = policy.telemetry();
-    resilience.quarantine_ejections = telemetry.ejections;
-    resilience.quarantine_readmissions = telemetry.readmissions;
-    resilience.corrupted_reports = model.corrupted_reports();
-    Ok(RunResult {
-        mean_response: response.mean(),
-        response,
-        measured_jobs: response.count(),
-        generated: next_id,
-        end_time,
-        history_misses,
-        faults: stats,
-        overload,
-        resilience,
-        diagnostics,
-        detail,
-    })
+
+    /// Admits the next arrival or re-arrival: the router picks its server, a
+    /// rejected attempt bounces, and a hedged job gets its replicas.
+    fn admit(&mut self, source: Source) -> Sched {
+        let next = if source == Source::Arrival {
+            self.arrivals.take()
+        } else {
+            self.orbit.reenter()
+        };
+        let Some((t, attempt)) = next else {
+            return Ok(());
+        };
+        let Attempt { job, client, .. } = attempt;
+        self.router.policy.observe_arrival(t);
+        let mut server = self.router.pick(t, client, job.service, &mut self.cluster);
+        if !self.cluster.is_up(server) {
+            // The policy picked a dead server (its board entry lives on).
+            // Fail the placement over to a random up server — the client's
+            // retry — or let the job wait out a full outage.
+            if let Some(alive) = random_up_server(&self.cluster, self.fault_rng) {
+                server = alive;
+                self.faults.redirected += 1;
+            }
+        }
+        match self.cluster.admit(server, job, t) {
+            Admission::Rejected => {
+                self.overload.rejected += 1;
+                return self.orbit.offer(t, attempt, &mut self.overload);
+            }
+            Admission::InService(dep) => self.departures.book(server, Some(dep))?,
+            // Only a job that queued behind others can ever renege; one
+            // already in service serves to completion.
+            Admission::Queued => {
+                if let Some(deadline) = self.cfg.deadline {
+                    self.deadlines.try_push(t + deadline, (server, attempt))?;
+                }
+            }
+        }
+        self.router.model.after_placement(t, client, &self.cluster);
+        let (cluster, departures) = (&mut self.cluster, &mut self.departures);
+        let router = &mut self.router;
+        self.hedges
+            .place(t, &attempt, server, cluster, departures, router)?;
+        self.sample_in_system(t);
+        Ok(())
+    }
+
+    /// Completes the next departure: a hedged job's other copies are
+    /// cancelled, and a measured job's response time is recorded.
+    fn depart(&mut self) -> Sched {
+        let steal = self.cfg.work_stealing;
+        let Some(done @ (t, _, job)) = self.departures.complete(&mut self.cluster, steal)? else {
+            return Ok(());
+        };
+        let (cluster, departures) = (&mut self.cluster, &mut self.departures);
+        self.hedges.cancel_losers(done, cluster, departures)?;
+        if job.id >= self.warmup {
+            self.response.record(t - job.arrival);
+            self.detail.response_sketch.record(t - job.arrival);
+        }
+        self.sample_in_system(t);
+        self.end_time = t;
+        Ok(())
+    }
+
+    /// Fires the next deadline check: a job still waiting where it was
+    /// queued reneges and bounces. A stale check (the job already serving,
+    /// completed, or migrated) is dropped silently: nothing happened.
+    fn renege(&mut self) -> Sched {
+        let Some((t, (server, attempt))) = self.deadlines.pop() else {
+            return Ok(());
+        };
+        // The head of an up, busy server is in service; on a down server
+        // only an interrupted (frozen) head has started.
+        let head_in_service = if self.cluster.is_up(server) {
+            self.cluster.load(server) > 0
+        } else {
+            self.departures.frozen[server].is_some()
+        };
+        let id = attempt.job.id;
+        let Some(job) = self.cluster.renege_waiting(server, id, t, head_in_service) else {
+            return Ok(());
+        };
+        self.overload.reneged += 1;
+        self.sample_in_system(t);
+        let bounced = Attempt { job, ..attempt };
+        self.orbit.offer(t, bounced, &mut self.overload)
+    }
+
+    fn step_membership(&mut self, t: f64) -> Sched {
+        if let Some(process) = &mut self.crash {
+            let (cluster, book, hedges) =
+                (&mut self.cluster, &mut self.departures, &mut self.hedges);
+            if process.step(cluster, book, hedges, &mut self.faults, self.fault_rng)? {
+                self.sample_in_system(t);
+            }
+        }
+        Ok(())
+    }
+
+    fn sample_in_system(&mut self, t: f64) {
+        let in_system = self.cluster.in_system() as f64;
+        self.detail.jobs_in_system.update(t, in_system);
+    }
+
+    /// The run's result, once its loop has ended.
+    fn finish(self) -> RunResult {
+        let (cluster, end_time) = (&self.cluster, self.end_time);
+        debug_assert_eq!(cluster.in_system(), 0, "drain must empty the system");
+        let mut faults = self.faults;
+        if let Some(process) = &self.crash {
+            // Servers still down at the end add their partial outage.
+            for since in process.down_since.iter().flatten() {
+                faults.downtime += (end_time - since).max(0.0);
+            }
+        }
+        let mut diagnostics = Vec::new();
+        let history_misses = cluster.history_misses();
+        if history_misses > 0 {
+            diagnostics.push(Diagnostic {
+                code: "history-misses",
+                message: format!(
+                    "{history_misses} delayed-view queries fell outside the retained load \
+                     history; increase the history window (results may understate \
+                     staleness effects)"
+                ),
+            });
+        }
+        let mut detail = self.detail;
+        let n = cluster.len();
+        detail.tallies = ServerTallies::PerServer {
+            completed: (0..n).map(|s| cluster.completed(s)).collect(),
+            busy: (0..n).map(|s| cluster.busy_time(s)).collect(),
+        };
+        let mut resilience = self.hedges.stats;
+        if let Some(process) = &self.partition {
+            resilience.partition_seconds = process.total_seconds(end_time);
+        }
+        let telemetry = self.router.policy.telemetry();
+        resilience.quarantine_ejections = telemetry.ejections;
+        resilience.quarantine_readmissions = telemetry.readmissions;
+        resilience.corrupted_reports = self.router.model.corrupted_reports();
+        RunResult {
+            mean_response: self.response.mean(),
+            response: self.response,
+            measured_jobs: self.response.count(),
+            generated: self.arrivals.generated,
+            end_time,
+            history_misses,
+            faults,
+            overload: self.overload,
+            resilience,
+            diagnostics,
+            detail,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1219,18 +1219,75 @@ mod tests {
     #[test]
     fn a_stop_predicate_ends_both_engines_on_its_poll() {
         // periodic:1e-9 is a refresh storm: ~6·10^12 refreshes over the
-        // 6 000 time units the run's arrivals span.
+        // 6 000 time units the run's arrivals span. crash:1e-6:1 keeps a
+        // server up a ~10^-6 share of the time, so its jobs barely move:
+        // over 30 000 arrivals the run does not end in practice, and over
+        // 20 they end up stranded on down servers, where only fault
+        // events advance the clock.
         use crate::EngineMode::{PerServer, Population};
-        for (engine, period) in [(PerServer, 2.0), (PerServer, 1e-9), (Population, 1e-9)] {
+        let crash: FaultSpec = "crash:1e-6:1".parse().expect("valid fault clause");
+        for (engine, period, faults, arrivals) in [
+            (PerServer, 2.0, FaultSpec::none(), 30_000),
+            (PerServer, 1e-9, FaultSpec::none(), 30_000),
+            (Population, 1e-9, FaultSpec::none(), 30_000),
+            (PerServer, 2.0, crash, 30_000),
+            (PerServer, 2.0, crash, 20),
+        ] {
             let mut cfg = quick_cfg(3);
-            cfg.engine = engine;
+            (cfg.engine, cfg.faults, cfg.arrivals) = (engine, faults, arrivals);
             let (info, policy, mut polls) = (InfoSpec::Periodic { period }, PolicySpec::Random, 0);
             let r = run_simulation_until(&cfg, &ArrivalSpec::Poisson, &info, &policy, || {
                 polls += 1;
                 polls == 3
             });
-            assert!(matches!(r, Err(SimError::Stopped)) && polls == 3, "{r:?}");
+            assert!(
+                matches!(r, Err(SimError::Stopped)) && polls == 3,
+                "{engine:?} periodic:{period} {faults} over {arrivals} arrivals: {r:?}"
+            );
         }
+    }
+
+    #[test]
+    fn next_event_breaks_ties_in_source_order_and_applies_the_end_rule() {
+        use Source::*;
+        let order = [Board, Arrival, Departure, Deadline, Orbit, Crash, Partition];
+        let due = |pending: &[(Source, f64)]| {
+            let mut due = [f64::INFINITY; 7];
+            for &(s, t) in pending {
+                due[s as usize] = t;
+            }
+            due
+        };
+        for (i, &first) in order.iter().enumerate() {
+            for &second in &order[i + 1..] {
+                // Equal times: the source ranked first fires first, either
+                // way round; an earlier time beats any rank.
+                let tie = due(&[(first, 2.0), (second, 2.0)]);
+                assert_eq!(
+                    next_event(tie, false),
+                    Some((2.0, first)),
+                    "{first:?} {second:?}"
+                );
+                let later = due(&[(first, 3.0), (second, 2.0)]);
+                assert_eq!(next_event(later, false), Some((2.0, second)));
+            }
+        }
+        // The board only catches up to another pending event.
+        assert_eq!(next_event(due(&[(Board, 1.0)]), false), None);
+        // With jobs stranded on down servers, fault events alone keep the
+        // run going; with an empty cluster they do not.
+        for fault in [Crash, Partition] {
+            let pending = due(&[(Board, 1.0), (fault, 2.0)]);
+            assert_eq!(next_event(pending, false), Some((1.0, Board)));
+            assert_eq!(next_event(due(&[(fault, 2.0)]), false), Some((2.0, fault)));
+            assert_eq!(next_event(pending, true), None);
+            // Any pending system event keeps an empty cluster's run going.
+            for system in [Arrival, Departure, Deadline, Orbit] {
+                let pending = due(&[(fault, 2.0), (system, 5.0)]);
+                assert_eq!(next_event(pending, true), Some((2.0, fault)));
+            }
+        }
+        assert_eq!(next_event(due(&[]), false), None);
     }
 
     #[test]

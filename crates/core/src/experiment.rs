@@ -286,7 +286,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MAX_UOA_SNAPSHOT_ENTRIES;
+    use crate::config::MAX_UOA_SNAPSHOT_ENTRIES;
     use crate::{run_simulation, EngineMode, FaultSpec};
 
     fn quick_experiment(policy: PolicySpec, trials: usize) -> Experiment {

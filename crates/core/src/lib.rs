@@ -52,16 +52,18 @@ mod metrics;
 mod pool;
 mod population;
 
-pub use config::{ArrivalSpec, ConfigError, EngineMode, SimConfig, SimConfigBuilder};
-pub use engine::{
-    check_fault_clock, check_run_bounds, run_simulation, run_simulation_until, Diagnostic,
-    FaultStats, RunResult,
+pub use config::{
+    check_fault_clock, check_run_bounds, ArrivalSpec, ConfigError, EngineMode, SimConfig,
+    SimConfigBuilder,
 };
+pub use engine::{run_simulation, run_simulation_until, Diagnostic, RunResult};
 pub use error::SimError;
 pub use experiment::{
     clients_for_mean_age, trial_seed, Experiment, ExperimentResult, TrialFailure, TrialOutcome,
 };
 pub use fault::{ChurnSpec, CorruptSpec, CrashSpec, FaultSpec, LossSpec, PartitionSpec};
-pub use metrics::{jain_fairness, OverloadStats, ResilienceStats, RunDetail, TailSummary};
+pub use metrics::{
+    jain_fairness, FaultStats, OverloadStats, ResilienceStats, RunDetail, TailSummary,
+};
 pub use pool::WorkerPool;
 pub use staleload_workloads::RetrySpec;

@@ -8,6 +8,23 @@
 use staleload_sim::TimeWeighted;
 use staleload_stats::TailSketch;
 
+/// Counters for the fault process of one run (all zero when the run was
+/// fault-free).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultStats {
+    /// Server crashes injected.
+    pub crashes: u64,
+    /// Servers brought back up.
+    pub recoveries: u64,
+    /// Jobs moved off a crashed server's queue (re-dispatch mode only).
+    pub redispatched: u64,
+    /// Arrivals routed to a down server and redirected to an up one.
+    pub redirected: u64,
+    /// Summed server-down time (a server down for 2 time units counts 2,
+    /// whether or not others were down simultaneously).
+    pub downtime: f64,
+}
+
 /// Detailed metrics of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunDetail {

@@ -73,8 +73,8 @@ use staleload_sim::{Dist, OnlineStats, SimRng};
 use staleload_workloads::AliasTable;
 
 use crate::config::ConfigError;
-use crate::engine::{FaultStats, StepCounter};
-use crate::metrics::ServerTallies;
+use crate::engine::StepCounter;
+use crate::metrics::{FaultStats, ServerTallies};
 use crate::{
     ArrivalSpec, OverloadStats, ResilienceStats, RunDetail, RunResult, SimConfig, SimError,
 };

@@ -3,9 +3,11 @@
 //! Trajectory reproducibility rests on the fork tree: `run_inner`
 //! forks one child stream per subsystem off the master RNG, in an
 //! order pinned by [`MANIFEST`], and each stream is drawn only by its
-//! subsystem. This rule subsumes the old single-site `fork-discipline`
-//! manifest check and extends it with taint tracking over the item
-//! graph:
+//! subsystem: the event source that holds it. The manifest is a fork
+//! order, not the order in which sources fire at a tie (the board,
+//! which draws `model_rng`, fires first). This rule subsumes the old
+//! single-site `fork-discipline` manifest check and extends it with
+//! taint tracking over the item graph:
 //!
 //! * **Manifest** — in any file that forks `master`, the
 //!   `master.fork()` calls must be exactly the canonical

@@ -1123,3 +1123,115 @@ fn print_exact_tail_golden_bits() {
         r.detail.response_quantile(0.99).to_bits(),
     );
 }
+
+/// The engine-path matrix: event-loop paths that no other pin and no
+/// perfbench grid reaches, on the board matrix's n = 12, 40k arrivals,
+/// seed 99 and periodic:5 board. Crash re-dispatch; the CLI help's
+/// `--hedge 2 --faults churn:150:30,corrupt:0.1`, whose replicas migrate
+/// when churn drains a server; work stealing, alone and beside stall-mode
+/// crashes; deadlines and retries on crashing servers; and Hetero LI on a
+/// heterogeneous cluster.
+fn engine_combos() -> Vec<(&'static str, SimConfig, PolicySpec)> {
+    let base = |faults: &str| {
+        let mut b = SimConfig::builder();
+        b.servers(12).lambda(0.8).arrivals(40_000).seed(99);
+        b.faults(faults.parse().expect("valid fault clauses"));
+        b
+    };
+    let li = PolicySpec::BasicLi { lambda: 0.8 };
+    let hedged = PolicySpec::Hedged {
+        h: 2,
+        inner: Box::new(li.clone()),
+    };
+    let capacities: Vec<f64> = (0..12).map(|i| if i < 6 { 1.6 } else { 0.4 }).collect();
+    let hetero_li = PolicySpec::HeteroLi {
+        lambda: 0.7,
+        capacities: capacities.clone(),
+    };
+    let retry = "4:0.5:8".parse().expect("valid retry spec");
+    let crash = base("crash:250:25:redispatch").build();
+    let churn = base("churn:150:30,corrupt:0.1").build();
+    let stealing = base("none").work_stealing(2).build();
+    let stealing_crash = base("crash:250:25").work_stealing(2).build();
+    let deadline_crash = base("crash:250:25").deadline(8.0).retry(retry).build();
+    let hetero = base("none").capacities(capacities).lambda(0.7).build();
+    vec![
+        ("crash-redispatch/basic-li", crash, li.clone()),
+        ("hedge2+churn+corrupt/basic-li", churn, hedged),
+        ("work-stealing/basic-li", stealing, li.clone()),
+        ("work-stealing+crash/basic-li", stealing_crash, li.clone()),
+        ("deadline+retry+crash/basic-li", deadline_crash, li),
+        ("capacities/hetero-li", hetero, hetero_li),
+    ]
+}
+
+/// One engine-path run: its mean and p99 bits, then its fault counters
+/// (crashes, recoveries, re-dispatched, redirected, downtime bits) and
+/// resilience counters (hedges issued, won and cancelled, quarantine
+/// ejections and readmissions, corrupted reports, partition-second bits).
+fn run_engine(cfg: &SimConfig, policy: &PolicySpec) -> EngineBits {
+    let info = InfoSpec::Periodic { period: 5.0 };
+    let r = run_simulation(cfg, &ArrivalSpec::Poisson, &info, policy).expect("valid config");
+    let (f, s) = (r.faults, r.resilience);
+    (
+        r.mean_response.to_bits(),
+        r.detail.response_quantile(0.99).to_bits(),
+        [
+            f.crashes,
+            f.recoveries,
+            f.redispatched,
+            f.redirected,
+            f.downtime.to_bits(),
+        ],
+        [
+            s.hedges_issued,
+            s.hedges_won,
+            s.hedges_cancelled,
+            s.quarantine_ejections,
+            s.quarantine_readmissions,
+            s.corrupted_reports,
+            s.partition_seconds.to_bits(),
+        ],
+    )
+}
+
+type EngineBits = (u64, u64, [u64; 5], [u64; 7]);
+
+/// The engine-path matrix's [`EngineBits`], in `engine_combos` order.
+/// Regenerate with the `print_engine_golden_bits` capture helper after
+/// intentional changes.
+#[rustfmt::skip]
+const ENGINE_GOLDEN: [(&str, EngineBits); 6] = [
+    ("crash-redispatch/basic-li", (0x4013e20c6dd2f362, 0x40329e0386c3fcc8, [180, 178, 664, 5371, 4662303566120409801], [0, 0, 0, 0, 0, 0, 0])),
+    ("hedge2+churn+corrupt/basic-li", (0x40559a29ad31970f, 0x407dd2e58c2a44b0, [319, 316, 28718, 8301, 4666764481515422124], [14992, 7346, 14992, 0, 0, 902, 0])),
+    ("work-stealing/basic-li", (0x3ff593eb5f9dd045, 0x40161e7e397956f0, [0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0])),
+    ("work-stealing+crash/basic-li", (0x4002da23d1f97ca2, 0x402ba00799ed3f1d, [181, 180, 0, 4039, 4661679198228248166], [0, 0, 0, 0, 0, 0, 0])),
+    ("deadline+retry+crash/basic-li", (0x4010376e926ef49e, 0x4031b6b2d5b97bf8, [165, 165, 0, 3539, 4659933771362253741], [0, 0, 0, 0, 0, 0, 0])),
+    ("capacities/hetero-li", (0x40017c8cb08a0125, 0x40266a754f9d6a90, [0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0])),
+];
+
+/// The engine-path matrix replays its pinned bits and counters.
+#[test]
+fn engine_matrix_replays_pinned_bits() {
+    let combos = engine_combos();
+    assert_eq!(combos.len(), ENGINE_GOLDEN.len());
+    for ((label, cfg, policy), (golden_label, golden)) in combos.into_iter().zip(ENGINE_GOLDEN) {
+        assert_eq!(label, golden_label);
+        assert_eq!(
+            run_engine(&cfg, &policy),
+            golden,
+            "{label} drifted from golden"
+        );
+    }
+}
+
+/// Capture helper (not a regression test): prints the ENGINE_GOLDEN array
+/// body from the current engine.
+#[test]
+#[ignore = "capture helper; run with --ignored --nocapture to regenerate ENGINE_GOLDEN"]
+fn print_engine_golden_bits() {
+    for (label, cfg, policy) in engine_combos() {
+        let (mean, p99, faults, resilience) = run_engine(&cfg, &policy);
+        println!("    (\"{label}\", ({mean:#018x}, {p99:#018x}, {faults:?}, {resilience:?})),");
+    }
+}
