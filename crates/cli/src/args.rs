@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use staleload_core::{
-    check_fault_clock, check_run_bounds, clients_for_mean_age, ArrivalSpec, EngineMode, FaultSpec,
-    RetrySpec, SimConfig,
+    check_fault_clock, check_run, check_run_bounds, clients_for_mean_age, ArrivalSpec, EngineMode,
+    FaultSpec, RetrySpec, SimConfig,
 };
 use staleload_info::{AgeKnowledge, DelaySpec, InfoSpec};
 use staleload_policies::PolicySpec;
@@ -37,9 +37,11 @@ pub struct RunArgs {
 
 /// Parses a policy spec string.
 ///
-/// Grammar: `random | greedy | k:<K> | threshold:<T> | basic-li |
-/// aggressive-li | hybrid-li | li:<K> | decay:<TAU> | adaptive-li |
-/// hetero-li` (the last requires `--capacities`).
+/// Grammar: `random | greedy | k:<K> | threshold:<T> | probe:<L>:<T> |
+/// basic-li | aggressive-li | hybrid-li | li:<K> | decay:<TAU> |
+/// adaptive-li | hetero-li | sita` (`hetero-li` requires `--capacities`;
+/// `sita` is resolved by [`parse_run`], which knows the service
+/// distribution and the server count).
 ///
 /// # Errors
 ///
@@ -458,60 +460,7 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
     }
 
     let info = parse_info(&info_spec)?;
-    info.validate()?;
-    faults.check_report_path(&info).map_err(|e| e.to_string())?;
     let service = parse_service(&service_spec)?;
-    // SITA-E derives its size cutoffs from the service distribution and
-    // server count, so it is resolved here rather than in `parse_policy`.
-    let policy = if policy_spec == "sita" {
-        PolicySpec::Sita {
-            boundaries: staleload_policies::Sita::equal_load(&service, servers)
-                .boundaries()
-                .to_vec(),
-        }
-    } else {
-        parse_policy(&policy_spec, lambda, capacities.as_deref())?
-    };
-    // Gating composes over any base policy; it matters under fault
-    // injection, where board entries age independently.
-    let policy = match staleness_cutoff {
-        Some(cutoff) => PolicySpec::Gated {
-            cutoff,
-            inner: Box::new(policy),
-        },
-        None => policy,
-    };
-    // Quarantine composes above the gate: it ejects servers the same
-    // per-server ages the gate merely discounts.
-    let policy = match quarantine {
-        Some((window, backoff)) => PolicySpec::Quarantined {
-            window,
-            backoff,
-            inner: Box::new(policy),
-        },
-        None => policy,
-    };
-    // The circuit breaker watches the dispatch stream the composed policy
-    // actually produces.
-    let policy = match guard {
-        Some((threshold, cooldown)) => PolicySpec::Guarded {
-            threshold,
-            cooldown,
-            inner: Box::new(policy),
-        },
-        None => policy,
-    };
-    // Hedging must be outermost: the engine splits it off and drives the
-    // replica placement and cancel-on-completion machinery itself.
-    let policy = match hedge {
-        Some(h) => PolicySpec::Hedged {
-            h,
-            inner: Box::new(policy),
-        },
-        None => policy,
-    };
-    policy.validate()?;
-
     let arrivals_spec = match parse_uoa_age(&info_spec)? {
         Some(age) => {
             let clients = clients_for_mean_age(lambda, servers, age);
@@ -557,12 +506,64 @@ pub fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         builder.sketch_cap(cap);
     }
     let config = builder.try_build().map_err(|e| e.to_string())?;
-    // A crash or churn process or a board that cannot advance its clock,
-    // or more update-on-access snapshots than the cap: rejected before a
-    // trial allocates anything.
+
+    // SITA-E derives its size cutoffs from the service distribution and
+    // the server count (at least 1 once the config is built), so it is
+    // resolved here rather than in `parse_policy`.
+    let policy = if policy_spec == "sita" {
+        PolicySpec::Sita {
+            boundaries: staleload_policies::Sita::equal_load(&service, config.servers)
+                .boundaries()
+                .to_vec(),
+        }
+    } else {
+        parse_policy(&policy_spec, lambda, config.capacities.as_deref())?
+    };
+    // Gating composes over any base policy; it matters under fault
+    // injection, where board entries age independently.
+    let policy = match staleness_cutoff {
+        Some(cutoff) => PolicySpec::Gated {
+            cutoff,
+            inner: Box::new(policy),
+        },
+        None => policy,
+    };
+    // Quarantine composes above the gate: it ejects servers the same
+    // per-server ages the gate merely discounts.
+    let policy = match quarantine {
+        Some((window, backoff)) => PolicySpec::Quarantined {
+            window,
+            backoff,
+            inner: Box::new(policy),
+        },
+        None => policy,
+    };
+    // The circuit breaker watches the dispatch stream the composed policy
+    // actually produces.
+    let policy = match guard {
+        Some((threshold, cooldown)) => PolicySpec::Guarded {
+            threshold,
+            cooldown,
+            inner: Box::new(policy),
+        },
+        None => policy,
+    };
+    // Hedging must be outermost: the engine splits it off and drives the
+    // replica placement and cancel-on-completion machinery itself.
+    let policy = match hedge {
+        Some(h) => PolicySpec::Hedged {
+            h,
+            inner: Box::new(policy),
+        },
+        None => policy,
+    };
+
+    // Every rule is `check_run`'s; the fault clock and the board's bounds
+    // are checked first only to name their flag in the message.
     check_fault_clock(&config).map_err(|e| format!("--faults: {e}"))?;
     check_run_bounds(&config, &arrivals_spec, &info)
         .map_err(|e| format!("--info {info_spec}: {e}"))?;
+    check_run(&config, &arrivals_spec, &info, &policy).map_err(|e| e.to_string())?;
 
     Ok(RunArgs {
         config,

@@ -15,8 +15,9 @@
 //! `--capacities <spec>`, `--stealing <MIN>`, `--burst <LEN>:<GAP>`,
 //! `--queue-cap <N>`, `--deadline <T>`, `--retry <MAX>:<BASE>:<CAP>`,
 //! `--guard <THR>:<COOLDOWN>`, `--faults <spec>`, `--hedge <H>`,
-//! `--quarantine <WINDOW>:<BACKOFF>`, `--engine <per-server|population>`,
-//! `--watchdog <SECS>`, `--detail`.
+//! `--quarantine <WINDOW>:<BACKOFF>`, `--staleness-cutoff <AGE>`,
+//! `--engine <per-server|population>`, `--watchdog <SECS>`,
+//! `--sketch-cap <N>`, `--tail-p <P>`, `--detail`.
 
 #![forbid(unsafe_code)]
 // The CLI is a terminal tool; stdout is its interface.
@@ -27,7 +28,7 @@ mod args;
 use std::process::ExitCode;
 
 use args::{parse_run, RunArgs};
-use staleload_core::Experiment;
+use staleload_core::{check_run, Experiment};
 use staleload_policies::{rank_distribution, PolicySpec};
 use staleload_runner::{ResultCache, SweepRunner, WatchdogSpec, WorkerPool};
 use staleload_stats::Table;
@@ -75,9 +76,9 @@ fn print_help() {
          --arrivals N       jobs per trial (200000)\n  \
          --trials N         independent seeds (5)\n  \
          --seed N           master seed (1)\n  \
-         --policy SPEC      random | greedy | k:<K> | threshold:<T> | basic-li |\n                     \
-         aggressive-li | hybrid-li | li:<K> | decay:<TAU> |\n                     \
-         adaptive-li | hetero-li\n  \
+         --policy SPEC      random | greedy | k:<K> | threshold:<T> | probe:<L>:<T> |\n                     \
+         basic-li | aggressive-li | hybrid-li | li:<K> | decay:<TAU> |\n                     \
+         adaptive-li | hetero-li | sita\n  \
          --info SPEC        fresh | periodic:<T> | continuous:<const|unarrow|uwide|exp>:<T>[:actual] | uoa:<T> |\n                     \
          ewma:<ALPHA>[:<T>] | ma:<W1>,<W2>,<W3>[:<T>]\n  \
          --service SPEC     exp | det | bp:<ALPHA>:<MAX>\n  \
@@ -267,14 +268,26 @@ fn report_anomalies(result: &staleload_core::ExperimentResult) {
 
 fn cmd_compare(args: &RunArgs) -> Result<(), String> {
     let lambda = args.config.lambda;
-    let panel: Vec<PolicySpec> = vec![
+    // The population engine runs the symmetric policies only: what the
+    // chosen engine rejects is left out, and named.
+    let (panel, left_out): (Vec<PolicySpec>, Vec<PolicySpec>) = [
         PolicySpec::Random,
         PolicySpec::KSubset { k: 2 },
         PolicySpec::KSubset { k: 3 },
         PolicySpec::Greedy,
         PolicySpec::BasicLi { lambda },
         PolicySpec::AggressiveLi { lambda },
-    ];
+    ]
+    .into_iter()
+    .partition(|policy| check_run(&args.config, &args.arrivals, &args.info, policy).is_ok());
+    if !left_out.is_empty() {
+        let names: Vec<String> = left_out.iter().map(PolicySpec::label).collect();
+        eprintln!(
+            "note: the {} engine rejects {}; left out of the panel",
+            args.config.engine,
+            names.join(", ")
+        );
+    }
     println!(
         "{} | n={} lambda={} arrivals={} trials={}",
         args.info.label(),

@@ -417,6 +417,21 @@ fn compare_prints_policy_panel() {
     }
 }
 
+/// On the population engine `compare` runs the panel policies that engine
+/// supports and names the one it leaves out.
+#[test]
+fn compare_on_the_population_engine_prints_the_symmetric_panel() {
+    let (ok, stdout, stderr) =
+        staleload_line("compare --servers 8 --arrivals 5000 --trials 2 --engine population");
+    assert!(ok, "stderr: {stderr}");
+    for needle in ["Random", "k=2", "k=3", "Greedy", "Basic LI"] {
+        assert!(stdout.contains(needle), "missing '{needle}':\n{stdout}");
+    }
+    assert!(!stdout.contains("Aggressive LI"), "{stdout}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("Aggressive LI"), "{stderr}");
+}
+
 #[test]
 fn watchdog_armed_runs_print_the_unguarded_output() {
     let flags = [
@@ -458,6 +473,9 @@ fn out_of_range_values_fail_without_a_panic() {
         "--watchdog 1e-12",
         "--info uoa:0",
         "--info uoa:1e30",
+        "--servers 0 --policy sita",
+        "--info uoa:5 --burst 5:-1",
+        "--info uoa:5 --burst 5:NaN",
     ] {
         let (ok, _, stderr) = staleload_line(&format!("run --arrivals 1000 --trials 1 {flags}"));
         assert!(!ok && stderr.starts_with("error: "), "{flags}: {stderr}");

@@ -4,9 +4,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use staleload_sim::{Dist, SchedulerKind};
-use staleload_workloads::{BurstConfig, RetrySpec};
+use staleload_workloads::{ArrivalProcess, BurstConfig, RetrySpec};
 
 use staleload_info::InfoSpec;
+use staleload_policies::PolicySpec;
 
 use crate::FaultSpec;
 
@@ -52,6 +53,62 @@ impl ArrivalSpec {
             | ArrivalSpec::BurstyClients { clients, .. } => clients,
         }
     }
+
+    /// Checks that the spec can carry `total_rate` arrivals per unit
+    /// time: at least one client, bursts that can average the clients'
+    /// mean inter-request time, and an MMPP whose phases have positive,
+    /// finite rates and sojourns.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the parameter out of range.
+    pub fn validate(&self, total_rate: f64) -> Result<(), ConfigError> {
+        if self.clients() == 0 {
+            return Err(ConfigError::new("need at least one client"));
+        }
+        match *self {
+            ArrivalSpec::Poisson | ArrivalSpec::PoissonClients { .. } => Ok(()),
+            ArrivalSpec::BurstyClients { clients, burst } => burst
+                .inter_gap_mean(clients as f64 / total_rate)
+                .map(drop)
+                .map_err(|e| ConfigError::new(format!("bursty arrival spec: {e}"))),
+            ArrivalSpec::Mmpp {
+                rate_ratio,
+                high_fraction,
+                cycle_mean,
+            } => mmpp_process(rate_ratio, high_fraction, cycle_mean, total_rate).map(drop),
+        }
+    }
+}
+
+/// The two-state process of [`ArrivalSpec::Mmpp`] at long-run rate
+/// `total_rate`, built without a draw, so [`ArrivalSpec::validate`] can.
+pub(crate) fn mmpp_process(
+    rate_ratio: f64,
+    high_fraction: f64,
+    cycle_mean: f64,
+    total_rate: f64,
+) -> Result<ArrivalProcess, ConfigError> {
+    if rate_ratio.is_nan() || rate_ratio < 1.0 {
+        return Err(ConfigError::new(format!(
+            "MMPP rate ratio must be at least 1, got {rate_ratio}"
+        )));
+    }
+    if !(high_fraction > 0.0 && high_fraction < 1.0) {
+        return Err(ConfigError::new(format!(
+            "MMPP high fraction must be in (0, 1), got {high_fraction}"
+        )));
+    }
+    // Solve the low rate so the sojourn-weighted mean is λ·n.
+    let low = total_rate / (1.0 - high_fraction + high_fraction * rate_ratio);
+    let high = rate_ratio * low;
+    ArrivalProcess::mmpp(
+        high,
+        high_fraction * cycle_mean,
+        low,
+        (1.0 - high_fraction) * cycle_mean,
+    )
+    .map_err(|e| ConfigError::new(format!("MMPP arrival spec: {e}")))
 }
 
 /// Which state representation the engine runs a trial with (ISSUE 9).
@@ -200,150 +257,16 @@ impl SimConfig {
     pub fn warmup_jobs(&self) -> u64 {
         (self.arrivals as f64 * self.warmup_fraction) as u64
     }
-}
 
-/// Builder for [`SimConfig`].
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    servers: usize,
-    lambda: f64,
-    arrivals: u64,
-    warmup_fraction: f64,
-    service: Dist,
-    capacities: Option<Vec<f64>>,
-    work_stealing: Option<u32>,
-    faults: FaultSpec,
-    queue_cap: Option<u32>,
-    deadline: Option<f64>,
-    retry: Option<RetrySpec>,
-    sketch_cap: usize,
-    engine: EngineMode,
-    seed: u64,
-}
-
-impl Default for SimConfigBuilder {
-    fn default() -> Self {
-        Self {
-            servers: 100,
-            lambda: 0.9,
-            arrivals: 500_000,
-            warmup_fraction: 0.1,
-            service: Dist::exponential(1.0),
-            capacities: None,
-            work_stealing: None,
-            faults: FaultSpec::none(),
-            queue_cap: None,
-            deadline: None,
-            retry: None,
-            sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
-            engine: EngineMode::PerServer,
-            seed: 1,
-        }
-    }
-}
-
-impl SimConfigBuilder {
-    /// Sets the number of servers `n`.
-    pub fn servers(&mut self, n: usize) -> &mut Self {
-        self.servers = n;
-        self
-    }
-
-    /// Sets the true per-server load λ.
-    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Sets the total number of generated jobs.
-    pub fn arrivals(&mut self, arrivals: u64) -> &mut Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the warm-up fraction (default 0.1).
-    pub fn warmup_fraction(&mut self, f: f64) -> &mut Self {
-        self.warmup_fraction = f;
-        self
-    }
-
-    /// Sets the job-size distribution.
-    pub fn service(&mut self, service: Dist) -> &mut Self {
-        self.service = service;
-        self
-    }
-
-    /// Makes the cluster heterogeneous: server `i` runs at rate
-    /// `capacities[i]` (also sets `servers` to the vector's length).
-    pub fn capacities(&mut self, capacities: Vec<f64>) -> &mut Self {
-        self.servers = capacities.len();
-        self.capacities = Some(capacities);
-        self
-    }
-
-    /// Enables receiver-driven work stealing: an idle server pulls a
-    /// waiting job from the longest queue when it holds at least
-    /// `min_victim_load` jobs (≥ 2).
-    pub fn work_stealing(&mut self, min_victim_load: u32) -> &mut Self {
-        self.work_stealing = Some(min_victim_load);
-        self
-    }
-
-    /// Enables fault injection (server crashes and/or a lossy update
-    /// channel); see [`FaultSpec`].
-    pub fn faults(&mut self, faults: FaultSpec) -> &mut Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Bounds every server's queue at `cap` jobs (including the one in
-    /// service); arrivals beyond the cap are rejected.
-    pub fn queue_cap(&mut self, cap: u32) -> &mut Self {
-        self.queue_cap = Some(cap);
-        self
-    }
-
-    /// Sets the per-job waiting deadline: jobs still waiting this long
-    /// after admission renege.
-    pub fn deadline(&mut self, deadline: f64) -> &mut Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Enables the retry orbit for rejected/reneged jobs.
-    pub fn retry(&mut self, retry: RetrySpec) -> &mut Self {
-        self.retry = Some(retry);
-        self
-    }
-
-    /// Sets the exact-mode capacity of the response-time quantile
-    /// sketch (must be ≥ 1; the default keeps runs of up to
-    /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
-    pub fn sketch_cap(&mut self, cap: usize) -> &mut Self {
-        self.sketch_cap = cap;
-        self
-    }
-
-    /// Selects the engine's state representation (default: per-server).
-    pub fn engine(&mut self, engine: EngineMode) -> &mut Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Validates and builds the configuration.
+    /// Checks every field is in range, and that a population-engine
+    /// config asks only for what the count representation is exact for.
+    /// [`check_run`] calls it too, so fields set after
+    /// [`SimConfigBuilder::build`] are checked before a run.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any parameter is out of range
-    /// (`servers == 0`, `λ ∉ (0, 2]`, `arrivals == 0`,
-    /// `warmup_fraction ∉ [0, 1)`).
-    pub fn try_build(&self) -> Result<SimConfig, ConfigError> {
+    /// Returns a [`ConfigError`] naming the first field out of range.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.servers == 0 {
             return Err(ConfigError::new("need at least one server"));
         }
@@ -416,53 +339,160 @@ impl SimConfigBuilder {
             // are exchangeable and all clocks are memoryless; every knob
             // that breaks that symmetry is a config error, not a silent
             // approximation.
-            if self.capacities.is_some() {
-                return Err(ConfigError::new(
-                    "population engine needs a homogeneous cluster (capacities break the \
-                     server exchangeability the count representation relies on)",
-                ));
-            }
-            if self.work_stealing.is_some() {
-                return Err(ConfigError::new(
-                    "population engine does not model work stealing; use the per-server engine",
-                ));
-            }
-            if !self.faults.is_none() {
-                return Err(ConfigError::new(
-                    "population engine does not model fault injection; use the per-server engine",
-                ));
-            }
-            if self.queue_cap.is_some() || self.deadline.is_some() || self.retry.is_some() {
-                return Err(ConfigError::new(
-                    "population engine does not model overload controls (queue caps, \
-                     deadlines, retries); use the per-server engine",
-                ));
-            }
-            if !matches!(self.service, Dist::Exponential { .. }) {
-                return Err(ConfigError::new(format!(
-                    "population engine is exact only for memoryless (exponential) service, \
-                     got {}; use the per-server engine",
-                    self.service
-                )));
-            }
+            let knob = if self.capacities.is_some() {
+                "heterogeneous capacities"
+            } else if self.work_stealing.is_some() {
+                "work stealing"
+            } else if !self.faults.is_none() {
+                "fault injection"
+            } else if self.queue_cap.is_some() || self.deadline.is_some() || self.retry.is_some() {
+                "overload controls (queue caps, deadlines, retries)"
+            } else if !matches!(self.service, Dist::Exponential { .. }) {
+                "non-exponential service"
+            } else {
+                return Ok(());
+            };
+            return Err(ConfigError::new(format!(
+                "population engine does not model {knob}; use the per-server engine"
+            )));
         }
-        Ok(SimConfig {
-            servers: self.servers,
-            lambda: self.lambda,
-            arrivals: self.arrivals,
-            warmup_fraction: self.warmup_fraction,
-            service: self.service,
-            capacities: self.capacities.clone(),
-            work_stealing: self.work_stealing,
-            faults: self.faults,
-            queue_cap: self.queue_cap,
-            deadline: self.deadline,
-            retry: self.retry,
-            scheduler: SchedulerKind::Heap,
-            sketch_cap: self.sketch_cap,
-            engine: self.engine,
-            seed: self.seed,
-        })
+        Ok(())
+    }
+}
+
+/// Builder for [`SimConfig`]: the config it builds, checked by
+/// [`SimConfigBuilder::try_build`].
+#[derive(Debug, Clone)]
+pub struct SimConfigBuilder {
+    cfg: SimConfig,
+}
+
+impl Default for SimConfigBuilder {
+    fn default() -> Self {
+        Self {
+            cfg: SimConfig {
+                servers: 100,
+                lambda: 0.9,
+                arrivals: 500_000,
+                warmup_fraction: 0.1,
+                service: Dist::exponential(1.0),
+                capacities: None,
+                work_stealing: None,
+                faults: FaultSpec::none(),
+                queue_cap: None,
+                deadline: None,
+                retry: None,
+                scheduler: SchedulerKind::Heap,
+                sketch_cap: staleload_stats::TailSketch::DEFAULT_CAP,
+                engine: EngineMode::PerServer,
+                seed: 1,
+            },
+        }
+    }
+}
+
+impl SimConfigBuilder {
+    /// Sets the number of servers `n`.
+    pub fn servers(&mut self, n: usize) -> &mut Self {
+        self.cfg.servers = n;
+        self
+    }
+
+    /// Sets the true per-server load λ.
+    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
+        self.cfg.lambda = lambda;
+        self
+    }
+
+    /// Sets the total number of generated jobs.
+    pub fn arrivals(&mut self, arrivals: u64) -> &mut Self {
+        self.cfg.arrivals = arrivals;
+        self
+    }
+
+    /// Sets the warm-up fraction (default 0.1).
+    pub fn warmup_fraction(&mut self, f: f64) -> &mut Self {
+        self.cfg.warmup_fraction = f;
+        self
+    }
+
+    /// Sets the job-size distribution.
+    pub fn service(&mut self, service: Dist) -> &mut Self {
+        self.cfg.service = service;
+        self
+    }
+
+    /// Makes the cluster heterogeneous: server `i` runs at rate
+    /// `capacities[i]` (also sets `servers` to the vector's length).
+    pub fn capacities(&mut self, capacities: Vec<f64>) -> &mut Self {
+        self.cfg.servers = capacities.len();
+        self.cfg.capacities = Some(capacities);
+        self
+    }
+
+    /// Enables receiver-driven work stealing: an idle server pulls a
+    /// waiting job from the longest queue when it holds at least
+    /// `min_victim_load` jobs (≥ 2).
+    pub fn work_stealing(&mut self, min_victim_load: u32) -> &mut Self {
+        self.cfg.work_stealing = Some(min_victim_load);
+        self
+    }
+
+    /// Enables fault injection (server crashes and/or a lossy update
+    /// channel); see [`FaultSpec`].
+    pub fn faults(&mut self, faults: FaultSpec) -> &mut Self {
+        self.cfg.faults = faults;
+        self
+    }
+
+    /// Bounds every server's queue at `cap` jobs (including the one in
+    /// service); arrivals beyond the cap are rejected.
+    pub fn queue_cap(&mut self, cap: u32) -> &mut Self {
+        self.cfg.queue_cap = Some(cap);
+        self
+    }
+
+    /// Sets the per-job waiting deadline: jobs still waiting this long
+    /// after admission renege.
+    pub fn deadline(&mut self, deadline: f64) -> &mut Self {
+        self.cfg.deadline = Some(deadline);
+        self
+    }
+
+    /// Enables the retry orbit for rejected/reneged jobs.
+    pub fn retry(&mut self, retry: RetrySpec) -> &mut Self {
+        self.cfg.retry = Some(retry);
+        self
+    }
+
+    /// Sets the exact-mode capacity of the response-time quantile
+    /// sketch (must be ≥ 1; the default keeps runs of up to
+    /// [`staleload_stats::TailSketch::DEFAULT_CAP`] measured jobs exact).
+    pub fn sketch_cap(&mut self, cap: usize) -> &mut Self {
+        self.cfg.sketch_cap = cap;
+        self
+    }
+
+    /// Selects the engine's state representation (default: per-server).
+    pub fn engine(&mut self, engine: EngineMode) -> &mut Self {
+        self.cfg.engine = engine;
+        self
+    }
+
+    /// Sets the master seed.
+    pub fn seed(&mut self, seed: u64) -> &mut Self {
+        self.cfg.seed = seed;
+        self
+    }
+
+    /// [Validates](SimConfig::validate) and builds the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimConfig::validate`]'s [`ConfigError`].
+    pub fn try_build(&self) -> Result<SimConfig, ConfigError> {
+        self.cfg.validate()?;
+        Ok(self.cfg.clone())
     }
 
     /// Validates and builds the configuration.
@@ -477,14 +507,103 @@ impl SimConfigBuilder {
     }
 }
 
+/// Decides whether a run is valid, before anything is drawn or allocated.
+/// [`crate::run_simulation_until`] calls it before it picks an engine, and
+/// [`crate::Experiment::validate`] before any trial is keyed or run. Its
+/// rules run in the order below, so [`check_run_bounds`] comes last and
+/// may assume the fields are in range.
+///
+/// # Errors
+///
+/// Returns the first rule's [`ConfigError`].
+pub fn check_run(
+    cfg: &SimConfig,
+    arrivals: &ArrivalSpec,
+    info: &InfoSpec,
+    policy: &PolicySpec,
+) -> Result<(), ConfigError> {
+    cfg.validate()?;
+    info.validate().map_err(ConfigError::new)?;
+    policy.validate().map_err(ConfigError::new)?;
+    arrivals.validate(cfg.total_rate())?;
+    cfg.faults.check_report_path(info)?;
+    check_hedge(cfg, policy)?;
+    check_fit(cfg.servers, policy)?;
+    if cfg.engine == EngineMode::Population {
+        crate::population::specs(cfg, arrivals, info, policy)?;
+    }
+    check_run_bounds(cfg, arrivals, info)
+}
+
+/// Hedging is engine machinery: the engine strips the outermost wrapper
+/// ([`PolicySpec::validate`] rejects `h = 0` and nested hedging), so the
+/// factor must fit the cluster and nothing else may fight over job
+/// ownership.
+fn check_hedge(cfg: &SimConfig, policy: &PolicySpec) -> Result<(), ConfigError> {
+    let (Some(h), _) = policy.split_hedged() else {
+        return Ok(());
+    };
+    if h as usize > cfg.servers {
+        return Err(ConfigError::new(format!(
+            "hedge factor h={h} exceeds the cluster size n={}",
+            cfg.servers
+        )));
+    }
+    if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
+        return Err(ConfigError::new(
+            "hedged dispatch cannot be combined with overload controls (queue caps, \
+             deadlines, retries): both would fight over job ownership",
+        ));
+    }
+    if cfg.work_stealing.is_some() {
+        return Err(ConfigError::new(
+            "hedged dispatch cannot be combined with work stealing: a stolen replica would \
+             escape the hedge book",
+        ));
+    }
+    if cfg.faults.crash.is_some() {
+        return Err(ConfigError::new(
+            "hedged dispatch cannot be combined with crash faults (a replica stalled on a \
+             down server could double-complete); model server loss with churn instead",
+        ));
+    }
+    Ok(())
+}
+
+/// A policy sized for a cluster must fit this one, wrappers included:
+/// SITA routes to one server per size class, and Hetero LI weighs one
+/// capacity per server.
+fn check_fit(servers: usize, policy: &PolicySpec) -> Result<(), ConfigError> {
+    match policy {
+        PolicySpec::Sita { boundaries } if boundaries.len() >= servers => {
+            Err(ConfigError::new(format!(
+                "SITA with {} boundaries routes to {} servers, but the cluster has {servers}",
+                boundaries.len(),
+                boundaries.len() + 1
+            )))
+        }
+        PolicySpec::HeteroLi { capacities, .. } if capacities.len() != servers => {
+            Err(ConfigError::new(format!(
+                "Hetero LI has {} capacities, but the cluster has {servers} servers",
+                capacities.len()
+            )))
+        }
+        PolicySpec::Gated { inner, .. }
+        | PolicySpec::Guarded { inner, .. }
+        | PolicySpec::Hedged { inner, .. }
+        | PolicySpec::Quarantined { inner, .. } => check_fit(servers, inner),
+        _ => Ok(()),
+    }
+}
+
 /// Most snapshot entries (`clients × servers`) an update-on-access run
 /// may hold: 2^26, 256 MiB of loads. perfbench's largest case holds
 /// 1 440 × 100, and Figs. 8–9's longest age 5 760 × 100.
 pub(crate) const MAX_UOA_SNAPSHOT_ENTRIES: usize = 1 << 26;
 
 /// Checks that a run of `info` can be stepped through and held in memory,
-/// before anything is allocated. Both engines call it first, and
-/// [`crate::Experiment::try_run`] before any trial.
+/// before anything is allocated: the last of [`check_run`]'s rules, which
+/// assume the fields are in range.
 ///
 /// - A board's refresh period must advance its clock over the time the
 ///   run's arrivals span, `arrivals / total rate`. A smaller one leaves
@@ -655,6 +774,149 @@ mod tests {
             })
             .try_build()
             .is_err());
+    }
+
+    #[test]
+    fn arrival_specs_are_checked_at_the_configured_rate() {
+        let mmpp = |rate_ratio, high_fraction, cycle_mean| ArrivalSpec::Mmpp {
+            rate_ratio,
+            high_fraction,
+            cycle_mean,
+        };
+        // 10 clients at a total rate of 0.9: 11.1 between a client's requests.
+        let bursty = |clients, burst_len, intra_gap_mean| ArrivalSpec::BurstyClients {
+            clients,
+            burst: BurstConfig {
+                burst_len,
+                intra_gap_mean,
+            },
+        };
+        for ok in [
+            ArrivalSpec::Poisson,
+            ArrivalSpec::PoissonClients { clients: 1 },
+            mmpp(4.0, 0.2, 20.0),
+            mmpp(1.0, 0.5, 1e-3),
+            bursty(10, 5, 1.0),
+            bursty(10, 1, 0.0),
+        ] {
+            assert_eq!(ok.validate(0.9), Ok(()), "{ok:?}");
+        }
+        for bad in [
+            ArrivalSpec::PoissonClients { clients: 0 },
+            bursty(0, 5, 1.0),
+            bursty(10, 0, 1.0),
+            bursty(10, 5, 20.0),
+            bursty(10, 5, -1.0),
+            bursty(10, 5, f64::NAN),
+            mmpp(0.5, 0.2, 20.0),
+            mmpp(f64::NAN, 0.2, 20.0),
+            mmpp(f64::INFINITY, 0.2, 20.0),
+            mmpp(4.0, 0.0, 20.0),
+            mmpp(4.0, 1.0, 20.0),
+            mmpp(4.0, 0.2, 0.0),
+            mmpp(4.0, 0.2, f64::INFINITY),
+        ] {
+            assert!(bad.validate(0.9).is_err(), "{bad:?}");
+        }
+    }
+
+    /// An LI estimate the constructors would reject is a config error on
+    /// both engines, with one message; a wrong but usable one, as
+    /// Figs. 12–13 feed, runs.
+    #[test]
+    fn li_estimates_out_of_range_are_config_errors_on_both_engines() {
+        let info = InfoSpec::Periodic { period: 4.0 };
+        let run = |engine, policy: &PolicySpec| {
+            let mut b = SimConfig::builder();
+            b.servers(8).lambda(0.5).arrivals(2_000).engine(engine);
+            crate::run_simulation(&b.build(), &ArrivalSpec::Poisson, &info, policy)
+        };
+        for lambda in [-0.5, f64::NAN, f64::INFINITY] {
+            let li = PolicySpec::BasicLi { lambda };
+            let [per_server, population] =
+                [EngineMode::PerServer, EngineMode::Population].map(|engine| {
+                    match run(engine, &li) {
+                        Err(crate::SimError::Config(e)) => e.to_string(),
+                        other => {
+                            panic!("{engine} λ̂ = {lambda}: expected a config error, got {other:?}")
+                        }
+                    }
+                });
+            assert_eq!(per_server, population);
+            assert!(
+                per_server.contains("non-negative and finite"),
+                "{per_server}"
+            );
+        }
+        for misestimate in [0.0, 1.5] {
+            let li = PolicySpec::BasicLi {
+                lambda: misestimate,
+            };
+            for engine in [EngineMode::PerServer, EngineMode::Population] {
+                assert!(run(engine, &li).is_ok(), "{engine} λ̂ = {misestimate}");
+            }
+        }
+        let cfg = SimConfig::builder().servers(8).build();
+        for li in [
+            PolicySpec::AggressiveLi { lambda: -0.5 },
+            PolicySpec::HybridLi { lambda: f64::NAN },
+            PolicySpec::LiSubset {
+                k: 2,
+                lambda: f64::INFINITY,
+            },
+            PolicySpec::HeteroLi {
+                lambda: -1.0,
+                capacities: vec![1.0; 8],
+            },
+        ] {
+            let err = check_run(&cfg, &ArrivalSpec::Poisson, &info, &li).unwrap_err();
+            assert!(err.to_string().contains("non-negative and finite"), "{err}");
+        }
+    }
+
+    /// A policy sized for another cluster is a config error before the run,
+    /// wrapped or not, instead of a panic in its first misfit decision.
+    #[test]
+    fn policies_sized_for_another_cluster_are_config_errors() {
+        let cfg = SimConfig::builder()
+            .servers(4)
+            .lambda(0.5)
+            .arrivals(2_000)
+            .build();
+        let sita = |classes: usize| PolicySpec::Sita {
+            boundaries: (1..classes).map(|b| b as f64).collect(),
+        };
+        let hetero = |servers: usize| PolicySpec::HeteroLi {
+            lambda: 0.5,
+            capacities: vec![1.0; servers],
+        };
+        let run = |policy: &PolicySpec| {
+            crate::run_simulation(&cfg, &ArrivalSpec::Poisson, &InfoSpec::Fresh, policy)
+        };
+        for misfit in [
+            sita(5),
+            sita(10),
+            hetero(3),
+            hetero(5),
+            PolicySpec::Gated {
+                cutoff: 5.0,
+                inner: Box::new(sita(5)),
+            },
+            PolicySpec::Hedged {
+                h: 2,
+                inner: Box::new(hetero(3)),
+            },
+        ] {
+            match run(&misfit) {
+                Err(crate::SimError::Config(e)) => {
+                    assert!(e.to_string().contains("the cluster has 4"), "{e}");
+                }
+                other => panic!("{misfit:?}: expected a config error, got {other:?}"),
+            }
+        }
+        for fits in [sita(4), sita(1), hetero(4)] {
+            assert!(run(&fits).is_ok(), "{fits:?}");
+        }
     }
 
     #[test]

@@ -8,11 +8,11 @@ use staleload_policies::{DispatchPolicy, Policy, PolicySpec};
 use staleload_sim::{EventQueue, OnlineStats, Sampler, SchedError, SimRng};
 use staleload_workloads::{ArrivalProcess, RetrySpec};
 
-use crate::config::ConfigError;
+use crate::config::{mmpp_process, ConfigError};
 use crate::metrics::ServerTallies;
 use crate::{
-    check_run_bounds, ArrivalSpec, CrashSpec, FaultStats, OverloadStats, PartitionSpec,
-    ResilienceStats, RunDetail, SimConfig, SimError,
+    check_run, ArrivalSpec, CrashSpec, FaultStats, OverloadStats, PartitionSpec, ResilienceStats,
+    RunDetail, SimConfig, SimError,
 };
 
 /// A non-fatal data-quality warning attached to a [`RunResult`].
@@ -613,10 +613,8 @@ fn random_up_server(cluster: &Cluster, rng: &mut SimRng) -> Option<ServerId> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Config`] when the specs are inconsistent: bad policy
-/// or info-model parameters, a bursty/MMPP arrival spec that cannot attain
-/// the configured load, or loss, partition or corruption faults on an info
-/// model without a board report path.
+/// Returns [`SimError::Config`] when [`check_run`](crate::check_run)
+/// rejects the run, before anything is allocated.
 pub fn run_simulation(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
@@ -643,7 +641,7 @@ pub fn run_simulation_until(
     policy: &PolicySpec,
     mut stop: impl FnMut() -> bool,
 ) -> Result<RunResult, SimError> {
-    check_run_bounds(cfg, arrivals, info)?;
+    check_run(cfg, arrivals, info, policy)?;
     let steps = StepCounter(0, &mut stop);
     // The population fast path has no pending-event set at all: its
     // events are a three-clock race.
@@ -681,45 +679,8 @@ fn run_inner(
     policy: &PolicySpec,
     steps: StepCounter<'_>,
 ) -> Result<RunResult, SimError> {
-    info.validate().map_err(ConfigError::new)?;
-    policy.validate().map_err(ConfigError::new)?;
-    cfg.faults.validate()?;
-    cfg.faults.check_report_path(info)?;
-    // Hedging is engine machinery: strip the outermost wrapper (validate()
-    // above already rejected h = 0 and nested hedging) and check the
-    // factor fits the cluster and nothing else fights over job ownership.
+    // `check_run` passed: `split_hedged` leaves the spec the engine builds.
     let (hedge, policy) = policy.split_hedged();
-    if let Some(h) = hedge {
-        if h as usize > cfg.servers {
-            return Err(ConfigError::new(format!(
-                "hedge factor h={h} exceeds the cluster size n={}",
-                cfg.servers
-            ))
-            .into());
-        }
-        if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with overload controls (queue \
-                 caps, deadlines, retries): both would fight over job ownership",
-            )
-            .into());
-        }
-        if cfg.work_stealing.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with work stealing: a stolen \
-                 replica would escape the hedge book",
-            )
-            .into());
-        }
-        if cfg.faults.crash.is_some() {
-            return Err(ConfigError::new(
-                "hedged dispatch cannot be combined with crash faults (a replica \
-                 stalled on a down server could double-complete); model server \
-                 loss with churn instead",
-            )
-            .into());
-        }
-    }
 
     let mut master = SimRng::from_seed(cfg.seed);
     let mut arrival_rng = master.fork();
@@ -778,30 +739,7 @@ fn run_inner(
             rate_ratio,
             high_fraction,
             cycle_mean,
-        } => {
-            if rate_ratio < 1.0 {
-                return Err(ConfigError::new(format!(
-                    "MMPP rate ratio must be at least 1, got {rate_ratio}"
-                ))
-                .into());
-            }
-            if !((0.0..1.0).contains(&high_fraction) && high_fraction > 0.0) {
-                return Err(ConfigError::new(format!(
-                    "MMPP high fraction must be in (0, 1), got {high_fraction}"
-                ))
-                .into());
-            }
-            // Solve the low rate so the sojourn-weighted mean is λ·n.
-            let low = total_rate / (1.0 - high_fraction + high_fraction * rate_ratio);
-            let high = rate_ratio * low;
-            ArrivalProcess::mmpp(
-                high,
-                high_fraction * cycle_mean,
-                low,
-                (1.0 - high_fraction) * cycle_mean,
-            )
-            .map_err(|e| ConfigError::new(format!("MMPP arrival spec: {e}")))?
-        }
+        } => mmpp_process(rate_ratio, high_fraction, cycle_mean, total_rate)?,
     };
 
     let mut engine = Engine {

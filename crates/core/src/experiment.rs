@@ -8,8 +8,8 @@ use staleload_policies::PolicySpec;
 use staleload_stats::{Summary, TailSketch};
 
 use crate::{
-    check_run_bounds, run_simulation_until, ArrivalSpec, ConfigError, Diagnostic, SimConfig,
-    SimError, TailSummary, WorkerPool,
+    check_run, run_simulation_until, ArrivalSpec, ConfigError, Diagnostic, SimConfig, SimError,
+    TailSummary, WorkerPool,
 };
 
 /// Derives the seed of trial `trial` from a master seed (SplitMix-style
@@ -116,8 +116,8 @@ pub enum TrialOutcome {
 }
 
 impl Experiment {
-    /// Creates an experiment point. A `trials` of zero is reported by
-    /// [`Experiment::try_run`] as a config error, not here.
+    /// Creates an experiment point. A `trials` of zero, like any other
+    /// invalid point, is reported by [`Experiment::validate`], not here.
     pub fn new(
         config: SimConfig,
         arrivals: ArrivalSpec,
@@ -146,17 +146,27 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] for zero trials or a run
-    /// [`check_run_bounds`] rejects, and [`SimError::NoSuccessfulTrials`]
+    /// Returns [`SimError::Config`] for a point [`Experiment::validate`]
+    /// rejects, before any trial runs, and [`SimError::NoSuccessfulTrials`]
     /// when *every* trial failed (there is nothing to aggregate).
     pub fn try_run(&self) -> Result<ExperimentResult, SimError> {
-        if self.trials == 0 {
-            return Err(ConfigError::new("need at least one trial").into());
-        }
-        check_run_bounds(&self.config, &self.arrivals, &self.info)?;
+        self.validate()?;
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         let outcomes = WorkerPool::new(threads).map(self.trials, |t| self.run_trial(t));
         self.aggregate(outcomes)
+    }
+
+    /// Checks the point before any trial of it is keyed or run: at least
+    /// one trial, then [`check_run`] on its specs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule's [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.trials == 0 {
+            return Err(ConfigError::new("need at least one trial"));
+        }
+        check_run(&self.config, &self.arrivals, &self.info, &self.policy)
     }
 
     /// Aggregates per-trial outcomes (in trial-index order) into an
@@ -287,7 +297,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::config::MAX_UOA_SNAPSHOT_ENTRIES;
-    use crate::{run_simulation, EngineMode, FaultSpec};
+    use crate::{check_run_bounds, run_simulation, EngineMode, FaultSpec};
 
     fn quick_experiment(policy: PolicySpec, trials: usize) -> Experiment {
         let cfg = SimConfig::builder()
@@ -478,18 +488,16 @@ mod tests {
         assert_eq!(r.history_misses, 0);
     }
 
+    /// An invalid point is a config error before any trial runs, not a
+    /// batch of trials that each fail with it.
     #[test]
     fn invalid_config_fails_every_trial_with_typed_error() {
         let e = quick_experiment(PolicySpec::KSubset { k: 0 }, 3);
         match e.try_run() {
-            Err(SimError::NoSuccessfulTrials {
-                trials,
-                first_error,
-            }) => {
-                assert_eq!(trials, 3);
-                assert!(first_error.contains("subset size"), "{first_error}");
+            Err(SimError::Config(err)) => {
+                assert!(err.to_string().contains("subset size"), "{err}");
             }
-            other => panic!("expected NoSuccessfulTrials, got {other:?}"),
+            other => panic!("expected a config error, got {other:?}"),
         }
     }
 
@@ -502,44 +510,33 @@ mod tests {
         assert!(r.failures.is_empty());
     }
 
+    /// A trial that panics costs its own data point only: the others
+    /// aggregate as if it had not run. The panic comes from the stop
+    /// predicate, which `check_run` cannot see, on its first poll.
     #[test]
     fn one_panicking_trial_does_not_abort_the_batch() {
-        // SITA boundaries pass validation (positive, ascending) but with 3
-        // boundaries SITA needs 4 servers — selecting on an 8-server
-        // cluster is fine, but 9 boundaries on 8 servers panics in
-        // select(). Craft a policy that validates yet panics at runtime.
-        let cfg = SimConfig::builder()
-            .servers(2)
-            .lambda(0.5)
-            .arrivals(500)
-            .seed(7)
-            .build();
-        // 4 boundaries → 5 virtual servers, but the cluster has 2: SITA
-        // returns indices ≥ 2 and the cluster panics on out-of-range.
-        let e = Experiment::new(
-            cfg,
-            ArrivalSpec::Poisson,
-            InfoSpec::Fresh,
-            PolicySpec::Sita {
-                boundaries: vec![0.5, 1.0, 2.0, 4.0],
-            },
-            2,
+        let e = quick_experiment(PolicySpec::BasicLi { lambda: 0.5 }, 3);
+        let outcomes = (0..e.trials)
+            .map(|t| {
+                e.run_trial_until(t, || {
+                    assert!(t != 1, "trial 1's stop predicate");
+                    false
+                })
+            })
+            .collect();
+        let r = e.aggregate(outcomes).expect("two clean trials aggregate");
+        let clean = e.run();
+        assert_eq!(r.failures.len(), 1);
+        assert_eq!(r.failures[0].trial, 1);
+        assert!(
+            r.failures[0].error == "panicked: trial 1's stop predicate",
+            "{}",
+            r.failures[0]
         );
-        match e.try_run() {
-            Err(SimError::NoSuccessfulTrials {
-                trials,
-                first_error,
-            }) => {
-                // Every trial hits the same panic — the point is the panic
-                // was *caught* and reported, not propagated.
-                assert_eq!(trials, 2);
-                assert!(first_error.contains("panicked"), "{first_error}");
-            }
-            Ok(r) => panic!(
-                "expected failures, got {} clean trials",
-                r.trial_means.len()
-            ),
-            Err(other) => panic!("unexpected error {other}"),
-        }
+        assert_eq!(
+            r.trial_means,
+            [clean.trial_means[0], clean.trial_means[2]],
+            "the clean trials keep their bits"
+        );
     }
 }

@@ -53,8 +53,8 @@ mod pool;
 mod population;
 
 pub use config::{
-    check_fault_clock, check_run_bounds, ArrivalSpec, ConfigError, EngineMode, SimConfig,
-    SimConfigBuilder,
+    check_fault_clock, check_run, check_run_bounds, ArrivalSpec, ConfigError, EngineMode,
+    SimConfig, SimConfigBuilder,
 };
 pub use engine::{run_simulation, run_simulation_until, Diagnostic, RunResult};
 pub use error::SimError;

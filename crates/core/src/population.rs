@@ -69,7 +69,7 @@
 
 use staleload_info::InfoSpec;
 use staleload_policies::{PolicySpec, WaterLine};
-use staleload_sim::{Dist, OnlineStats, SimRng};
+use staleload_sim::{OnlineStats, SimRng};
 use staleload_workloads::AliasTable;
 
 use crate::config::ConfigError;
@@ -83,87 +83,38 @@ use crate::{
 /// whose decisions depend on the board only through the multiset of
 /// advertised loads).
 #[derive(Debug, Clone, Copy)]
-enum PopPolicy {
+pub(crate) enum PopPolicy {
     Random,
     KSubset { d: usize },
     Greedy,
     BasicLi { lambda_hat: f64 },
 }
 
-/// The information-model subset: a shared snapshot view (periodic board)
-/// or no staleness at all.
-#[derive(Debug, Clone, Copy)]
-enum PopInfo {
-    Fresh,
-    Periodic { period: f64 },
-}
-
-fn unsupported(what: &str, hint: &str) -> SimError {
-    ConfigError::new(format!("population engine does not support {what}; {hint}")).into()
-}
-
-/// Validates the configuration against the population engine's supported
-/// subset and extracts the internal specs.
-///
-/// `SimConfigBuilder::try_build` performs the same `SimConfig`-level
-/// checks; they are repeated here because a deserialized config never went
-/// through the builder.
-fn validate(
+/// Maps the specs onto the population engine's subset: the plain Poisson
+/// stream, a fresh or periodic board (its period, `None` when fresh), and
+/// the symmetric policies, with Basic LI's expected arrivals per phase (the
+/// R of the paper's Eqs. 2–4). [`check_run`](crate::check_run) calls it to
+/// reject what lies outside, after the population rules of
+/// [`SimConfig::validate`]; [`run_population`] calls it to map the specs.
+pub(crate) fn specs(
     cfg: &SimConfig,
     arrivals: &ArrivalSpec,
     info: &InfoSpec,
     policy: &PolicySpec,
-) -> Result<(PopPolicy, PopInfo, f64), SimError> {
-    info.validate().map_err(ConfigError::new)?;
-    policy.validate().map_err(ConfigError::new)?;
-    if cfg.servers == 0 {
-        return Err(ConfigError::new("population engine needs at least one server").into());
-    }
+) -> Result<(PopPolicy, Option<f64>, f64), ConfigError> {
     if !matches!(arrivals, ArrivalSpec::Poisson) {
-        return Err(unsupported(
-            "per-client arrival processes",
-            "use the plain Poisson stream or the per-server engine",
+        return Err(ConfigError::new(
+            "population engine does not support per-client arrival processes; use the plain \
+             Poisson stream or the per-server engine",
         ));
     }
-    if cfg.capacities.is_some() {
-        return Err(unsupported(
-            "heterogeneous capacities",
-            "servers must be exchangeable for the count representation",
-        ));
+    if !matches!(info, InfoSpec::Fresh | InfoSpec::Periodic { .. }) {
+        return Err(ConfigError::new(format!(
+            "population engine supports fresh or periodic information (shared snapshot views), \
+             got {}; use the per-server engine",
+            info.label()
+        )));
     }
-    if cfg.work_stealing.is_some() {
-        return Err(unsupported("work stealing", "use the per-server engine"));
-    }
-    if !cfg.faults.is_none() {
-        return Err(unsupported("fault injection", "use the per-server engine"));
-    }
-    if cfg.queue_cap.is_some() || cfg.deadline.is_some() || cfg.retry.is_some() {
-        return Err(unsupported(
-            "overload controls (queue caps, deadlines, retries)",
-            "use the per-server engine",
-        ));
-    }
-    let svc_mean = match cfg.service {
-        Dist::Exponential { mean } => mean,
-        ref other => {
-            return Err(ConfigError::new(format!(
-                "population engine is exact only for memoryless (exponential) service, got {other}"
-            ))
-            .into())
-        }
-    };
-    let pop_info = match *info {
-        InfoSpec::Fresh => PopInfo::Fresh,
-        InfoSpec::Periodic { period } => PopInfo::Periodic { period },
-        ref other => {
-            return Err(ConfigError::new(format!(
-                "population engine supports fresh or periodic information (shared snapshot \
-                 views), got {}; use the per-server engine",
-                other.label()
-            ))
-            .into())
-        }
-    };
     let pop_policy = match *policy {
         PolicySpec::Random => PopPolicy::Random,
         // The per-server KSubset clamps k to n at selection time; mirror it.
@@ -177,11 +128,23 @@ fn validate(
                 "population engine supports the symmetric policies random, k-subset, greedy, \
                  and basic-li, got {}; use the per-server engine",
                 other.label()
-            ))
-            .into())
+            )))
         }
     };
-    Ok((pop_policy, pop_info, svc_mean))
+    let period = info.refresh_period();
+    let expected_arrivals = match (period, pop_policy) {
+        (Some(period), PopPolicy::BasicLi { lambda_hat }) => {
+            lambda_hat * cfg.servers as f64 * period
+        }
+        _ => 0.0,
+    };
+    // λ̂, n and T are each finite and λ̂ ≥ 0, but their product can overflow.
+    if !expected_arrivals.is_finite() {
+        return Err(ConfigError::new(format!(
+            "Basic LI's expected arrivals per phase λ̂·n·T must be finite, got {expected_arrivals}"
+        )));
+    }
+    Ok((pop_policy, period, expected_arrivals))
 }
 
 /// Samples a unit-rate Erlang(`stages`) variate: the sum of `stages`
@@ -556,7 +519,9 @@ pub(crate) fn run_population(
     policy: &PolicySpec,
     mut steps: StepCounter<'_>,
 ) -> Result<RunResult, SimError> {
-    let (pop_policy, pop_info, svc_mean) = validate(cfg, arrivals, info, policy)?;
+    let (pop_policy, board_period, expected_arrivals) = specs(cfg, arrivals, info, policy)?;
+    // `SimConfig::validate` admits only exponential service here.
+    let svc_mean = cfg.service.mean();
 
     let mut master = SimRng::from_seed(cfg.seed);
     let mut arrival_rng = master.fork();
@@ -573,26 +538,8 @@ pub(crate) fn run_population(
     let total = cfg.arrivals;
     let warmup = cfg.warmup_jobs();
     let rate = cfg.total_rate();
-    let fresh = matches!(pop_info, PopInfo::Fresh);
-    let period = match pop_info {
-        PopInfo::Fresh => f64::INFINITY,
-        PopInfo::Periodic { period } => period,
-    };
-    // Expected arrivals per phase, the R of the paper's Eqs. 2–4.
-    let expected_arrivals = match (pop_info, pop_policy) {
-        (PopInfo::Periodic { period }, PopPolicy::BasicLi { lambda_hat }) => {
-            lambda_hat * n as f64 * period
-        }
-        _ => 0.0,
-    };
-    if !(expected_arrivals.is_finite() && expected_arrivals >= 0.0) {
-        return Err(ConfigError::new(format!(
-            "Basic LI's expected arrivals per phase λ̂·n·T must be non-negative and finite, \
-             got {expected_arrivals}"
-        ))
-        .into());
-    }
-
+    let fresh = board_period.is_none();
+    let period = board_period.unwrap_or(f64::INFINITY);
     let mut classes = Classes::all_idle(n as u64);
     let mut scratch = Vec::new();
     let mut hist = Vec::new();

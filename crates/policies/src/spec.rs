@@ -177,6 +177,19 @@ impl PolicySpec {
             PolicySpec::KSubset { k: 0 } | PolicySpec::LiSubset { k: 0, .. } => {
                 return Err("subset size k must be at least 1".to_string());
             }
+            // A wrong estimate is fine (the misestimation experiments of
+            // §5.6 feed one on purpose); one LI cannot compute with is not.
+            PolicySpec::BasicLi { lambda }
+            | PolicySpec::AggressiveLi { lambda }
+            | PolicySpec::HybridLi { lambda }
+            | PolicySpec::LiSubset { lambda, .. }
+            | PolicySpec::HeteroLi { lambda, .. }
+                if !(lambda.is_finite() && *lambda >= 0.0) =>
+            {
+                return Err(format!(
+                    "LI arrival-rate estimate λ̂ must be non-negative and finite, got {lambda}"
+                ));
+            }
             PolicySpec::ProbeThreshold { probes: 0, .. } => {
                 return Err("probe budget must be at least 1".to_string());
             }
@@ -259,8 +272,6 @@ impl PolicySpec {
             }
             _ => {}
         }
-        // LI lambda estimates are deliberately unconstrained: the
-        // misestimation experiments (§5.6) feed wrong values on purpose.
         Ok(())
     }
 

@@ -167,9 +167,10 @@ impl SweepRunner {
     }
 
     /// Runs every point of `experiments`, returning results in input
-    /// order. Cached points are served without simulating; journalled
-    /// trials of the rest are replayed; only the remainder is flattened
-    /// into (point × trial) tasks and executed on the pool.
+    /// order. A point `Experiment::validate` rejects gets its config
+    /// error at once; cached points are served without simulating;
+    /// journalled trials of the rest are replayed; only the remainder is
+    /// flattened into (point × trial) tasks and executed on the pool.
     pub fn run_batch(
         &mut self,
         experiments: &[Experiment],
@@ -181,10 +182,8 @@ impl SweepRunner {
         let mut uncached: Vec<(usize, crate::PointKey)> = Vec::new();
         let mut done_upfront = 0usize;
         for (i, exp) in experiments.iter().enumerate() {
-            if exp.trials == 0 {
-                // try_run short-circuits on zero trials without running
-                // anything — delegating keeps the error text identical.
-                results[i] = Some(exp.try_run());
+            if let Err(e) = exp.validate() {
+                results[i] = Some(Err(e.into()));
                 done_upfront += 1;
                 continue;
             }

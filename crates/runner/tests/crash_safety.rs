@@ -2,7 +2,8 @@
 //! sweep resume, and watchdog isolation — the three robustness
 //! properties of the orchestration layer, each pinned against the
 //! determinism contract (recovery changes *when* results are computed,
-//! never *what* they are).
+//! never *what* they are) — and invalid points, which are rejected before
+//! anything of them is run or journalled.
 //!
 //! These tests injure the stores the way real failures do — truncating
 //! files mid-line, flipping bits, zeroing entries — using direct
@@ -13,13 +14,17 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use staleload_core::{ArrivalSpec, Experiment, ExperimentResult, SimConfig, SimError};
+use staleload_core::{
+    run_simulation, ArrivalSpec, ConfigError, EngineMode, Experiment, ExperimentResult, FaultSpec,
+    RetrySpec, SimConfig, SimConfigBuilder, SimError,
+};
 use staleload_info::InfoSpec;
 use staleload_policies::PolicySpec;
 use staleload_runner::{
     experiment_key, ResultCache, SweepJournal, SweepRunner, WatchdogSpec, WorkerPool, CACHE_FILE,
     JOURNAL_FILE, QUARANTINE_DIR, WATCHDOG_DIAGNOSTIC,
 };
+use staleload_sim::Dist;
 
 fn experiments() -> Vec<Experiment> {
     let cfg = |seed: u64| {
@@ -425,5 +430,223 @@ fn watchdog_tags_partial_timeouts_and_keeps_them_out_of_the_cache() {
     // The tainted point must not be in the cache.
     let mut cache = ResultCache::open(&dir).expect("reopen cache");
     assert!(cache.get(experiment_key(&huge)).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Invalid points: rejected once, before any trial, with the builder's
+// message, wherever they enter.
+// ---------------------------------------------------------------------------
+
+/// One config field out of range, set on a builder and, as sweeps do, on a
+/// built config, and the engines it is out of range on.
+struct OutOfRange {
+    name: &'static str,
+    engines: &'static [EngineMode],
+    on_builder: fn(&mut SimConfigBuilder) -> &mut SimConfigBuilder,
+    on_config: fn(&mut SimConfig),
+}
+
+const BOTH: &[EngineMode] = &[EngineMode::PerServer, EngineMode::Population];
+const POPULATION: &[EngineMode] = &[EngineMode::Population];
+const RETRY: RetrySpec = RetrySpec {
+    max_attempts: 4,
+    base: 0.5,
+    cap: 8.0,
+};
+
+fn case(
+    name: &'static str,
+    engines: &'static [EngineMode],
+    on_builder: fn(&mut SimConfigBuilder) -> &mut SimConfigBuilder,
+    on_config: fn(&mut SimConfig),
+) -> OutOfRange {
+    OutOfRange {
+        name,
+        engines,
+        on_builder,
+        on_config,
+    }
+}
+
+fn out_of_range_fields() -> Vec<OutOfRange> {
+    vec![
+        case("servers 0", BOTH, |b| b.servers(0), |c| c.servers = 0),
+        case("lambda 0", BOTH, |b| b.lambda(0.0), |c| c.lambda = 0.0),
+        case("lambda 5", BOTH, |b| b.lambda(5.0), |c| c.lambda = 5.0),
+        case("arrivals 0", BOTH, |b| b.arrivals(0), |c| c.arrivals = 0),
+        case(
+            "warmup 1.0",
+            BOTH,
+            |b| b.warmup_fraction(1.0),
+            |c| c.warmup_fraction = 1.0,
+        ),
+        case(
+            "warmup 1.5",
+            BOTH,
+            |b| b.warmup_fraction(1.5),
+            |c| c.warmup_fraction = 1.5,
+        ),
+        case(
+            "3 capacities on 4 servers",
+            BOTH,
+            |b| b.capacities(vec![1.0; 3]).servers(4),
+            |c| c.capacities = Some(vec![1.0; 3]),
+        ),
+        case(
+            "a zero capacity",
+            BOTH,
+            |b| b.capacities(vec![1.0, 1.0, 0.0, 1.0]),
+            |c| c.capacities = Some(vec![1.0, 1.0, 0.0, 1.0]),
+        ),
+        case(
+            "stealing 1",
+            BOTH,
+            |b| b.work_stealing(1),
+            |c| c.work_stealing = Some(1),
+        ),
+        case(
+            "queue cap 0",
+            BOTH,
+            |b| b.queue_cap(0),
+            |c| c.queue_cap = Some(0),
+        ),
+        case(
+            "deadline 0",
+            BOTH,
+            |b| b.deadline(0.0),
+            |c| c.deadline = Some(0.0),
+        ),
+        case(
+            "deadline -1",
+            BOTH,
+            |b| b.deadline(-1.0),
+            |c| c.deadline = Some(-1.0),
+        ),
+        case(
+            "deadline inf",
+            BOTH,
+            |b| b.deadline(f64::INFINITY),
+            |c| c.deadline = Some(f64::INFINITY),
+        ),
+        case(
+            "retry with no cap or deadline",
+            BOTH,
+            |b| b.retry(RETRY),
+            |c| c.retry = Some(RETRY),
+        ),
+        case(
+            "sketch cap 0",
+            BOTH,
+            |b| b.sketch_cap(0),
+            |c| c.sketch_cap = 0,
+        ),
+        case(
+            "capacities",
+            POPULATION,
+            |b| b.capacities(vec![1.0; 4]),
+            |c| c.capacities = Some(vec![1.0; 4]),
+        ),
+        case(
+            "work stealing",
+            POPULATION,
+            |b| b.work_stealing(2),
+            |c| c.work_stealing = Some(2),
+        ),
+        case(
+            "faults",
+            POPULATION,
+            |b| b.faults(FaultSpec::crash(300.0, 30.0)),
+            |c| c.faults = FaultSpec::crash(300.0, 30.0),
+        ),
+        case(
+            "a queue cap",
+            POPULATION,
+            |b| b.queue_cap(4),
+            |c| c.queue_cap = Some(4),
+        ),
+        case(
+            "a deadline",
+            POPULATION,
+            |b| b.deadline(8.0),
+            |c| c.deadline = Some(8.0),
+        ),
+        case(
+            "deterministic service",
+            POPULATION,
+            |b| b.service(Dist::constant(1.0)),
+            |c| c.service = Dist::constant(1.0),
+        ),
+    ]
+}
+
+/// Each field out of range after `build()` is the builder's config error
+/// from `run_simulation` on every engine it applies to, from
+/// `Experiment::try_run` before any trial runs, and from `run_batch`,
+/// which journals nothing of it while a valid batch-mate keeps its bits.
+#[test]
+fn fields_set_out_of_range_after_build_are_the_builders_config_error_everywhere() {
+    let base = |engine| {
+        let mut b = SimConfig::builder();
+        b.servers(4)
+            .lambda(0.5)
+            .arrivals(2_000)
+            .seed(11)
+            .engine(engine);
+        b
+    };
+    let point = |config| {
+        let info = InfoSpec::Periodic { period: 4.0 };
+        let li = PolicySpec::BasicLi { lambda: 0.5 };
+        Experiment::new(config, ArrivalSpec::Poisson, info, li, 3)
+    };
+    let valid = point(base(EngineMode::PerServer).build());
+    let mut batch = vec![valid.clone()];
+    let mut expected: Vec<ConfigError> = Vec::new();
+    for case in out_of_range_fields() {
+        for &engine in case.engines {
+            let mut builder = base(engine);
+            (case.on_builder)(&mut builder);
+            let want = builder.try_build().expect_err(case.name);
+            let mut config = base(engine).build();
+            (case.on_config)(&mut config);
+            let bad = point(config);
+            let what = format!("{} on {engine}", case.name);
+            match run_simulation(&bad.config, &bad.arrivals, &bad.info, &bad.policy) {
+                Err(SimError::Config(e)) => assert_eq!(e, want, "run_simulation, {what}"),
+                other => panic!("run_simulation, {what}: expected {want}, got {other:?}"),
+            }
+            match bad.try_run() {
+                Err(SimError::Config(e)) => assert_eq!(e, want, "try_run, {what}"),
+                other => panic!("try_run, {what}: expected {want}, got {other:?}"),
+            }
+            batch.push(bad);
+            expected.push(want);
+        }
+    }
+
+    let dir = temp_dir("invalid-points");
+    let mut runner = SweepRunner::new(WorkerPool::new(2), ResultCache::disabled());
+    runner.set_journal(SweepJournal::open(&dir).expect("open journal"));
+    let results = runner.run_batch(&batch);
+    assert_eq!(
+        fingerprint(results[0].as_ref().expect("the valid point runs")),
+        fingerprint(&valid.try_run().expect("sequential reference")),
+        "the valid batch-mate keeps its bits"
+    );
+    for ((result, want), bad) in results[1..].iter().zip(&expected).zip(&batch[1..]) {
+        match result {
+            Err(SimError::Config(e)) => assert_eq!(e, want),
+            other => panic!(
+                "run_batch on {:?}: expected {want}, got {other:?}",
+                bad.config
+            ),
+        }
+    }
+    let journal = runner.take_journal_accounting();
+    assert_eq!(
+        journal.recorded, valid.trials as u64,
+        "only the valid point's trials are journalled"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -59,16 +59,24 @@ impl BurstConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkloadError`] if the target is unattainable, i.e. the
-    /// bursts alone already exceed the requested mean
-    /// (`(burst_len-1) * intra_gap_mean >= burst_len * mean_inter_request`).
+    /// Returns [`WorkloadError`] if `burst_len` is 0, the intra gap is
+    /// negative or not finite, or the target is unattainable: the bursts
+    /// alone already exceed the requested mean
+    /// (`(burst_len-1) * intra_gap_mean >= burst_len * mean_inter_request`),
+    /// or the gap it needs is not finite.
     pub fn inter_gap_mean(&self, mean_inter_request: f64) -> Result<f64, WorkloadError> {
         if self.burst_len == 0 {
             return Err(WorkloadError::new("burst_len must be at least 1"));
         }
+        if !(self.intra_gap_mean.is_finite() && self.intra_gap_mean >= 0.0) {
+            return Err(WorkloadError::new(format!(
+                "intra-burst gap must be finite and non-negative, got {}",
+                self.intra_gap_mean
+            )));
+        }
         let b = f64::from(self.burst_len);
         let inter = b * mean_inter_request - (b - 1.0) * self.intra_gap_mean;
-        if inter <= 0.0 {
+        if !(inter > 0.0 && inter.is_finite()) {
             return Err(WorkloadError::new(format!(
                 "burst of {} requests with intra gap {} cannot average {} between requests",
                 self.burst_len, self.intra_gap_mean, mean_inter_request
